@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset, featstats, netsim, scenarios, selector, traceio, treelearn
 
 
@@ -26,155 +24,110 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _refuse_existing(paths, force: bool):
+    for path in paths:
+        if path.exists() and not force:
+            raise RuntimeError(f"refusing to overwrite {path} (use --force)")
+
+
 def _write_output(path: Path, content: str, force: bool):
-    if path.exists() and not force:
-        raise RuntimeError(f"refusing to overwrite {path} (use --force)")
+    _refuse_existing([path], force)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace, force: bool):
+def _write_manifest(out_dir: Path, args: argparse.Namespace):
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {k: (str(v) if isinstance(v, Path) else v) for k, v in manifest.items()}
     _write_output(out_dir / "run-manifest.json", json.dumps(manifest, indent=2) + "\n",
-                  force)
+                  True)
+
+
+def _write_single(args, content: str) -> int:
+    """Write a verb's one output to --output and its manifest next to it."""
+    out = Path(args.output)
+    _write_output(out, content, args.force)
+    _write_manifest(out.parent, args)
+    return 0
 
 
 def cmd_analyze(args) -> int:
     samples = traceio.parse_trace(Path(args.input).read_text())
     rows = featstats.correlation_table(samples, grouped_by_prio=args.grouped,
                                        min_count=args.min_count)
-    out = Path(args.output)
-    _write_output(out, featstats.correlation_table_csv(rows), args.force)
-    _write_manifest(out.parent, args, True)
-    return 0
+    return _write_single(args, featstats.correlation_table_csv(rows))
 
 
 def cmd_build_dataset(args) -> int:
     samples = traceio.parse_trace(Path(args.input).read_text())
     records = dataset.build_dataset(samples, window=args.pair_window)
-    out = Path(args.output)
-    _write_output(out, dataset.records_to_csv(records), args.force)
-    _write_manifest(out.parent, args, True)
-    return 0
-
-
-def _load_records(path: str):
-    return dataset.records_from_csv(Path(path).read_text())
+    return _write_single(args, dataset.records_to_csv(records))
 
 
 def cmd_train(args) -> int:
-    records = _load_records(args.input)
+    records = dataset.records_from_csv(Path(args.input).read_text())
     params = treelearn.TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                                   min_igr=args.min_igr)
-    if args.trees > 1:
-        model = treelearn.train_forest(records, n_trees=args.trees, params=params,
-                                       seed=args.seed)
-    else:
-        model = treelearn.build_tree(records, params)
+
+    def learner(train):
+        if args.trees > 1:
+            return treelearn.train_forest(train, n_trees=args.trees, params=params,
+                                          seed=args.seed)
+        return treelearn.build_tree(train, params)
+
+    model = learner(records)
     if args.folds:
-        def learner(train):
-            if args.trees > 1:
-                return treelearn.train_forest(train, n_trees=args.trees,
-                                              params=params, seed=args.seed)
-            return treelearn.build_tree(train, params)
         result = treelearn.kfold_evaluate(records, learner, k=args.folds, seed=args.seed)
         m = result.mean
         print(f"{args.folds}-fold: accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
               f"recall={m.recall:.4f} f1={m.f1:.4f}")
-    out = Path(args.output)
-    _write_output(out, treelearn.serialize_model(model), args.force)
-    _write_manifest(out.parent, args, True)
-    return 0
+    return _write_single(args, treelearn.serialize_model(model))
 
 
 def cmd_prune(args) -> int:
     model = treelearn.deserialize_model(Path(args.model).read_text())
-    validation = _load_records(args.validation)
-    if isinstance(model, treelearn.ForestModel):
-        trees = tuple(treelearn.prune_tree(t, validation) for t in model.trees)
-        pruned = treelearn.ForestModel(trees=trees, n_trees=model.n_trees,
-                                       seed=model.seed,
-                                       global_majority=model.global_majority)
-    else:
-        pruned = treelearn.prune_tree(model, validation)
-    out = Path(args.output)
-    _write_output(out, treelearn.serialize_model(pruned), args.force)
-    _write_manifest(out.parent, args, True)
-    return 0
+    validation = dataset.records_from_csv(Path(args.validation).read_text())
+    pruned = treelearn.prune_model(model, validation)
+    return _write_single(args, treelearn.serialize_model(pruned))
 
 
 def cmd_evaluate(args) -> int:
     model = treelearn.deserialize_model(Path(args.model).read_text())
-    records = _load_records(args.input)
+    records = dataset.records_from_csv(Path(args.input).read_text())
     m = treelearn.evaluate(model, records)
     print(f"accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
           f"recall={m.recall:.4f} f1={m.f1:.4f}")
     return 0
 
 
-def _selector_state(name: str, seed: int, model_path: str | None):
-    name = name.upper()
-    if name == selector.SMARTPS:
-        if model_path:
-            model = treelearn.deserialize_model(Path(model_path).read_text())
-        else:
-            model = scenarios.pretrained_model()
-        return selector.SelectorState(policy=selector.SMARTPS, offline_model=model,
-                                      seed=seed)
-    return selector.SelectorState(policy=name, seed=seed)
-
-
 def cmd_simulate(args) -> int:
     scenario = traceio.parse_scenario(Path(args.scenario).read_text())
-    params = netsim.SimParams(duration=scenario.duration, seed=args.seed,
-                              block_size=args.block_size)
-    state = _selector_state(args.selector, args.seed, args.model)
-    report = netsim.run(scenario, state, params)
+    policy = args.selector.upper()
+    model = None
+    if policy == selector.SMARTPS:
+        model = (treelearn.deserialize_model(Path(args.model).read_text()) if args.model
+                 else scenarios.pretrained_model())
+    params = netsim.SimParams(duration=scenario.duration, block_size=args.block_size)
+    report = netsim.run_case(scenario, policy, args.seed, model, params)
     out_dir = Path(args.output)
     for name, content in report.to_csv_bundle().items():
         _write_output(out_dir / name, content, args.force)
-    _write_manifest(out_dir, args, True)
+    _write_manifest(out_dir, args)
     return 0
 
 
 def cmd_experiment(args) -> int:
     out_dir = Path(args.output)
-    suite = scenarios.evaluation_suite(duration=args.duration)
-    model = scenarios.pretrained_model()
-    policies = ["SMARTPS", "MINRTT", "RR"]
-    per_policy: dict[str, dict[str, list[float]]] = {
-        pol: {"ag": [], "ad": []} for pol in policies}
-    lines = ["policy,scenario,seed,total_goodput_mbps,ad_p50_ms"]
-    for scn_index, scn in enumerate(suite):
-        for rep_seed in range(args.seeds):
-            seed = args.seed + scn_index * 100 + rep_seed
-            for pol in policies:
-                state = _selector_state(pol, seed, None) if pol != "SMARTPS" else \
-                    selector.SelectorState(policy=selector.SMARTPS,
-                                           offline_model=model, seed=seed)
-                params = netsim.SimParams(duration=scn.duration, seed=seed)
-                report = netsim.run(scn, state, params)
-                ad50 = (report.percentile("ad", 50)
-                        if report.ad_samples else float("nan"))
-                per_policy[pol]["ag"].append(report.total_goodput)
-                per_policy[pol]["ad"].append(ad50)
-                lines.append(f"{pol},{scn.name}-{scn_index},{seed},"
-                             f"{report.total_goodput:.6f},{ad50:.3f}")
-                cdf_dir = out_dir / "cdf"
-                _write_output(cdf_dir / f"{pol}_{scn.name}-{scn_index}_{seed}_ag.csv",
-                              "\n".join(f"{v:.6f}" for v in sorted(report.ag_series)) + "\n",
-                              True)
-    _write_output(out_dir / "runs.csv", "\n".join(lines) + "\n", args.force)
-    summary = ["policy,ag_p50_mbps,ad_p50_ms"]
-    for pol in policies:
-        ag50 = featstats.percentile(per_policy[pol]["ag"], 50)
-        ads = [v for v in per_policy[pol]["ad"] if v == v]
-        ad50 = featstats.percentile(ads, 50) if ads else float("nan")
-        summary.append(f"{pol},{ag50:.4f},{ad50:.3f}")
-    _write_output(out_dir / "summary.csv", "\n".join(summary) + "\n", args.force)
-    _write_manifest(out_dir, args, True)
-    print("\n".join(summary))
+    _refuse_existing([out_dir / name for name in netsim.SUITE_FILES], args.force)
+    rows = netsim.run_suite(scenarios.evaluation_suite(duration=args.duration),
+                            (selector.SMARTPS, selector.MINRTT, selector.RR),
+                            args.seed, args.seeds,
+                            scenarios.pretrained_model())
+    bundle = netsim.suite_csv_bundle(rows)
+    for name, content in bundle.items():
+        _write_output(out_dir / name, content, args.force)
+    _write_manifest(out_dir, args)
+    print(bundle["summary.csv"], end="")
     return 0
 
 
@@ -254,8 +207,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (traceio.TraceError, featstats.StatsError, treelearn.ModelFormatError,
-            netsim.SimError, ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:  # smartps errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import featstats, selector as selmod
+from . import featstats, scenarios, selector as selmod
 from .selector import Decision, Observation, SelectorState, WindowStats
 from .traceio import WF, LF, Scenario, scenario_mac_series
 
@@ -53,17 +53,10 @@ DEFAULT_CHANNELS = {
 }
 
 
-def channel_map(rssi: float, sinr: float, interface: str,
-                params: Optional[ChannelParams] = None) -> tuple[float, float, float]:
-    """(capacity Mbps, base rtt ms, loss fraction) for one interface state."""
-    cap, rtt, loss = channel_map_arrays(np.asarray([rssi]), np.asarray([sinr]),
-                                        interface, params)
-    return float(cap[0]), float(rtt[0]), float(loss[0])
-
-
 def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str,
                        params: Optional[ChannelParams] = None
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(capacity Mbps, base rtt ms, loss fraction) per interface state."""
     p = params if params is not None else DEFAULT_CHANNELS[interface]
     rssi = np.clip(np.asarray(rssi, dtype=float), -120.0, 0.0)
     sinr = np.asarray(sinr, dtype=float)
@@ -80,7 +73,7 @@ class SimParams:
     duration: float = 60.0
     block_size: int = 16            # packets per application block (AD unit)
     seed: int = 0
-    tick: float = MS                # fixed at 1 ms
+    tick: float = MS                # run() rejects any other step
     decision_interval: float = 0.1  # seconds
     window: float = 0.1             # metrics window, seconds
     online_window: float = 1.0      # selector A/B measurement window, seconds
@@ -112,7 +105,18 @@ class MetricsReport:
     conservation_ok: bool
 
     def percentile(self, metric: str, p: float) -> float:
-        return report_percentiles(self, metric, p)
+        """Nearest-rank percentile of a series: ag, ad, acc_wifi or acc_lte."""
+        if metric == "ag":
+            series = self.ag_series
+        elif metric == "ad":
+            series = [v for _, v in self.ad_samples]
+        elif metric == "acc_wifi":
+            series = self.accumulation[WIFI]
+        elif metric == "acc_lte":
+            series = self.accumulation[LTE]
+        else:
+            raise SimError(f"unknown metric {metric!r}")
+        return featstats.percentile(series, p)
 
     def to_csv_bundle(self) -> dict[str, str]:
         ag = ["t,ag_mbps"] + [f"{t:.3f},{v:.6f}" for t, v in zip(self.window_t, self.ag_series)]
@@ -130,8 +134,8 @@ class MetricsReport:
         ]
         for name in ("ag", "ad"):
             try:
-                p50 = report_percentiles(self, name, 50)
-                p90 = report_percentiles(self, name, 90)
+                p50 = self.percentile(name, 50)
+                p90 = self.percentile(name, 90)
                 summary.append(f"{name}_p50 {p50:.6f}")
                 summary.append(f"{name}_p90 {p90:.6f}")
             except featstats.StatsError:
@@ -143,21 +147,6 @@ class MetricsReport:
             "decisions.csv": selmod.decisions_csv(self.decisions),
             "summary.txt": "\n".join(summary) + "\n",
         }
-
-
-def report_percentiles(report: MetricsReport, metric: str, p: float) -> float:
-    """Nearest-rank percentile of a report series (ag, ad, acc_wifi, acc_lte)."""
-    if metric == "ag":
-        series = report.ag_series
-    elif metric == "ad":
-        series = [v for _, v in report.ad_samples]
-    elif metric == "acc_wifi":
-        series = report.accumulation[WIFI]
-    elif metric == "acc_lte":
-        series = report.accumulation[LTE]
-    else:
-        raise SimError(f"unknown metric {metric!r}")
-    return featstats.percentile(series, p)
 
 
 class _LossDraws:
@@ -212,6 +201,11 @@ def run(scenario: Scenario,
     p = params if params is not None else SimParams()
     if scenario.duration <= 0:
         raise SimError("scenario duration must be > 0")
+    if p.tick != MS:
+        raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
+    if p.block_size < 1 or p.recv_buffer < 1:
+        raise SimError(f"block_size and recv_buffer must be >= 1 packet; "
+                       f"got {p.block_size} and {p.recv_buffer}")
     state = policy if isinstance(policy, SelectorState) else SelectorState(policy=policy, seed=p.seed)
 
     n_ticks = int(round(scenario.duration / p.tick))
@@ -425,8 +419,64 @@ def run(scenario: Scenario,
 
 
 # ---------------------------------------------------------------------------
-# Walkaway comparison (missed-handover replication)
+# Policy comparisons: evaluation suite and walkaway (missed-handover) study
 # ---------------------------------------------------------------------------
+
+def run_case(scenario: Scenario, policy: str, seed: int, model=None,
+             params: Optional[SimParams] = None) -> MetricsReport:
+    """Run one (scenario, policy, seed) case; MINRTT and RR ignore the model."""
+    state = SelectorState(policy=policy, offline_model=model, seed=seed)
+    return run(scenario, state, replace(params or SimParams(duration=scenario.duration),
+                                        seed=seed))
+
+
+@dataclass(frozen=True)
+class SuiteRow:
+    """What a suite keeps of one run; the MetricsReport of a 30-s run is ~350 KiB."""
+
+    policy: str
+    scenario: str                  # "<name>-<suite index>"
+    seed: int
+    total_goodput: float           # Mbps
+    ad_p50: float                  # ms; NaN when no block completed
+    ag_series: tuple[float, ...]   # Mbps per metrics window
+
+
+def run_suite(suite: Sequence[Scenario], policies: Sequence[str], seed: int,
+              seeds: int, model=None) -> list[SuiteRow]:
+    """Every policy on every scenario, repeated with `seeds` consecutive seeds."""
+    rows = []
+    for index, scenario in enumerate(suite):
+        for rep in range(seeds):
+            case_seed = seed + 100 * index + rep
+            for policy in policies:
+                report = run_case(scenario, policy, case_seed, model)
+                ad_p50 = report.percentile("ad", 50) if report.ad_samples else math.nan
+                rows.append(SuiteRow(policy, f"{scenario.name}-{index}", case_seed,
+                                     report.total_goodput, ad_p50, tuple(report.ag_series)))
+    return rows
+
+
+SUITE_FILES = ("runs.csv", "summary.csv", "ag_cdf.csv")
+
+
+def suite_csv_bundle(rows: Sequence[SuiteRow]) -> dict[str, str]:
+    """runs.csv, summary.csv (per-policy medians) and ag_cdf.csv (sorted window AG)."""
+    runs = ["policy,scenario,seed,total_goodput_mbps,ad_p50_ms"]
+    cdf = ["policy,scenario,seed,ag_mbps"]
+    for r in rows:
+        key = f"{r.policy},{r.scenario},{r.seed}"
+        runs.append(f"{key},{r.total_goodput:.6f},{r.ad_p50:.3f}")
+        cdf.extend(f"{key},{v:.6f}" for v in sorted(r.ag_series))
+    summary = ["policy,ag_p50_mbps,ad_p50_ms"]
+    for policy in dict.fromkeys(r.policy for r in rows):
+        ag50 = featstats.percentile([r.total_goodput for r in rows if r.policy == policy], 50)
+        ads = [r.ad_p50 for r in rows if r.policy == policy and not math.isnan(r.ad_p50)]
+        ad50 = featstats.percentile(ads, 50) if ads else math.nan
+        summary.append(f"{policy},{ag50:.4f},{ad50:.3f}")
+    return {name: "\n".join(lines) + "\n"
+            for name, lines in zip(SUITE_FILES, (runs, summary, cdf))}
+
 
 def switch_time(decisions: Sequence[Decision], to: str = LF,
                 window: int = 10, frac: float = 0.8) -> Optional[float]:
@@ -446,24 +496,16 @@ class WalkawayComparison:
     seed: int
     switch_times: dict[str, Optional[float]]
     degraded_accumulation_p90: dict[str, float]  # WiFi in-flight after the cliff
-    reports: dict[str, MetricsReport]
 
 
 def walkaway_comparison(seed: int, model=None,
                         params: Optional[SimParams] = None) -> WalkawayComparison:
     """Run the walkaway scenario under MinRTT and SmartPS and compare."""
-    from . import scenarios
-
     scenario = scenarios.walkaway(seed)
     if model is None:
         model = scenarios.pretrained_model()
-    p = params if params is not None else SimParams(duration=scenario.duration)
-    reports = {}
-    for name, policy in (("MINRTT", selmod.MINRTT),
-                         ("SMARTPS", SelectorState(policy=selmod.SMARTPS,
-                                                   offline_model=model, seed=seed))):
-        sp = SimParams(**{**p.__dict__, "seed": seed})
-        reports[name] = run(scenario, policy, sp)
+    reports = {policy: run_case(scenario, policy, seed, model, params)
+               for policy in (selmod.MINRTT, selmod.SMARTPS)}
 
     # windows after the noise-free WiFi RSSI trajectory crosses the loss cliff
     cliff = DEFAULT_CHANNELS[WIFI].rssi_cliff
@@ -477,5 +519,4 @@ def walkaway_comparison(seed: int, model=None,
     return WalkawayComparison(
         seed=seed,
         switch_times={name: switch_time(rep.decisions) for name, rep in reports.items()},
-        degraded_accumulation_p90=acc_p90,
-        reports=reports)
+        degraded_accumulation_p90=acc_p90)

@@ -190,10 +190,7 @@ def default_trainer(records: Sequence[LabeledRecord], seed: int) -> Model:
     if not train:
         train = val
     forest = treelearn.train_forest(train, n_trees=DEFAULT_ONLINE_TREES, seed=seed)
-    pruned = tuple(treelearn.prune_tree(t, val) for t in forest.trees)
-    return treelearn.ForestModel(trees=pruned, n_trees=forest.n_trees,
-                                 seed=forest.seed,
-                                 global_majority=forest.global_majority)
+    return treelearn.prune_model(forest, val)
 
 
 def maybe_refresh(state: SelectorState, now: float) -> bool:

@@ -372,6 +372,14 @@ def prune_tree(tree: TreeNode, validation: Sequence[LabeledRecord]) -> TreeNode:
     return pruned
 
 
+def prune_model(model: Union[TreeNode, ForestModel],
+                validation: Sequence[LabeledRecord]) -> Union[TreeNode, ForestModel]:
+    """prune_tree on a tree, or on each tree of a forest."""
+    if isinstance(model, ForestModel):
+        return replace(model, trees=tuple(prune_tree(t, validation) for t in model.trees))
+    return prune_tree(model, validation)
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------

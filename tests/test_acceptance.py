@@ -286,34 +286,15 @@ def test_criterion_5_walkaway(capsys):
 def test_criterion_6_evaluation_suite(capsys, tmp_path):
     with criterion(capsys, 6, "20-scenario AG/AD comparison") as note:
         start = time.perf_counter()
-        suite = scenarios.evaluation_suite(duration=30.0)
-        model = scenarios.pretrained_model()
-        ag = {"SMARTPS": [], "MINRTT": []}
-        ad = {"SMARTPS": [], "MINRTT": []}
-        for scn_index, scn in enumerate(suite):
-            per_scn = {"SMARTPS": [], "MINRTT": []}
-            for rep_seed in range(10):
-                seed = scn_index * 100 + rep_seed
-                for pol in ("SMARTPS", "MINRTT"):
-                    if pol == "SMARTPS":
-                        policy = selector.SelectorState(
-                            policy=selector.SMARTPS, offline_model=model,
-                            seed=seed)
-                    else:
-                        policy = selector.MINRTT
-                    report = netsim.run(scn, policy,
-                                        netsim.SimParams(duration=30.0, seed=seed))
-                    ag[pol].append(report.total_goodput)
-                    per_scn[pol].extend(report.ag_series)
-                    if report.ad_samples:
-                        ad[pol].append(report.percentile("ad", 50))
-            for pol in ("SMARTPS", "MINRTT"):
-                cdf = sorted(per_scn[pol])
-                path = tmp_path / f"cdf_{pol}_{scn.name}-{scn_index}.csv"
-                path.write_text(
-                    "ag_mbps,cum_frac\n" + "\n".join(
-                        f"{v:.6f},{(i + 1) / len(cdf):.6f}"
-                        for i, v in enumerate(cdf)) + "\n")
+        rows = netsim.run_suite(scenarios.evaluation_suite(duration=30.0),
+                                (selector.SMARTPS, selector.MINRTT), seed=0, seeds=10,
+                                model=scenarios.pretrained_model())
+        for name, content in netsim.suite_csv_bundle(rows).items():
+            (tmp_path / name).write_text(content)
+        ag = {pol: [r.total_goodput for r in rows if r.policy == pol]
+              for pol in ("SMARTPS", "MINRTT")}
+        ad = {pol: [r.ad_p50 for r in rows if r.policy == pol and not math.isnan(r.ad_p50)]
+              for pol in ("SMARTPS", "MINRTT")}
 
         ag_s = float(np.median(ag["SMARTPS"]))
         ag_m = float(np.median(ag["MINRTT"]))

@@ -1,14 +1,37 @@
 """End-to-end command-line behavior."""
 
+import hashlib
 import json
 
 import pytest
 
-from smartps import cli, dataset, scenarios, traceio
+from smartps import cli, dataset, netsim, scenarios, traceio
+
+BUNDLE_FILES = ("ag.csv", "ad.csv", "accumulation.csv", "decisions.csv", "summary.txt")
+
+# Pinned sha256 digests of simulation outputs: a change that moves any of them
+# changes simulation results and has to say why.
+SIMULATE_DIGESTS = {  # walkaway(seed=5, duration=3.0), --seed 7
+    "minrtt": "0fb1953fb3db84cd152e0e45ce3fdff08629e0241534bb32d10d552c2c791286",
+    "rr": "9525bb305d72913ff28eb3ac75bf47d0a9df008c020be702b20c5fde6e6209eb",
+    "smartps": "a4f0c228689390f455befed07cb9a2dea6f79cd26ad87844de3ea6e62de3087b",
+}
+EXPERIMENT_DIGESTS = {  # --seed 0 --seeds 1 --duration 2
+    "runs.csv": "3c87c9bdc53e6c88b064b057395a30d2d15b4a1eb7166b9d8a1d833065e29e38",
+    "summary.csv": "cf41d0753abc3b56602632499c6f8bb7e6f8a2df0a90023d4c60feeb5ca0de84",
+}
+EXPERIMENT_ARGS = ("--seed", "0", "--seeds", "1", "--duration", "2")
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def bundle_digest(out_dir):
+    h = hashlib.sha256()
+    for name in BUNDLE_FILES:
+        h.update(name.encode() + b"\n" + (out_dir / name).read_bytes())
+    return h.hexdigest()
 
 
 @pytest.fixture
@@ -114,8 +137,7 @@ class TestSimulate:
                            "--selector", "minrtt", "--seed", "7",
                            "--output", str(out)) == 0
             outs.append(out)
-        for fname in ("ag.csv", "ad.csv", "accumulation.csv",
-                      "decisions.csv", "summary.txt"):
+        for fname in BUNDLE_FILES:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_manifest_records_flags(self, tmp_path, scenario_file):
@@ -126,6 +148,75 @@ class TestSimulate:
         manifest = json.loads((out / "run-manifest.json").read_text())
         assert manifest["selector"] == "rr"
         assert manifest["seed"] == 3
+
+    @pytest.mark.parametrize("selector", sorted(SIMULATE_DIGESTS))
+    def test_pinned_bundle_digest(self, tmp_path, scenario_file, selector):
+        out = tmp_path / selector
+        assert run_cli("simulate", "--scenario", str(scenario_file),
+                       "--selector", selector, "--seed", "7",
+                       "--output", str(out)) == 0
+        assert bundle_digest(out) == SIMULATE_DIGESTS[selector]
+
+    def test_zero_block_size_is_an_error(self, tmp_path, scenario_file, capsys):
+        assert run_cli("simulate", "--scenario", str(scenario_file),
+                       "--selector", "minrtt", "--seed", "7", "--block-size", "0",
+                       "--output", str(tmp_path / "sim")) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def experiment_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("experiment") / "exp"
+    assert run_cli("experiment", "--output", str(out), *EXPERIMENT_ARGS) == 0
+    return out
+
+
+class TestExperiment:
+    def test_writes_four_files_and_no_cdf_dir(self, experiment_dir):
+        assert sorted(p.name for p in experiment_dir.iterdir()) == [
+            "ag_cdf.csv", "run-manifest.json", "runs.csv", "summary.csv"]
+
+    def test_pinned_digests(self, experiment_dir):
+        for name, digest in EXPERIMENT_DIGESTS.items():
+            data = (experiment_dir / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+
+    def test_one_row_per_policy_scenario_seed(self, experiment_dir):
+        lines = (experiment_dir / "runs.csv").read_text().splitlines()
+        assert lines[0] == "policy,scenario,seed,total_goodput_mbps,ad_p50_ms"
+        assert len(lines) - 1 == 3 * 20 * 1
+
+    def test_ag_cdf_groups_are_sorted_window_series(self, experiment_dir):
+        runs = [line.split(",")[:3] for line in
+                (experiment_dir / "runs.csv").read_text().splitlines()[1:]]
+        lines = (experiment_dir / "ag_cdf.csv").read_text().splitlines()
+        assert lines[0] == "policy,scenario,seed,ag_mbps"
+        groups = {}
+        for line in lines[1:]:
+            policy, scenario, seed, value = line.split(",")
+            groups.setdefault((policy, scenario, seed), []).append(value)
+        assert list(groups) == [tuple(run) for run in runs]
+        suite = scenarios.evaluation_suite(duration=2.0)
+        model = scenarios.pretrained_model()
+        for policy, scenario, seed in runs:
+            index = int(scenario.rsplit("-", 1)[1])
+            assert int(seed) == 100 * index
+            report = netsim.run_case(suite[index], policy, int(seed), model)
+            assert groups[(policy, scenario, seed)] == [
+                f"{v:.6f}" for v in sorted(report.ag_series)]
+
+    def test_refuses_overwrite_before_simulating(self, tmp_path, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulation started before the overwrite check")
+        monkeypatch.setattr(netsim, "run_suite", must_not_run)
+        monkeypatch.setattr(scenarios, "pretrained_model", must_not_run)
+        out = tmp_path / "exp"
+        out.mkdir()
+        (out / "summary.csv").write_text("old\n")
+        assert run_cli("experiment", "--output", str(out), *EXPERIMENT_ARGS) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert (out / "summary.csv").read_text() == "old\n"
+        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
 
 
 class TestParser:

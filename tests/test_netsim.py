@@ -8,7 +8,8 @@ import pytest
 from smartps import netsim, scenarios
 from smartps.netsim import (
     DEFAULT_CHANNELS, LTE, WIFI, ChannelParams, MetricsReport, SimError,
-    SimParams, channel_map, report_percentiles, run, switch_time,
+    SimParams, SuiteRow, channel_map_arrays, run,
+    suite_csv_bundle, switch_time,
     walkaway_comparison,
 )
 from smartps.selector import Decision, MODEL
@@ -21,40 +22,42 @@ from smartps.traceio import WF, LF
 
 class TestChannelMap:
     def test_wifi_at_reference_point(self):
-        cap, rtt, loss = channel_map(-45.0, 25.0, WIFI)
+        (cap,), (rtt,), (loss,) = channel_map_arrays([-45.0], [25.0], WIFI)
         assert cap == pytest.approx(25.0)
         want_loss = 1.0 / (1.0 + math.exp((-45.0 + 75.0) / 3.0))
         assert loss == pytest.approx(want_loss, abs=1e-12)
         assert rtt == pytest.approx(20.0 * (1.0 + 1.0 * want_loss), abs=1e-9)
 
     def test_loss_is_half_at_cliff(self):
-        _, rtt, loss = channel_map(-75.0, 25.0, WIFI)
+        _, (rtt,), (loss,) = channel_map_arrays([-75.0], [25.0], WIFI)
         assert loss == pytest.approx(0.5)
         assert rtt == pytest.approx(30.0)
 
     def test_lte_at_reference_point(self):
-        cap, rtt, loss = channel_map(-60.0, 20.0, LTE)
+        (cap,), (rtt,), (loss,) = channel_map_arrays([-60.0], [20.0], LTE)
         assert cap == pytest.approx(15.0)
         want_loss = 1.0 / (1.0 + math.exp((-60.0 + 95.0) / 3.0))
         assert rtt == pytest.approx(38.0 * (1.0 + 2.0 * want_loss), abs=1e-9)
 
     def test_capacity_clamped_above_reference(self):
-        cap_hi, _, _ = channel_map(-45.0, 40.0, WIFI)
+        cap_hi = channel_map_arrays([-45.0], [40.0], WIFI)[0][0]
         assert cap_hi == 25.0
 
     def test_capacity_shannon_shape_below_reference(self):
         p = DEFAULT_CHANNELS[WIFI]
-        cap, _, _ = channel_map(-45.0, 10.0, WIFI)
+        cap = channel_map_arrays([-45.0], [10.0], WIFI)[0][0]
         want = 25.0 * math.log2(1.0 + 10.0) / math.log2(1.0 + 10.0 ** 2.5)
         assert cap == pytest.approx(want, abs=1e-9)
 
     def test_capacity_monotone_in_sinr(self):
-        caps = [channel_map(-45.0, s, WIFI)[0] for s in range(-10, 30, 2)]
-        assert all(b >= a for a, b in zip(caps, caps[1:]))
+        sinr = np.arange(-10, 30, 2)
+        caps, _, _ = channel_map_arrays(np.full(len(sinr), -45.0), sinr, WIFI)
+        assert np.all(np.diff(caps) >= 0)
 
     def test_loss_monotone_decreasing_in_rssi(self):
-        losses = [channel_map(r, 25.0, WIFI)[2] for r in range(-110, -30, 5)]
-        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        rssi = np.arange(-110, -30, 5)
+        _, _, losses = channel_map_arrays(rssi, np.full(len(rssi), 25.0), WIFI)
+        assert np.all(np.diff(losses) <= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,13 @@ class TestRun:
     def test_zero_duration_rejected(self):
         with pytest.raises(SimError):
             run(scenarios.stable(seed=0, duration=0.0), WF)
+
+    @pytest.mark.parametrize("field,value", [
+        ("tick", 0.01), ("tick", 0.0005), ("block_size", 0), ("recv_buffer", 0)])
+    def test_params_the_loop_cannot_honour_rejected(self, field, value):
+        params = SimParams(duration=1.0, **{field: value})
+        with pytest.raises(SimError, match=field):
+            run(scenarios.stable(seed=0, duration=1.0), WF, params)
 
     def test_zero_capacity_delivers_nothing(self):
         params = SimParams(duration=2.0, channels={WIFI: dead(WIFI), LTE: dead(LTE)})
@@ -141,6 +151,39 @@ class TestRun:
 
 
 # ---------------------------------------------------------------------------
+# Suite output
+# ---------------------------------------------------------------------------
+
+class TestSuiteCsvBundle:
+    ROWS = [
+        SuiteRow("SMARTPS", "stable-0", 7, 20.5, 18.0, (3.0, 1.0, 2.0)),
+        SuiteRow("MINRTT", "stable-0", 7, 19.25, math.nan, (2.0,)),
+        SuiteRow("SMARTPS", "walkaway-1", 107, 10.0, 30.0, ()),
+    ]
+
+    def test_runs_in_row_order_with_nan_ad(self):
+        assert suite_csv_bundle(self.ROWS)["runs.csv"] == (
+            "policy,scenario,seed,total_goodput_mbps,ad_p50_ms\n"
+            "SMARTPS,stable-0,7,20.500000,18.000\n"
+            "MINRTT,stable-0,7,19.250000,nan\n"
+            "SMARTPS,walkaway-1,107,10.000000,30.000\n")
+
+    def test_summary_skips_nan_ad_and_keeps_policy_order(self):
+        assert suite_csv_bundle(self.ROWS)["summary.csv"] == (
+            "policy,ag_p50_mbps,ad_p50_ms\n"
+            "SMARTPS,10.0000,18.000\n"
+            "MINRTT,19.2500,nan\n")
+
+    def test_ag_cdf_sorted_per_run(self):
+        assert suite_csv_bundle(self.ROWS)["ag_cdf.csv"] == (
+            "policy,scenario,seed,ag_mbps\n"
+            "SMARTPS,stable-0,7,1.000000\n"
+            "SMARTPS,stable-0,7,2.000000\n"
+            "SMARTPS,stable-0,7,3.000000\n"
+            "MINRTT,stable-0,7,2.000000\n")
+
+
+# ---------------------------------------------------------------------------
 # Report percentiles and CSV bundle
 # ---------------------------------------------------------------------------
 
@@ -157,17 +200,17 @@ def make_report(**overrides):
 
 class TestReport:
     def test_ad_median(self):
-        assert report_percentiles(make_report(), "ad", 50) == 20.0
+        assert make_report().percentile("ad", 50) == 20.0
 
     def test_ag_p90(self):
-        assert report_percentiles(make_report(), "ag", 90) == 30.0
+        assert make_report().percentile("ag", 90) == 30.0
 
     def test_accumulation_percentile(self):
-        assert report_percentiles(make_report(), "acc_wifi", 90) == 3000.0
+        assert make_report().percentile("acc_wifi", 90) == 3000.0
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(SimError):
-            report_percentiles(make_report(), "bogus", 50)
+            make_report().percentile("bogus", 50)
 
     def test_csv_bundle_files(self):
         bundle = make_report().to_csv_bundle()

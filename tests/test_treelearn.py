@@ -13,7 +13,7 @@ from smartps.treelearn import (
     ForestModel, Internal, Leaf, ModelFormatError, TreeParams,
     aggregate_counts, build_tree, candidate_thresholds, deserialize_model,
     evaluate, igr, kfold_evaluate, metrics_from_confusion, node_count,
-    predict, predict_batch, prune_tree, serialize_model, train_forest,
+    predict, predict_batch, prune_model, prune_tree, serialize_model, train_forest,
 )
 
 
@@ -318,6 +318,16 @@ class TestPrune:
             assert node_count(pruned) <= node_count(tree)
             assert prune_tree(pruned, val) == pruned
             assert aggregate_counts(pruned) == aggregate_counts(tree)
+
+    def test_prune_model_prunes_every_tree_of_a_forest(self):
+        train = planted_records(400, seed=3, noise=0.25)
+        val = planted_records(150, seed=1003, noise=0.25)
+        forest = train_forest(train, n_trees=5, params=TreeParams(min_leaf=2), seed=3)
+        pruned = prune_model(forest, val)
+        assert pruned.trees == tuple(prune_tree(t, val) for t in forest.trees)
+        assert (pruned.n_trees, pruned.seed, pruned.global_majority) == (
+            forest.n_trees, forest.seed, forest.global_majority)
+        assert prune_model(forest.trees[0], val) == pruned.trees[0]
 
 
 # ---------------------------------------------------------------------------
