@@ -7,12 +7,17 @@ sender runs per-subflow AIMD congestion control with RTO-triggered
 reinjection on the other path, the receiver releases the in-order prefix,
 and a pluggable selector chooses the priority path every 100 ms.  Everything
 is a pure function of (scenario, policy, seed).
+
+Packet deliveries and acks wait on a timing wheel with one bucket per tick,
+sized from the run's own largest round trip, and the channel state each tick
+reads comes from compact per-run tables (`array`/`bytes`, not lists).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -149,44 +154,47 @@ class MetricsReport:
         }
 
 
-class _LossDraws:
-    """Buffered uniform draws from a counter-based generator, in send order."""
+_DRAW_CHUNK = 4096   # uniform loss draws fetched from the generator at a time
 
-    def __init__(self, seed: int):
-        self._rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0x10c5]))
-        self._buf = self._rng.random(4096)
-        self._i = 0
 
-    def next(self) -> float:
-        if self._i >= len(self._buf):
-            self._buf = self._rng.random(4096)
-            self._i = 0
-        v = self._buf[self._i]
-        self._i += 1
-        return v
+def _doubles(x: np.ndarray) -> array:
+    return array("d", np.asarray(x, dtype=np.float64).tobytes())
+
+
+def _delays(ms: np.ndarray, floor: int, n_ticks: int) -> array:
+    # int(round(ms)) per tick with round-half-even, as Python's round(); an
+    # event due at or after the last tick never fires, so clipping the delay
+    # to the run length bounds the timing wheel without changing any output.
+    ticks = np.minimum(np.maximum(floor, np.rint(ms)), n_ticks)
+    return array("i", ticks.astype(np.int32).tobytes())
 
 
 class _Path:
-    __slots__ = ("name", "cap", "rtt", "loss", "cwnd", "ssthresh", "srtt", "credit",
-                 "in_flight", "rto_fifo", "rto_head", "reinject", "reinject_head",
-                 "sent_win", "lost_win", "dlv_bytes_win", "plr_est", "pdr_est",
-                 "cwnd_max")
+    __slots__ = ("name", "pid", "credit_tick", "dead", "loss", "rtt", "half", "full",
+                 "cwnd", "ssthresh", "srtt", "credit", "in_flight", "rto_fifo",
+                 "reinject", "sent_win", "lost_win", "dlv_bytes_win", "plr_est",
+                 "pdr_est", "cwnd_max")
 
-    def __init__(self, name, cap, rtt, loss, cwnd_init, cwnd_max):
+    def __init__(self, name, pid, cap, rtt, loss, n_ticks, cwnd_init, cwnd_max):
+        if not np.isfinite(rtt).all():
+            raise SimError(f"{name} base RTT is not finite; check its ChannelParams")
         self.name = name
-        self.cap = cap          # per-tick capacity array, Mbps
-        self.rtt = rtt          # per-tick base rtt array, ms
-        self.loss = loss        # per-tick loss array
+        self.pid = pid          # low bit of a delivery event key
+        # Per-tick tables, compact (8 bytes per float, 4 per delay, 1 per flag).
+        self.credit_tick = _doubles(cap * 125.0)   # bytes of send credit per 1-ms tick
+        self.dead = bytes((cap < 0.5).tolist())     # capacity too low to carry new data
+        self.loss = _doubles(loss)
+        self.rtt = _doubles(rtt)                    # base rtt, ms
+        self.half = _delays(rtt / 2.0, 1, n_ticks)  # one-way delay, ticks
+        self.full = _delays(rtt, 2, n_ticks)        # round trip, ticks
         self.cwnd = cwnd_init
         self.ssthresh = float("inf")
         self.cwnd_max = cwnd_max
-        self.srtt = float(rtt[0])
+        self.srtt = self.rtt[0]
         self.credit = 0.0
         self.in_flight: dict[int, int] = {}   # seq -> send tick
-        self.rto_fifo: list[tuple[int, int]] = []  # FIFO of (send_tick, seq)
-        self.rto_head = 0
-        self.reinject: list[int] = []          # seqs awaiting retransmission here
-        self.reinject_head = 0
+        self.rto_fifo: deque[tuple[int, int]] = deque()  # (send_tick, seq), lazily pruned
+        self.reinject: deque[int] = deque()   # seqs awaiting retransmission here
         self.sent_win = 0
         self.lost_win = 0
         self.dlv_bytes_win = 0
@@ -198,9 +206,12 @@ def run(scenario: Scenario,
         policy: Union[str, SelectorState],
         params: Optional[SimParams] = None) -> MetricsReport:
     """Simulate one connection over the scenario under the given selector."""
-    p = params if params is not None else SimParams()
+    p = params if params is not None else SimParams(duration=scenario.duration)
     if scenario.duration <= 0:
         raise SimError("scenario duration must be > 0")
+    if p.duration != scenario.duration:
+        raise SimError(f"params.duration {p.duration} s differs from the scenario's "
+                       f"duration {scenario.duration} s")
     if p.tick != MS:
         raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
     if p.block_size < 1 or p.recv_buffer < 1:
@@ -209,22 +220,36 @@ def run(scenario: Scenario,
     state = policy if isinstance(policy, SelectorState) else SelectorState(policy=policy, seed=p.seed)
 
     n_ticks = int(round(scenario.duration / p.tick))
-    times = np.arange(n_ticks) * p.tick
-    mac = scenario_mac_series(scenario, times)
-    paths = {}
-    for name, rssi_key, sinr_key in ((WIFI, "rssi_wifi", "sinr_wifi"),
-                                     (LTE, "rssi_lte", "sinr_lte")):
+    if n_ticks < 1:
+        raise SimError(f"scenario duration {scenario.duration} s is shorter than one tick")
+    mac = scenario_mac_series(scenario, np.arange(n_ticks) * p.tick)
+    paths = []
+    for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
+                                          (1, LTE, "rssi_lte", "sinr_lte")):
         cap, rtt, loss = channel_map_arrays(mac[rssi_key], mac[sinr_key], name,
                                             p.channels.get(name))
-        paths[name] = _Path(name, cap, rtt, loss, p.cwnd_init, p.cwnd_max)
-    wifi, lte = paths[WIFI], paths[LTE]
+        paths.append(_Path(name, pid, cap, rtt, loss, n_ticks, p.cwnd_init, p.cwnd_max))
+    wifi, lte = paths
+    rto_pairs = ((wifi, lte), (lte, wifi))
 
-    draws = _LossDraws(p.seed)
-    events: list[tuple[int, int, int, int, float]] = []  # (tick, kind, seq, path_id, rtt)
-    DLV, ACK = 0, 1
-    path_by_id = (wifi, lte)
-    id_of = {WIFI: 0, LTE: 1}
+    # Timing wheel (Varghese & Lauck, SOSP 1987): one bucket per tick of
+    # delay, so a ring one longer than the largest delay never wraps onto a
+    # pending bucket.  Every delivery of a tick runs before any ack, and a
+    # bucket sorted by (seq, path) replays the order a (tick, kind, seq, path)
+    # heap would pop.  A delivery is the int seq*2 + path id; an ack is
+    # (seq, path id, rtt sample).
+    size = max(max(wifi.full), max(lte.full)) + 1
+    dlv_wheel: list[list[int]] = [[] for _ in range(size)]
+    ack_wheel: list[list[tuple[int, int, float]]] = [[] for _ in range(size)]
 
+    rng = np.random.Generator(np.random.Philox(key=[p.seed & 0xFFFFFFFFFFFFFFFF, 0x10c5]))
+    draws = rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, consumed in send order
+    di = 0
+
+    block_size = p.block_size
+    recv_window = p.recv_buffer
+    min_rto, rto_mult = p.min_rto, p.rto_mult
+    credit_max = 4.0 * PKT_BYTES
     next_seq = 0
     delivered_upto = 0
     released = 0
@@ -237,6 +262,7 @@ def run(scenario: Scenario,
     decision_ticks = max(1, int(round(p.decision_interval / p.tick)))
     window_ticks = max(1, int(round(p.window / p.tick)))
     online_ticks = max(1, int(round(p.online_window / p.tick)))
+    online = state.policy == selmod.SMARTPS
 
     decisions: list[Decision] = []
     window_t: list[float] = []
@@ -250,7 +276,6 @@ def run(scenario: Scenario,
     online_prio_votes = {WF: 0, LF: 0}
     online_released = 0
     online_ad: list[float] = []
-    online_feat: Optional[tuple[float, ...]] = None
 
     def observation(tick: int) -> Observation:
         feats = (
@@ -269,63 +294,68 @@ def run(scenario: Scenario,
         )
 
     for tick in range(n_ticks):
-        now_ms = tick
+        slot = tick % size
 
-        # --- arrivals and acks ---
-        while events and events[0][0] <= tick:
-            _, kind, seq, pid, rtt_sample = heapq.heappop(events)
-            path = path_by_id[pid]
-            if kind == DLV:
+        # --- arrivals, then acks ---
+        due = dlv_wheel[slot]
+        if due:
+            if len(due) > 1:
+                due.sort()
+            for key in due:
+                seq = key >> 1
                 if seq >= delivered_upto and seq not in recv_buffer:
                     recv_buffer.add(seq)
                     n_transit -= 1
-                    path.dlv_bytes_win += PKT_BYTES
+                    paths[key & 1].dlv_bytes_win += PKT_BYTES
                     while delivered_upto in recv_buffer:
                         recv_buffer.remove(delivered_upto)
                         delivered_upto += 1
                         released += 1
                         released_win_bytes += PKT_BYTES
                         online_released += 1
-                        if delivered_upto % p.block_size == 0:
-                            block = delivered_upto // p.block_size - 1
+                        if delivered_upto % block_size == 0:
+                            block = delivered_upto // block_size - 1
                             start = block_first_send.pop(block, None)
                             if start is not None:
                                 ad_samples.append((tick * p.tick, float(tick - start)))
                                 online_ad.append(float(tick - start))
-            else:  # ACK
-                if seq in path.in_flight:
-                    del path.in_flight[seq]
+            due.clear()
+        due = ack_wheel[slot]
+        if due:
+            if len(due) > 1:
+                due.sort()
+            for seq, pid, rtt_sample in due:
+                path = paths[pid]
+                if path.in_flight.pop(seq, None) is not None:
                     if path.cwnd < path.ssthresh:
                         path.cwnd = min(path.cwnd_max, path.cwnd + 1.0)
                     else:
                         path.cwnd = min(path.cwnd_max, path.cwnd + 1.0 / path.cwnd)
                     path.srtt = 0.875 * path.srtt + 0.125 * rtt_sample
+            due.clear()
 
         # --- RTO: stranded packets reinject on the other path ---
-        for path, other in ((wifi, lte), (lte, wifi)):
-            rto = max(p.min_rto, p.rto_mult * path.srtt)
-            halved = False
+        for path, other in rto_pairs:
             fifo = path.rto_fifo
-            head = path.rto_head
-            while head < len(fifo):
-                send_tick, seq = fifo[head]
-                if seq not in path.in_flight or path.in_flight[seq] != send_tick:
-                    head += 1
+            in_flight = path.in_flight
+            lost = 0
+            # The fifo is in send order and rto >= min_rto, so once its head
+            # is younger than min_rto nothing behind it can time out either.
+            while fifo and tick - fifo[0][0] >= min_rto:
+                send_tick, seq = fifo[0]
+                if in_flight.get(seq) != send_tick:   # acked or already timed out
+                    fifo.popleft()
                     continue
-                if now_ms - send_tick < rto:
+                if tick - send_tick < max(min_rto, rto_mult * path.srtt):
                     break
-                head += 1
-                del path.in_flight[seq]
+                fifo.popleft()
+                del in_flight[seq]
                 other.reinject.append(seq)
-                n_transit -= 1
-                n_pending += 1
-                path.lost_win += 1
-                halved = True
-            path.rto_head = head
-            if head > 4096 and head * 2 > len(fifo):
-                path.rto_fifo = fifo[head:]
-                path.rto_head = 0
-            if halved:
+                lost += 1
+            if lost:
+                n_transit -= lost
+                n_pending += lost
+                path.lost_win += lost
                 path.ssthresh = max(2.0, path.cwnd / 2.0)
                 path.cwnd = max(1.0, path.cwnd / 2.0)
 
@@ -339,57 +369,67 @@ def run(scenario: Scenario,
         # --- send: priority path first, spill to the other ---
         first, second = (wifi, lte) if current_prio == WF else (lte, wifi)
         for path in (first, second):
-            path.credit = min(path.credit + path.cap[tick] * 125.0, 4.0 * PKT_BYTES)
+            credit = min(path.credit + path.credit_tick[tick], credit_max)
+            in_flight = path.in_flight
+            cwnd = path.cwnd
+            if credit < PKT_BYTES or len(in_flight) >= cwnd:
+                path.credit = credit
+                continue
             # New data spills to the secondary path only when the priority
             # path is saturated (cwnd-full) or effectively dead; credit
             # pacing alone must not divert the in-order stream.  Reinjections
             # are always admitted.
             allow_new = (path is first
                          or len(first.in_flight) >= first.cwnd
-                         or first.cap[tick] < 0.5)
-            while path.credit >= PKT_BYTES and len(path.in_flight) < path.cwnd:
-                if path.reinject_head < len(path.reinject):
-                    seq = path.reinject[path.reinject_head]
-                    path.reinject_head += 1
-                    if path.reinject_head > 4096 and path.reinject_head * 2 > len(path.reinject):
-                        path.reinject = path.reinject[path.reinject_head:]
-                        path.reinject_head = 0
+                         or first.dead[tick])
+            reinject = path.reinject
+            fifo = path.rto_fifo
+            loss = path.loss[tick]
+            rtt = path.rtt[tick]
+            pid = path.pid
+            dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
+            ack_due = ack_wheel[(tick + path.full[tick]) % size]
+            sent = 0
+            while credit >= PKT_BYTES and len(in_flight) < cwnd:
+                if reinject:
+                    seq = reinject.popleft()
                     n_pending -= 1
-                elif allow_new and next_seq - delivered_upto < p.recv_buffer:
+                elif allow_new and next_seq - delivered_upto < recv_window:
                     seq = next_seq
                     next_seq += 1
-                    block = seq // p.block_size
-                    if seq % p.block_size == 0:
-                        block_first_send[block] = tick
+                    if seq % block_size == 0:
+                        block_first_send[seq // block_size] = tick
                 else:
                     break
-                n_transit += 1
-                path.credit -= PKT_BYTES
-                path.in_flight[seq] = tick
-                path.rto_fifo.append((tick, seq))
-                path.sent_win += 1
-                if draws.next() >= path.loss[tick]:
-                    rtt = float(path.rtt[tick])
-                    half = max(1, int(round(rtt / 2.0)))
-                    full = max(2, int(round(rtt)))
-                    pid = id_of[path.name]
-                    heapq.heappush(events, (tick + half, DLV, seq, pid, rtt))
-                    heapq.heappush(events, (tick + full, ACK, seq, pid, rtt))
+                credit -= PKT_BYTES
+                in_flight[seq] = tick
+                fifo.append((tick, seq))
+                sent += 1
+                if di == _DRAW_CHUNK:
+                    draws = rng.random(_DRAW_CHUNK).tolist()
+                    di = 0
+                di += 1
+                if draws[di - 1] >= loss:
+                    dlv_due.append(seq * 2 + pid)
+                    ack_due.append((seq, pid, rtt))
                 # lost packets generate no events; the RTO scan recovers them
+            path.credit = credit
+            path.sent_win += sent
+            n_transit += sent
 
         # --- metrics window ---
         if (tick + 1) % window_ticks == 0:
             window_t.append((tick + 1 - window_ticks) * p.tick)
             ag_series.append(released_win_bytes * 8.0 / (window_ticks * p.tick) / 1e6)
             released_win_bytes = 0
-            for path in (wifi, lte):
+            for path in paths:
                 accumulation[path.name].append(len(path.in_flight) * PKT_BYTES)
                 path.plr_est = path.lost_win / path.sent_win if path.sent_win else 0.0
                 path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * p.tick) / 1e6
                 path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 
         # --- online learning window (SMARTPS) ---
-        if (tick + 1) % online_ticks == 0 and state.policy == selmod.SMARTPS:
+        if online and (tick + 1) % online_ticks == 0:
             prio = WF if online_prio_votes[WF] >= online_prio_votes[LF] else LF
             ag = online_released * PKT_BYTES * 8.0 / (online_ticks * p.tick) / 1e6
             ad = (sum(online_ad) / len(online_ad)) if online_ad else 1000.0
@@ -481,7 +521,6 @@ def suite_csv_bundle(rows: Sequence[SuiteRow]) -> dict[str, str]:
 def switch_time(decisions: Sequence[Decision], to: str = LF,
                 window: int = 10, frac: float = 0.8) -> Optional[float]:
     """Start time of the first window of decisions with >= frac favoring `to`."""
-    from collections import deque
     trail: deque[Decision] = deque(maxlen=window)
     for d in decisions:
         trail.append(d)

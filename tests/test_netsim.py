@@ -1,9 +1,12 @@
 """Channel model, simulator invariants, determinism, and the handover study."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartps import netsim, scenarios
 from smartps.netsim import (
@@ -76,12 +79,30 @@ class TestRun:
         with pytest.raises(SimError):
             run(scenarios.stable(seed=0, duration=0.0), WF)
 
+    def test_duration_under_one_tick_rejected(self):
+        with pytest.raises(SimError, match="shorter than one tick"):
+            run(scenarios.stable(seed=0, duration=0.0004), WF)
+
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_non_finite_rtt_rejected(self, floor):
+        channels = {WIFI: DEFAULT_CHANNELS[WIFI],
+                    LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)}
+        with pytest.raises(SimError, match="LTE base RTT"):
+            run(scenarios.stable(seed=0, duration=1.0), WF,
+                SimParams(duration=1.0, channels=channels))
+
     @pytest.mark.parametrize("field,value", [
         ("tick", 0.01), ("tick", 0.0005), ("block_size", 0), ("recv_buffer", 0)])
     def test_params_the_loop_cannot_honour_rejected(self, field, value):
         params = SimParams(duration=1.0, **{field: value})
         with pytest.raises(SimError, match=field):
             run(scenarios.stable(seed=0, duration=1.0), WF, params)
+
+    def test_params_duration_must_match_scenario(self):
+        scn = scenarios.stable(seed=0, duration=2.0)
+        with pytest.raises(SimError, match=r"60\.0 s .* 2\.0 s"):
+            run(scn, WF, SimParams(duration=60.0))
+        assert len(run(scn, WF).window_t) == 20  # no params: the scenario's duration
 
     def test_zero_capacity_delivers_nothing(self):
         params = SimParams(duration=2.0, channels={WIFI: dead(WIFI), LTE: dead(LTE)})
@@ -140,6 +161,38 @@ class TestRun:
         scn = scenarios.walkaway(seed=9, duration=5.0)
         a = run(scn, "MINRTT", SimParams(duration=5.0, seed=9))
         b = run(scn, "MINRTT", SimParams(duration=5.0, seed=9))
+        assert a.to_csv_bundle() == b.to_csv_bundle()
+
+    def test_long_rtt_channel_pinned(self):
+        # A 150-ms LTE rtt floor gives round trips near 450 ticks, beyond any
+        # fixed 128-bucket timing wheel, and 26 RTO reinjections in 10 s.
+        channels = {WIFI: DEFAULT_CHANNELS[WIFI],
+                    LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=150.0)}
+        rep = run(scenarios.walkaway(seed=5, duration=10.0), "MINRTT",
+                  SimParams(duration=10.0, seed=7, channels=channels))
+        h = hashlib.sha256()
+        for name, text in sorted(rep.to_csv_bundle().items()):
+            h.update(name.encode() + b"\n" + text.encode())
+        assert rep.total_goodput == pytest.approx(11.0904, abs=1e-4)
+        assert h.hexdigest() == (
+            "f13ae79100d275bdef0516ce927b54d2c95e22f177803a5105540a4bc3b70525")
+
+    @settings(max_examples=25, deadline=None)
+    @given(wifi_floor=st.floats(1.0, 300.0), wifi_q=st.floats(0.0, 3.0),
+           lte_floor=st.floats(1.0, 300.0), lte_q=st.floats(0.0, 3.0),
+           kind=st.sampled_from(["walkaway", "stable", "interference_burst", "oscillating"]),
+           policy=st.sampled_from(["MINRTT", "RR", WF, LF]),
+           seed=st.integers(0, 2**16))
+    def test_random_channels_conserve_and_reproduce(self, wifi_floor, wifi_q, lte_floor,
+                                                    lte_q, kind, policy, seed):
+        channels = {
+            WIFI: replace(DEFAULT_CHANNELS[WIFI], rtt_floor=wifi_floor, rtt_loss_factor=wifi_q),
+            LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=lte_floor, rtt_loss_factor=lte_q)}
+        scn = getattr(scenarios, kind)(seed=seed, duration=1.0)
+        params = SimParams(duration=1.0, seed=seed, check_conservation=True,
+                           channels=channels)
+        a = run(scn, policy, params)
+        b = run(scn, policy, params)
         assert a.to_csv_bundle() == b.to_csv_bundle()
 
     def test_seed_changes_outcome(self):
