@@ -8,8 +8,9 @@ merged by the midpoint, and the pair labeled with the priority whose
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .traceio import WF, LF, AttributeSample
 
@@ -142,5 +143,7 @@ def records_from_csv(text: str) -> list[LabeledRecord]:
             feats = tuple(float(c) for c in cells[:-1])
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric feature cell") from None
+        if not all(math.isfinite(v) for v in feats):
+            raise ValueError(f"line {lineno}: non-finite feature cell")
         records.append(LabeledRecord(features=feats, label=cells[-1]))
     return records

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class BinSpec:
 
 def default_spec(attribute: str, min_count: int = 1) -> BinSpec:
     return BinSpec(attribute=attribute, width=BIN_WIDTHS[attribute], min_count=min_count)
-
-
-def bin_values(values: Sequence[float], spec: BinSpec) -> dict[int, list[float]]:
-    """Group values into fixed-width bins; bins under min_count are dropped."""
-    bins: dict[int, list[float]] = {}
-    for v in values:
-        bins.setdefault(spec.index(v), []).append(v)
-    return {k: vs for k, vs in bins.items() if len(vs) >= spec.min_count}
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -115,18 +107,6 @@ def entropy(labels: Sequence) -> float:
     for c in Counter(labels).values():
         p = c / n
         h -= p * math.log2(p)
-    return h
-
-
-def entropy_from_counts(counts: Sequence[int]) -> float:
-    n = sum(counts)
-    if n == 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / n
-            h -= p * math.log2(p)
     return h
 
 

@@ -171,8 +171,8 @@ def _delays(ms: np.ndarray, floor: int, n_ticks: int) -> array:
 
 class _Path:
     __slots__ = ("name", "pid", "credit_tick", "dead", "loss", "rtt", "half", "full",
-                 "cwnd", "ssthresh", "srtt", "credit", "in_flight", "rto_fifo",
-                 "reinject", "sent_win", "lost_win", "dlv_bytes_win", "plr_est",
+                 "cwnd", "ssthresh", "srtt", "credit", "in_flight", "reinject",
+                 "sent_win", "lost_win", "dlv_bytes_win", "plr_est",
                  "pdr_est", "cwnd_max")
 
     def __init__(self, name, pid, cap, rtt, loss, n_ticks, cwnd_init, cwnd_max):
@@ -192,8 +192,10 @@ class _Path:
         self.cwnd_max = cwnd_max
         self.srtt = self.rtt[0]
         self.credit = 0.0
-        self.in_flight: dict[int, int] = {}   # seq -> send tick
-        self.rto_fifo: deque[tuple[int, int]] = deque()  # (send_tick, seq), lazily pruned
+        # seq -> send tick, in send order: a seq is inserted only after its
+        # previous entry here was removed by an ack or an RTO, so insertion
+        # order is send order and the oldest packet comes first.
+        self.in_flight: dict[int, int] = {}
         self.reinject: deque[int] = deque()   # seqs awaiting retransmission here
         self.sent_win = 0
         self.lost_win = 0
@@ -255,7 +257,6 @@ def run(scenario: Scenario,
     released = 0
     recv_buffer: set[int] = set()
     n_transit = 0
-    n_pending = 0
     block_first_send: dict[int, int] = {}
     seq_state_guard = p.check_conservation
 
@@ -270,7 +271,6 @@ def run(scenario: Scenario,
     ad_samples: list[tuple[float, float]] = []
     accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
     released_win_bytes = 0
-    conservation_ok = True
 
     current_prio = WF
     online_prio_votes = {WF: 0, LF: 0}
@@ -336,25 +336,23 @@ def run(scenario: Scenario,
 
         # --- RTO: stranded packets reinject on the other path ---
         for path, other in rto_pairs:
-            fifo = path.rto_fifo
             in_flight = path.in_flight
-            lost = 0
-            # The fifo is in send order and rto >= min_rto, so once its head
-            # is younger than min_rto nothing behind it can time out either.
-            while fifo and tick - fifo[0][0] >= min_rto:
-                send_tick, seq = fifo[0]
-                if in_flight.get(seq) != send_tick:   # acked or already timed out
-                    fifo.popleft()
-                    continue
-                if tick - send_tick < max(min_rto, rto_mult * path.srtt):
+            # in_flight is in send order and rto >= min_rto, so once its
+            # oldest entry is younger than min_rto nothing can time out.
+            if not in_flight or tick - next(iter(in_flight.values())) < min_rto:
+                continue
+            rto = max(min_rto, rto_mult * path.srtt)
+            expired = []
+            for seq, send_tick in in_flight.items():
+                if tick - send_tick < rto:
                     break
-                fifo.popleft()
-                del in_flight[seq]
-                other.reinject.append(seq)
-                lost += 1
-            if lost:
+                expired.append(seq)
+            if expired:
+                for seq in expired:
+                    del in_flight[seq]
+                other.reinject.extend(expired)
+                lost = len(expired)
                 n_transit -= lost
-                n_pending += lost
                 path.lost_win += lost
                 path.ssthresh = max(2.0, path.cwnd / 2.0)
                 path.cwnd = max(1.0, path.cwnd / 2.0)
@@ -383,7 +381,6 @@ def run(scenario: Scenario,
                          or len(first.in_flight) >= first.cwnd
                          or first.dead[tick])
             reinject = path.reinject
-            fifo = path.rto_fifo
             loss = path.loss[tick]
             rtt = path.rtt[tick]
             pid = path.pid
@@ -393,7 +390,6 @@ def run(scenario: Scenario,
             while credit >= PKT_BYTES and len(in_flight) < cwnd:
                 if reinject:
                     seq = reinject.popleft()
-                    n_pending -= 1
                 elif allow_new and next_seq - delivered_upto < recv_window:
                     seq = next_seq
                     next_seq += 1
@@ -403,7 +399,6 @@ def run(scenario: Scenario,
                     break
                 credit -= PKT_BYTES
                 in_flight[seq] = tick
-                fifo.append((tick, seq))
                 sent += 1
                 if di == _DRAW_CHUNK:
                     draws = rng.random(_DRAW_CHUNK).tolist()
@@ -443,19 +438,19 @@ def run(scenario: Scenario,
 
         # --- conservation: every distinct packet is in exactly one place ---
         if seq_state_guard:
-            if n_transit + len(recv_buffer) + released + n_pending != next_seq:
-                conservation_ok = False
+            pending = len(wifi.reinject) + len(lte.reinject)
+            if n_transit + len(recv_buffer) + released + pending != next_seq:
                 raise SimError(
                     f"conservation violated at tick {tick}: transit={n_transit} "
                     f"buffered={len(recv_buffer)} released={released} "
-                    f"pending={n_pending} sent={next_seq}")
+                    f"pending={pending} sent={next_seq}")
 
     total_goodput = released * PKT_BYTES * 8.0 / (n_ticks * p.tick) / 1e6
     return MetricsReport(
         policy=state.policy, scenario=scenario.name, seed=p.seed, window=p.window,
         window_t=window_t, ag_series=ag_series, ad_samples=ad_samples,
         accumulation=accumulation, decisions=decisions,
-        total_goodput=total_goodput, conservation_ok=conservation_ok)
+        total_goodput=total_goodput, conservation_ok=True)
 
 
 # ---------------------------------------------------------------------------

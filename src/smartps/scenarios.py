@@ -13,7 +13,7 @@ import functools
 from typing import Sequence
 
 from . import dataset, traceio, treelearn
-from .traceio import Scenario, Segment, constant, linear_ramp, noisy
+from .traceio import Scenario, Segment, linear_ramp, noisy
 
 _LTE_STEADY = {
     "rssi_lte": noisy(-60.0, 2.0),

@@ -1,17 +1,15 @@
 """Runtime path selection: SmartPS plus MinRTT / RoundRobin / static baselines.
 
-The SmartPS policy serves decisions from an immutable offline model snapshot
-and keeps learning online: a small fraction of decisions (epsilon) invert the
-model's priority to generate A/B measurement windows, adjacent windows with
-opposite priorities are merged into labeled records in a bounded feature
-memory, and the offline model is periodically retrained from that memory and
-swapped atomically.
+The SmartPS policy serves each decision from an immutable offline model
+snapshot, falling back to the other path when the chosen one has no cwnd
+space.  Adjacent measurement windows with opposite priorities are merged into
+labeled records in a bounded feature memory, and the offline model is
+periodically retrained from that memory and swapped atomically.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -28,13 +26,11 @@ RR = "RR"
 POLICIES = (SMARTPS, MINRTT, RR, WF, LF)
 
 MODEL = "MODEL"
-EXPLORE = "EXPLORE"
 FALLBACK = "FALLBACK"
 
 DEFAULT_MEMORY_CAPACITY = 100_000
 DEFAULT_REFRESH_INTERVAL = 30.0   # seconds
 DEFAULT_MIN_TRAIN = 500           # records required before a refresh retrains
-DEFAULT_EPSILON = 0.05
 DEFAULT_ONLINE_TREES = 50
 
 
@@ -58,7 +54,7 @@ class Observation:
 class Decision:
     t: float
     priority: str  # WF or LF
-    reason: str    # MODEL, EXPLORE or FALLBACK
+    reason: str    # MODEL or FALLBACK
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,12 @@ class SelectorState:
     policy: str
     offline_model: Optional[Model] = None
     seed: int = 0
-    exploration_eps: float = DEFAULT_EPSILON
     memory_capacity: int = DEFAULT_MEMORY_CAPACITY
     refresh_interval: float = DEFAULT_REFRESH_INTERVAL
     min_train: int = DEFAULT_MIN_TRAIN
     trainer: Optional[Trainer] = None
     feature_memory: deque = field(init=False)
     last_refresh: float = 0.0
-    decision_index: int = 0
     rr_cursor: int = 0
     last_window: Optional[WindowStats] = None
 
@@ -100,55 +94,26 @@ class SelectorState:
         self.feature_memory = deque(maxlen=self.memory_capacity)
 
 
-def _explore_draw(seed: int, index: int) -> float:
-    # Counter-style draw: a pure function of (seed, decision index) so decide
-    # stays deterministic regardless of call interleaving between refreshes.
-    return random.Random((seed << 20) ^ index).random()
-
-
-def _other(prio: str) -> str:
-    return LF if prio == WF else WF
-
-
 def decide(state: SelectorState, obs: Observation) -> Decision:
-    """Pick the priority path for the next scheduling interval."""
-    idx = state.decision_index
-    state.decision_index += 1
-    reason = MODEL
+    """Pick the priority path for the next scheduling interval.
+
+    A policy's choice stands (MODEL) unless that path has no cwnd space and
+    the other one has, in which case the other path is taken (FALLBACK).
+    """
     if state.policy == SMARTPS:
         prio = treelearn.predict(state.offline_model, obs.features)
-        if state.exploration_eps > 0 and \
-                _explore_draw(state.seed, idx) < state.exploration_eps:
-            prio = _other(prio)
-            reason = EXPLORE
     elif state.policy == MINRTT:
-        wifi_ok = obs.space_wifi > 0
-        lte_ok = obs.space_lte > 0
-        if wifi_ok and lte_ok:
-            prio = WF if obs.srtt_wifi <= obs.srtt_lte else LF
-        elif wifi_ok or lte_ok:
-            preferred = WF if obs.srtt_wifi <= obs.srtt_lte else LF
-            available = WF if wifi_ok else LF
-            if preferred != available:
-                return Decision(t=obs.t, priority=available, reason=FALLBACK)
-            prio = preferred
-        else:
-            prio = WF if obs.srtt_wifi <= obs.srtt_lte else LF
-        return _with_fallback(obs, prio, MODEL)
+        prio = WF if obs.srtt_wifi <= obs.srtt_lte else LF
     elif state.policy == RR:
         prio = WF if state.rr_cursor == 0 else LF
         state.rr_cursor ^= 1
     else:  # static WF / LF
         prio = state.policy
-    return _with_fallback(obs, prio, reason)
-
-
-def _with_fallback(obs: Observation, prio: str, reason: str) -> Decision:
-    space = obs.space_wifi if prio == WF else obs.space_lte
-    other_space = obs.space_lte if prio == WF else obs.space_wifi
+    space, other_space = ((obs.space_wifi, obs.space_lte) if prio == WF
+                          else (obs.space_lte, obs.space_wifi))
     if space <= 0 and other_space > 0:
-        return Decision(t=obs.t, priority=_other(prio), reason=FALLBACK)
-    return Decision(t=obs.t, priority=prio, reason=reason)
+        return Decision(t=obs.t, priority=LF if prio == WF else WF, reason=FALLBACK)
+    return Decision(t=obs.t, priority=prio, reason=MODEL)
 
 
 def _sample_from_window(w: WindowStats) -> AttributeSample:

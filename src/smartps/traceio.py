@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -152,9 +152,12 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
             if col in ("prio", "label"):
                 continue
             try:
-                vals[col] = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
+                v = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
             except (ValueError, ArithmeticError):
                 raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(v):
+                raise TraceError(f"row {rowno}, column {col}: non-finite cell {cell!r}")
+            vals[col] = v
         raw_prio = cells[header.index("prio")]
         if raw_prio not in _PRIO_TAGS:
             raise TraceError(f"row {rowno}, column prio: unknown tag {raw_prio!r}")
@@ -429,30 +432,39 @@ def parse_scenario(text: str) -> Scenario:
             continue
         parts = line.split()
         key = parts[0]
+
+        def num(i: int) -> float:
+            v = float(parts[i])
+            if not math.isfinite(v):
+                raise TraceError(f"line {lineno}: non-finite number {parts[i]!r}")
+            return v
+
         try:
             if key == "name":
                 name = parts[1]
             elif key == "duration":
-                duration = float(parts[1])
+                duration = num(1)
             elif key == "seed":
                 seed = int(parts[1])
             elif key == "segment":
-                segments.append((float(parts[1]), {}))
+                segments.append((num(1), {}))
             elif key in SCENARIO_ATTRS:
                 if not segments:
                     raise TraceError(f"line {lineno}: trajectory before any segment")
                 kind = parts[1]
                 if kind == "constant":
-                    traj = constant(float(parts[2]))
+                    traj = constant(num(2))
                 elif kind == "ramp":
-                    traj = linear_ramp(float(parts[2]), float(parts[3]))
+                    traj = linear_ramp(num(2), num(3))
                 elif kind == "noisy":
-                    traj = noisy(float(parts[2]), float(parts[3]))
+                    traj = noisy(num(2), num(3))
                 else:
                     raise TraceError(f"line {lineno}: unknown trajectory kind {kind!r}")
                 segments[-1][1][key] = traj
             else:
                 raise TraceError(f"line {lineno}: unknown key {key!r}")
+        except TraceError:
+            raise
         except (IndexError, ValueError) as exc:
             raise TraceError(f"line {lineno}: malformed scenario line {line!r}") from exc
     if name is None or duration is None or seed is None:

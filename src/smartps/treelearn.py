@@ -12,7 +12,7 @@ line-oriented model serialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -507,6 +507,8 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
                 fail(lineno, f"malformed internal node line {line!r}")
             if not (0 <= feature < N_FEATURES):
                 fail(lineno, f"feature index {feature} out of range")
+            if not math.isfinite(threshold):
+                fail(lineno, f"non-finite threshold {parts[2]!r}")
             left = read_node()
             right = read_node()
             return Internal(feature=feature, threshold=threshold, left=left, right=right)

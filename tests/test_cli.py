@@ -17,8 +17,8 @@ SIMULATE_DIGESTS = {  # walkaway(seed=5, duration=3.0), --seed 7
     "smartps": "a4f0c228689390f455befed07cb9a2dea6f79cd26ad87844de3ea6e62de3087b",
 }
 EXPERIMENT_DIGESTS = {  # --seed 0 --seeds 1 --duration 2
-    "runs.csv": "3c87c9bdc53e6c88b064b057395a30d2d15b4a1eb7166b9d8a1d833065e29e38",
-    "summary.csv": "cf41d0753abc3b56602632499c6f8bb7e6f8a2df0a90023d4c60feeb5ca0de84",
+    "runs.csv": "afac47317b78a3cbb0cc809e8e49edf489f8bf2f1e4bf69da316c2d36d5f93be",
+    "summary.csv": "58e2660aa4b230c33936ceaabd626d69c7eaedcb652fa36cd0317ee161b7a7b2",
 }
 EXPERIMENT_ARGS = ("--seed", "0", "--seeds", "1", "--duration", "2")
 
@@ -162,6 +162,22 @@ class TestSimulate:
                        "--selector", "minrtt", "--seed", "7", "--block-size", "0",
                        "--output", str(tmp_path / "sim")) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,lineno", [
+        ("duration 3", "duration inf", 2),
+        ("rssi_wifi ramp -30 -85", "rssi_wifi constant nan", 9),
+    ])
+    def test_non_finite_scenario_number_is_an_error(self, tmp_path, scenario_file,
+                                                    capsys, old, new, lineno):
+        text = scenario_file.read_text()
+        assert old in text
+        scenario_file.write_text(text.replace(old, new))
+        assert run_cli("simulate", "--scenario", str(scenario_file),
+                       "--selector", "minrtt", "--seed", "7",
+                       "--output", str(tmp_path / "sim")) == 1
+        err = capsys.readouterr().err
+        assert f"error: line {lineno}: non-finite number" in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -156,3 +156,12 @@ class TestRecordCsv:
         bad = text.replace("5.0", "oops")
         with pytest.raises(ValueError, match="line 2"):
             records_from_csv(bad)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_line(self, cell):
+        text = records_to_csv(
+            [LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)] * 2)
+        lines = text.splitlines()
+        lines[2] = lines[2].replace("5.0", cell)
+        with pytest.raises(ValueError, match="line 3: non-finite"):
+            records_from_csv("\n".join(lines) + "\n")

@@ -8,9 +8,8 @@ import pytest
 
 from smartps import featstats
 from smartps.featstats import (
-    BinSpec, StatsError, bin_values, cig, correlation_table,
-    correlation_table_csv, default_spec, entropy, entropy_from_counts,
-    kendall_tau_b, percentile,
+    BinSpec, StatsError, cig, correlation_table, correlation_table_csv,
+    default_spec, entropy, kendall_tau_b, percentile,
 )
 
 
@@ -21,12 +20,11 @@ from smartps.featstats import (
 class TestBinning:
     def test_rssi_example(self):
         spec = default_spec("RSSI")
-        assert bin_values([-39.0, -42.0], spec) == {-8: [-39.0], -9: [-42.0]}
+        assert [spec.index(v) for v in (-39.0, -42.0)] == [-8, -9]
 
     def test_plr_width(self):
         spec = default_spec("PLR")
-        out = bin_values([0.0, 0.0003, 0.0004, 0.0012], spec)
-        assert out == {0: [0.0, 0.0003, 0.0004], 2: [0.0012]}
+        assert [spec.index(v) for v in (0.0, 0.0003, 0.0004, 0.0012)] == [0, 0, 0, 2]
 
     def test_boundary_value_goes_to_upper_bin(self):
         spec = BinSpec("RSSI", 5.0)
@@ -34,9 +32,12 @@ class TestBinning:
         assert spec.index(-35.0) == -7
 
     def test_min_count_drops_sparse_bins(self):
-        spec = BinSpec("RSSI", 5.0, min_count=2)
-        out = bin_values([-39.0, -38.0, -42.0], spec)
-        assert out == {-8: [-39.0, -38.0]}
+        # Bin -8 holds two rows and bin -9 one, so only one bin reaches
+        # min_count=2 and the binned Kendall has nothing to rank.
+        x, y = [-39.0, -38.0, -42.0], [1.0, 2.0, 3.0]
+        assert featstats._binned_kendall(x, y, BinSpec("RSSI", 5.0)) == -1.0
+        with pytest.raises(StatsError):
+            featstats._binned_kendall(x, y, BinSpec("RSSI", 5.0, min_count=2))
 
     def test_bad_width_rejected(self):
         with pytest.raises(StatsError):
@@ -165,10 +166,6 @@ class TestEntropy:
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
             entropy([])
-
-    def test_counts_variant_agrees(self):
-        assert entropy_from_counts([3, 1]) == pytest.approx(entropy(list("aaab")))
-        assert entropy_from_counts([0, 0]) == 0.0
 
 
 class TestCig:

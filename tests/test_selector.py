@@ -1,11 +1,11 @@
-"""Decision policies, exploration, online memory, and model refresh."""
+"""Decision policies, fallback, online memory, and model refresh."""
 
 import pytest
 
 from smartps import selector
 from smartps.dataset import FEATURE_NAMES, N_FEATURES
 from smartps.selector import (
-    EXPLORE, FALLBACK, MINRTT, MODEL, RR, SMARTPS,
+    FALLBACK, MINRTT, MODEL, RR, SMARTPS,
     Decision, Observation, SelectorState, WindowStats,
     decide, decisions_csv, maybe_refresh, observe_outcome,
 )
@@ -29,9 +29,8 @@ def obs(t=0.0, rssi_wifi=-40.0, srtt_wifi=20.0, srtt_lte=45.0,
                        space_lte=space_lte)
 
 
-def smartps_state(eps=0.0, **kw):
-    return SelectorState(policy=SMARTPS, offline_model=RSSI_MODEL,
-                         exploration_eps=eps, **kw)
+def smartps_state(**kw):
+    return SelectorState(policy=SMARTPS, offline_model=RSSI_MODEL, **kw)
 
 
 class TestStateValidation:
@@ -56,32 +55,19 @@ class TestSmartPs:
         assert decide(state, obs(rssi_wifi=-80.0)) == Decision(0.0, LF, MODEL)
 
     def test_eps_zero_never_explores(self):
-        state = smartps_state(eps=0.0)
+        # Every decision with an open path is the model's own.
+        state = smartps_state()
         for i in range(200):
-            assert decide(state, obs(t=float(i))).reason == MODEL
-
-    def test_eps_one_always_explores_and_inverts(self):
-        state = smartps_state(eps=1.0)
-        d = decide(state, obs(rssi_wifi=-40.0))
-        assert d.reason == EXPLORE
-        assert d.priority == LF
-
-    def test_exploration_rate_near_eps(self):
-        state = smartps_state(eps=0.05)
-        n = 2000
-        explored = sum(decide(state, obs(t=float(i))).reason == EXPLORE
-                       for i in range(n))
-        assert 0.03 < explored / n < 0.07
+            rssi = -40.0 if i % 2 else -80.0
+            d = decide(state, obs(t=float(i), rssi_wifi=rssi))
+            assert d == Decision(float(i), WF if i % 2 else LF, MODEL)
 
     def test_decisions_deterministic_per_seed(self):
-        a = smartps_state(eps=0.1, seed=42)
-        b = smartps_state(eps=0.1, seed=42)
+        a = smartps_state(seed=42)
+        b = smartps_state(seed=42)
         seq_a = [decide(a, obs(t=float(i))) for i in range(100)]
         seq_b = [decide(b, obs(t=float(i))) for i in range(100)]
         assert seq_a == seq_b
-        c = smartps_state(eps=0.1, seed=43)
-        seq_c = [decide(c, obs(t=float(i))) for i in range(100)]
-        assert seq_a != seq_c
 
     def test_fallback_when_chosen_path_has_no_space(self):
         state = smartps_state()
@@ -108,6 +94,16 @@ class TestMinRtt:
         state = SelectorState(policy=MINRTT)
         d = decide(state, obs(srtt_wifi=20, srtt_lte=45, space_wifi=0.0))
         assert d == Decision(0.0, LF, FALLBACK)
+
+    def test_both_blocked_keeps_lower_srtt(self):
+        state = SelectorState(policy=MINRTT)
+        d = decide(state, obs(srtt_wifi=50, srtt_lte=45, space_wifi=0.0, space_lte=0.0))
+        assert d == Decision(0.0, LF, MODEL)
+
+    def test_lower_srtt_open_other_blocked_is_model(self):
+        state = SelectorState(policy=MINRTT)
+        d = decide(state, obs(srtt_wifi=20, srtt_lte=45, space_lte=0.0))
+        assert d == Decision(0.0, WF, MODEL)
 
 
 class TestRoundRobinAndStatic:
@@ -207,5 +203,5 @@ class TestMaybeRefresh:
 
 class TestDecisionsCsv:
     def test_format(self):
-        text = decisions_csv([Decision(0.0, WF, MODEL), Decision(0.5, LF, EXPLORE)])
-        assert text == "t,priority,reason\n0.000,WF,MODEL\n0.500,LF,EXPLORE\n"
+        text = decisions_csv([Decision(0.0, WF, MODEL), Decision(0.5, LF, FALLBACK)])
+        assert text == "t,priority,reason\n0.000,WF,MODEL\n0.500,LF,FALLBACK\n"

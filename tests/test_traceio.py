@@ -66,6 +66,14 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="row 2.*rssi_lte"):
             parse_trace(bad)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("old,col", [("-39", "rssi_lte"), ("0.03%", "plr_wifi")])
+    def test_non_finite_cell_names_row_and_column(self, reference_trace_text,
+                                                  cell, old, col):
+        bad = reference_trace_text.replace(old, cell + ("%" if "%" in old else ""), 1)
+        with pytest.raises(TraceError, match=f"row 2, column {col}: non-finite"):
+            parse_trace(bad)
+
     def test_unknown_prio_tag_rejected(self, reference_trace_text):
         bad = reference_trace_text.replace("LF(4G)", "LF(6G)")
         with pytest.raises(TraceError, match="prio"):

@@ -412,6 +412,11 @@ class TestSerialize:
         with pytest.raises(ModelFormatError, match="out of range"):
             deserialize_model("N 99 1.0\nL WF 1 0\nL LF 0 1\n")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_names_line(self, threshold):
+        with pytest.raises(ModelFormatError, match="line 2: non-finite threshold"):
+            deserialize_model(f"N 0 -60.0\nN 1 {threshold}\nL WF 1 0\nL LF 0 1\nL LF 0 1\n")
+
     def test_bad_forest_header_rejected(self):
         with pytest.raises(ModelFormatError, match="forest header"):
             deserialize_model("F 2 0 XX\nL WF 1 0\nL LF 0 1\n")
