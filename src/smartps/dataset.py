@@ -145,5 +145,8 @@ def records_from_csv(text: str) -> list[LabeledRecord]:
             raise ValueError(f"line {lineno}: non-numeric feature cell") from None
         if not all(math.isfinite(v) for v in feats):
             raise ValueError(f"line {lineno}: non-finite feature cell")
-        records.append(LabeledRecord(features=feats, label=cells[-1]))
+        try:
+            records.append(LabeledRecord(features=feats, label=cells[-1]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return records

@@ -39,11 +39,9 @@ AD_BIN_WIDTH = 5.0   # ms
 
 @dataclass(frozen=True)
 class BinSpec:
-    """Fixed-width binning: value v lands in floor((v - anchor) / width)."""
+    """Fixed-width binning: value v lands in floor(v / width)."""
 
-    attribute: str
     width: float
-    anchor: float = 0.0
     min_count: int = 1
 
     def __post_init__(self):
@@ -53,11 +51,11 @@ class BinSpec:
             raise StatsError("min_count must be >= 1")
 
     def index(self, v: float) -> int:
-        return int(math.floor((v - self.anchor) / self.width))
+        return int(math.floor(v / self.width))
 
 
 def default_spec(attribute: str, min_count: int = 1) -> BinSpec:
-    return BinSpec(attribute=attribute, width=BIN_WIDTHS[attribute], min_count=min_count)
+    return BinSpec(width=BIN_WIDTHS[attribute], min_count=min_count)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -212,7 +210,7 @@ def correlation_table(samples: Sequence[AttributeSample],
             try:
                 per_metric["kag"].append(_binned_kendall(x, ag, spec))
                 per_metric["kad"].append(_binned_kendall(x, ad, spec))
-                cig_spec = BinSpec(attr, spec.width, spec.anchor, 1)
+                cig_spec = BinSpec(spec.width)
                 per_metric["cag"].append(cig(x, ag, cig_spec, AG_BIN_WIDTH))
                 per_metric["cad"].append(cig(x, ad, cig_spec, AD_BIN_WIDTH))
             except StatsError:

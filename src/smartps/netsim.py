@@ -32,6 +32,16 @@ LTE = "LTE"
 
 PKT_BYTES = 1500
 MS = 0.001
+METRICS_WINDOW = 0.1   # seconds per AG and accumulation sample
+# Receive/reassembly window in packets.  Kept near a single path's
+# bandwidth-delay product so the priority decision allocates a scarce
+# resource; packets stranded on a broken path hold window slots until
+# their RTO, which is what makes a missed switch expensive.
+RECV_WINDOW = 48
+MIN_RTO = 200.0        # ms
+RTO_MULT = 4.0         # rto = max(MIN_RTO, RTO_MULT * srtt)
+CWND_INIT = 10.0       # packets
+CWND_MAX = 1000.0      # packets
 
 
 class SimError(ValueError):
@@ -80,17 +90,7 @@ class SimParams:
     seed: int = 0
     tick: float = MS                # run() rejects any other step
     decision_interval: float = 0.1  # seconds
-    window: float = 0.1             # metrics window, seconds
     online_window: float = 1.0      # selector A/B measurement window, seconds
-    # Receive/reassembly window in packets.  Kept near a single path's
-    # bandwidth-delay product so the priority decision allocates a scarce
-    # resource; packets stranded on a broken path hold window slots until
-    # their RTO, which is what makes a missed switch expensive.
-    recv_buffer: int = 48
-    min_rto: float = 200.0          # ms
-    rto_mult: float = 4.0           # rto = max(min_rto, rto_mult * srtt)
-    cwnd_init: float = 10.0
-    cwnd_max: float = 1000.0
     check_conservation: bool = True
     channels: dict = field(default_factory=lambda: dict(DEFAULT_CHANNELS))
 
@@ -100,14 +100,12 @@ class MetricsReport:
     policy: str
     scenario: str
     seed: int
-    window: float
     window_t: list[float]
     ag_series: list[float]                    # Mbps per window
     ad_samples: list[tuple[float, float]]     # (t, ms) per completed block
     accumulation: dict[str, list[float]]      # path -> in-flight bytes per window
     decisions: list[Decision]
     total_goodput: float                      # Mbps over the whole run
-    conservation_ok: bool
 
     def percentile(self, metric: str, p: float) -> float:
         """Nearest-rank percentile of a series: ag, ad, acc_wifi or acc_lte."""
@@ -135,7 +133,6 @@ class MetricsReport:
             f"scenario {self.scenario}",
             f"seed {self.seed}",
             f"total_goodput_mbps {self.total_goodput:.6f}",
-            f"conservation_ok {self.conservation_ok}",
         ]
         for name in ("ag", "ad"):
             try:
@@ -172,10 +169,9 @@ def _delays(ms: np.ndarray, floor: int, n_ticks: int) -> array:
 class _Path:
     __slots__ = ("name", "pid", "credit_tick", "dead", "loss", "rtt", "half", "full",
                  "cwnd", "ssthresh", "srtt", "credit", "in_flight", "reinject",
-                 "sent_win", "lost_win", "dlv_bytes_win", "plr_est",
-                 "pdr_est", "cwnd_max")
+                 "sent_win", "lost_win", "dlv_bytes_win", "plr_est", "pdr_est")
 
-    def __init__(self, name, pid, cap, rtt, loss, n_ticks, cwnd_init, cwnd_max):
+    def __init__(self, name, pid, cap, rtt, loss, n_ticks):
         if not np.isfinite(rtt).all():
             raise SimError(f"{name} base RTT is not finite; check its ChannelParams")
         self.name = name
@@ -187,9 +183,8 @@ class _Path:
         self.rtt = _doubles(rtt)                    # base rtt, ms
         self.half = _delays(rtt / 2.0, 1, n_ticks)  # one-way delay, ticks
         self.full = _delays(rtt, 2, n_ticks)        # round trip, ticks
-        self.cwnd = cwnd_init
+        self.cwnd = CWND_INIT
         self.ssthresh = float("inf")
-        self.cwnd_max = cwnd_max
         self.srtt = self.rtt[0]
         self.credit = 0.0
         # seq -> send tick, in send order: a seq is inserted only after its
@@ -216,9 +211,13 @@ def run(scenario: Scenario,
                        f"duration {scenario.duration} s")
     if p.tick != MS:
         raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
-    if p.block_size < 1 or p.recv_buffer < 1:
-        raise SimError(f"block_size and recv_buffer must be >= 1 packet; "
-                       f"got {p.block_size} and {p.recv_buffer}")
+    if p.block_size < 1:
+        raise SimError(f"block_size must be >= 1 packet; got {p.block_size}")
+    for name in ("decision_interval", "online_window"):
+        length = getattr(p, name)
+        if not (math.isfinite(length) and length >= p.tick):
+            raise SimError(f"{name} must be a finite length of at least one tick "
+                           f"({p.tick} s); got {length}")
     state = policy if isinstance(policy, SelectorState) else SelectorState(policy=policy, seed=p.seed)
 
     n_ticks = int(round(scenario.duration / p.tick))
@@ -230,7 +229,7 @@ def run(scenario: Scenario,
                                           (1, LTE, "rssi_lte", "sinr_lte")):
         cap, rtt, loss = channel_map_arrays(mac[rssi_key], mac[sinr_key], name,
                                             p.channels.get(name))
-        paths.append(_Path(name, pid, cap, rtt, loss, n_ticks, p.cwnd_init, p.cwnd_max))
+        paths.append(_Path(name, pid, cap, rtt, loss, n_ticks))
     wifi, lte = paths
     rto_pairs = ((wifi, lte), (lte, wifi))
 
@@ -249,20 +248,19 @@ def run(scenario: Scenario,
     di = 0
 
     block_size = p.block_size
-    recv_window = p.recv_buffer
-    min_rto, rto_mult = p.min_rto, p.rto_mult
+    recv_window = RECV_WINDOW
+    min_rto, rto_mult, cwnd_max = MIN_RTO, RTO_MULT, CWND_MAX
     credit_max = 4.0 * PKT_BYTES
     next_seq = 0
-    delivered_upto = 0
-    released = 0
+    delivered_upto = 0   # every seq below it has been released in order
     recv_buffer: set[int] = set()
     n_transit = 0
     block_first_send: dict[int, int] = {}
     seq_state_guard = p.check_conservation
 
-    decision_ticks = max(1, int(round(p.decision_interval / p.tick)))
-    window_ticks = max(1, int(round(p.window / p.tick)))
-    online_ticks = max(1, int(round(p.online_window / p.tick)))
+    decision_ticks = int(round(p.decision_interval / p.tick))
+    window_ticks = int(round(METRICS_WINDOW / p.tick))
+    online_ticks = int(round(p.online_window / p.tick))
     online = state.policy == selmod.SMARTPS
 
     decisions: list[Decision] = []
@@ -310,7 +308,6 @@ def run(scenario: Scenario,
                     while delivered_upto in recv_buffer:
                         recv_buffer.remove(delivered_upto)
                         delivered_upto += 1
-                        released += 1
                         released_win_bytes += PKT_BYTES
                         online_released += 1
                         if delivered_upto % block_size == 0:
@@ -328,9 +325,9 @@ def run(scenario: Scenario,
                 path = paths[pid]
                 if path.in_flight.pop(seq, None) is not None:
                     if path.cwnd < path.ssthresh:
-                        path.cwnd = min(path.cwnd_max, path.cwnd + 1.0)
+                        path.cwnd = min(cwnd_max, path.cwnd + 1.0)
                     else:
-                        path.cwnd = min(path.cwnd_max, path.cwnd + 1.0 / path.cwnd)
+                        path.cwnd = min(cwnd_max, path.cwnd + 1.0 / path.cwnd)
                     path.srtt = 0.875 * path.srtt + 0.125 * rtt_sample
             due.clear()
 
@@ -439,18 +436,17 @@ def run(scenario: Scenario,
         # --- conservation: every distinct packet is in exactly one place ---
         if seq_state_guard:
             pending = len(wifi.reinject) + len(lte.reinject)
-            if n_transit + len(recv_buffer) + released + pending != next_seq:
+            if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
                 raise SimError(
                     f"conservation violated at tick {tick}: transit={n_transit} "
-                    f"buffered={len(recv_buffer)} released={released} "
+                    f"buffered={len(recv_buffer)} released={delivered_upto} "
                     f"pending={pending} sent={next_seq}")
 
-    total_goodput = released * PKT_BYTES * 8.0 / (n_ticks * p.tick) / 1e6
+    total_goodput = delivered_upto * PKT_BYTES * 8.0 / (n_ticks * p.tick) / 1e6
     return MetricsReport(
-        policy=state.policy, scenario=scenario.name, seed=p.seed, window=p.window,
+        policy=state.policy, scenario=scenario.name, seed=p.seed,
         window_t=window_t, ag_series=ag_series, ad_samples=ad_samples,
-        accumulation=accumulation, decisions=decisions,
-        total_goodput=total_goodput, conservation_ok=True)
+        accumulation=accumulation, decisions=decisions, total_goodput=total_goodput)
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +509,18 @@ def suite_csv_bundle(rows: Sequence[SuiteRow]) -> dict[str, str]:
             for name, lines in zip(SUITE_FILES, (runs, summary, cdf))}
 
 
-def switch_time(decisions: Sequence[Decision], to: str = LF,
-                window: int = 10, frac: float = 0.8) -> Optional[float]:
-    """Start time of the first window of decisions with >= frac favoring `to`."""
-    trail: deque[Decision] = deque(maxlen=window)
+# Criterion 5's switch rule: at least 8 of 10 consecutive decisions favour LF.
+SWITCH_TRAIL = 10
+SWITCH_MIN_LF = 8
+
+
+def switch_time(decisions: Sequence[Decision]) -> Optional[float]:
+    """Start time of the first SWITCH_TRAIL decisions with >= SWITCH_MIN_LF favouring LF."""
+    trail: deque[Decision] = deque(maxlen=SWITCH_TRAIL)
     for d in decisions:
         trail.append(d)
-        if len(trail) == window and \
-                sum(1 for e in trail if e.priority == to) >= frac * window:
+        if len(trail) == SWITCH_TRAIL and \
+                sum(1 for e in trail if e.priority == LF) >= SWITCH_MIN_LF:
             return trail[0].t
     return None
 

@@ -110,8 +110,7 @@ def evaluation_suite(duration: float = 30.0) -> list[Scenario]:
     return suite
 
 
-def training_corpus(seed: int = 7, sampling_interval: float = 0.1
-                    ) -> list[dataset.LabeledRecord]:
+def training_corpus(seed: int = 7) -> list[dataset.LabeledRecord]:
     """Labeled records synthesized across all scenario families."""
     scns = [
         walkaway(seed, duration=60.0),
@@ -125,14 +124,13 @@ def training_corpus(seed: int = 7, sampling_interval: float = 0.1
     ]
     records = []
     for scn in scns:
-        trace = traceio.synthesize_trace(scn, sampling_interval)
+        trace = traceio.synthesize_trace(scn, 0.1)
         records.extend(dataset.build_dataset(trace))
     return records
 
 
-@functools.lru_cache(maxsize=4)
-def pretrained_model(seed: int = 7, n_trees: int = 20):
-    """Forest trained on the synthesized corpus; cached per process."""
-    records = training_corpus(seed)
+@functools.cache
+def pretrained_model() -> treelearn.ForestModel:
+    """20-tree forest trained on training_corpus(7) with seed 7; cached per process."""
     params = treelearn.TreeParams(max_depth=6, min_leaf=20)
-    return treelearn.train_forest(records, n_trees=n_trees, params=params, seed=seed)
+    return treelearn.train_forest(training_corpus(7), n_trees=20, params=params, seed=7)

@@ -181,10 +181,9 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
     return samples
 
 
-def write_trace(samples: Sequence[AttributeSample], include_label: Optional[bool] = None) -> str:
-    """Serialize samples to canonical CSV text; exact inverse of parse_trace."""
-    if include_label is None:
-        include_label = any(s.label is not None for s in samples)
+def write_trace(samples: Sequence[AttributeSample]) -> str:
+    """Canonical CSV text, with a label column if any sample has a label; inverts parse_trace."""
+    include_label = any(s.label is not None for s in samples)
     header = TRACE_COLUMNS + (["label"] if include_label else [])
     out = [",".join(header)]
     prev_t = -math.inf

@@ -57,13 +57,12 @@ TreeNode = Union[Leaf, Internal]
 @dataclass(frozen=True)
 class ForestModel:
     trees: tuple[TreeNode, ...]
-    n_trees: int
     seed: int
     global_majority: str
 
     def __post_init__(self):
-        if self.n_trees < 1 or len(self.trees) != self.n_trees:
-            raise ValueError("forest must contain exactly n_trees trees")
+        if not self.trees:
+            raise ValueError("forest must contain at least one tree")
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,10 @@ def build_tree(records: Sequence[LabeledRecord],
     """
     if len(records) == 0:
         raise ValueError("build_tree: empty record list")
-    X, y = to_arrays(records)
+    return _grow_tree(*to_arrays(records), params)
+
+
+def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> TreeNode:
     gm = global_majority(y)
     rng = np.random.default_rng(params.seed)
     subset = params.feature_subset
@@ -219,7 +221,7 @@ def build_tree(records: Sequence[LabeledRecord],
                         left=grow(idx[mask], depth + 1),
                         right=grow(idx[~mask], depth + 1))
 
-    return grow(np.arange(len(records)), 0)
+    return grow(np.arange(len(y)), 0)
 
 
 def global_majority(y: np.ndarray) -> str:
@@ -239,9 +241,9 @@ def predict(model: Union[TreeNode, ForestModel],
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
     if isinstance(model, ForestModel):
         votes = sum(1 if _predict_tree(t, features) == WF else 0 for t in model.trees)
-        if votes * 2 > model.n_trees:
+        if votes * 2 > len(model.trees):
             return WF
-        if votes * 2 < model.n_trees:
+        if votes * 2 < len(model.trees):
             return LF
         return model.global_majority
     return _predict_tree(model, features)
@@ -259,8 +261,8 @@ def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndar
         wf_votes = np.zeros(len(X), dtype=np.int32)
         for t in model.trees:
             wf_votes += (_predict_tree_batch(t, X) == 0)
-        out = np.where(wf_votes * 2 > model.n_trees, 0, 1).astype(np.int8)
-        ties = wf_votes * 2 == model.n_trees
+        out = np.where(wf_votes * 2 > len(model.trees), 0, 1).astype(np.int8)
+        ties = wf_votes * 2 == len(model.trees)
         if ties.any():
             out[ties] = _LABEL_INDEX[model.global_majority]
         return out
@@ -287,8 +289,7 @@ def _predict_tree_batch(node: TreeNode, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def train_forest(records: Sequence[LabeledRecord], n_trees: int = 200,
-                 params: Optional[TreeParams] = None, seed: int = 0,
-                 bootstrap: bool = True) -> ForestModel:
+                 params: Optional[TreeParams] = None, seed: int = 0) -> ForestModel:
     """Bootstrap forest: tree i trains on a resample drawn with seed + i.
 
     Feature subsampling defaults to ceil(sqrt(12)) = 4 features per node
@@ -300,21 +301,14 @@ def train_forest(records: Sequence[LabeledRecord], n_trees: int = 200,
     subset = base.feature_subset
     if subset is None:
         subset = math.ceil(math.sqrt(N_FEATURES))
-    _, y = to_arrays(records)
-    gm = global_majority(y)
+    X, y = to_arrays(records)
+    n = len(y)
     trees = []
-    n = len(records)
     for i in range(n_trees):
-        tree_seed = seed + i
-        if bootstrap:
-            rs = np.random.default_rng(tree_seed)
-            sample = [records[j] for j in rs.integers(0, n, size=n)]
-        else:
-            sample = list(records)
-        tp = replace(base, feature_subset=subset, seed=tree_seed)
-        trees.append(build_tree(sample, tp))
-    return ForestModel(trees=tuple(trees), n_trees=n_trees, seed=seed,
-                       global_majority=gm)
+        rows = np.random.default_rng(seed + i).integers(0, n, size=n)
+        tp = replace(base, feature_subset=subset, seed=seed + i)
+        trees.append(_grow_tree(X[rows], y[rows], tp))
+    return ForestModel(trees=tuple(trees), seed=seed, global_majority=global_majority(y))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +458,7 @@ def serialize_model(model: Union[TreeNode, ForestModel]) -> str:
             emit(node.right)
 
     if isinstance(model, ForestModel):
-        lines.append(f"F {model.n_trees} {model.seed} {model.global_majority}")
+        lines.append(f"F {len(model.trees)} {model.seed} {model.global_majority}")
         for t in model.trees:
             emit(t)
     else:
@@ -523,12 +517,13 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
             n_trees, seed = int(parts[1]), int(parts[2])
         except ValueError:
             fail(first_lineno, f"malformed forest header {first!r}")
+        if n_trees < 1:
+            fail(first_lineno, f"forest needs at least one tree, got {n_trees}")
         pos = 1
         trees = tuple(read_node() for _ in range(n_trees))
         if pos != len(lines):
             fail(lines[pos][0], "trailing content after forest")
-        return ForestModel(trees=trees, n_trees=n_trees, seed=seed,
-                           global_majority=parts[3])
+        return ForestModel(trees=trees, seed=seed, global_majority=parts[3])
     node = read_node()
     if pos != len(lines):
         fail(lines[pos][0], "trailing content after tree")

@@ -12,9 +12,9 @@ BUNDLE_FILES = ("ag.csv", "ad.csv", "accumulation.csv", "decisions.csv", "summar
 # Pinned sha256 digests of simulation outputs: a change that moves any of them
 # changes simulation results and has to say why.
 SIMULATE_DIGESTS = {  # walkaway(seed=5, duration=3.0), --seed 7
-    "minrtt": "0fb1953fb3db84cd152e0e45ce3fdff08629e0241534bb32d10d552c2c791286",
-    "rr": "9525bb305d72913ff28eb3ac75bf47d0a9df008c020be702b20c5fde6e6209eb",
-    "smartps": "a4f0c228689390f455befed07cb9a2dea6f79cd26ad87844de3ea6e62de3087b",
+    "minrtt": "80528ab5bc9f5920d5b696d46868c986cb8976d23f1a69a9b72b39fd5a108223",
+    "rr": "ae9c57bd18972359778b64eb08c690f32b4f51bd2212b28c0afe37e6f2bb1809",
+    "smartps": "bce7c2cba6e9ce6ed498b0ff56d59d444ec5970f4356b3ac860ca2fe3b732f0b",
 }
 EXPERIMENT_DIGESTS = {  # --seed 0 --seeds 1 --duration 2
     "runs.csv": "afac47317b78a3cbb0cc809e8e49edf489f8bf2f1e4bf69da316c2d36d5f93be",
@@ -126,6 +126,15 @@ class TestTrainPruneEvaluate:
                        "--output", str(tmp_path / "m.txt"),
                        "--folds", "10") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_label_names_line(self, tmp_path, dataset_file, capsys):
+        lines = dataset_file.read_text().splitlines()[:3]
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",XX"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run_cli("train", "--input", str(bad),
+                       "--output", str(tmp_path / "m.txt")) == 1
+        assert "error: line 3: label must be WF or LF, got 'XX'" in capsys.readouterr().err
 
 
 class TestSimulate:

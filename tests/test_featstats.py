@@ -27,7 +27,7 @@ class TestBinning:
         assert [spec.index(v) for v in (0.0, 0.0003, 0.0004, 0.0012)] == [0, 0, 0, 2]
 
     def test_boundary_value_goes_to_upper_bin(self):
-        spec = BinSpec("RSSI", 5.0)
+        spec = BinSpec(5.0)
         assert spec.index(-40.0) == -8
         assert spec.index(-35.0) == -7
 
@@ -35,17 +35,17 @@ class TestBinning:
         # Bin -8 holds two rows and bin -9 one, so only one bin reaches
         # min_count=2 and the binned Kendall has nothing to rank.
         x, y = [-39.0, -38.0, -42.0], [1.0, 2.0, 3.0]
-        assert featstats._binned_kendall(x, y, BinSpec("RSSI", 5.0)) == -1.0
+        assert featstats._binned_kendall(x, y, BinSpec(5.0)) == -1.0
         with pytest.raises(StatsError):
-            featstats._binned_kendall(x, y, BinSpec("RSSI", 5.0, min_count=2))
+            featstats._binned_kendall(x, y, BinSpec(5.0, min_count=2))
 
     def test_bad_width_rejected(self):
         with pytest.raises(StatsError):
-            BinSpec("RSSI", 0.0)
+            BinSpec(0.0)
 
     def test_bad_min_count_rejected(self):
         with pytest.raises(StatsError):
-            BinSpec("RSSI", 5.0, min_count=0)
+            BinSpec(5.0, min_count=0)
 
 
 class TestPercentile:
@@ -169,7 +169,7 @@ class TestEntropy:
 
 
 class TestCig:
-    SPEC = BinSpec("RSSI", 5.0)
+    SPEC = BinSpec(5.0)
 
     def test_fully_informative(self):
         # x bins split y bins perfectly -> CIG 1.

@@ -234,9 +234,9 @@ class TestForest:
     def test_degenerate_forest_equals_tree(self):
         recs = planted_records(400, seed=3)
         params = TreeParams(min_leaf=5, feature_subset=N_FEATURES)
-        forest = train_forest(recs, n_trees=1, params=params, seed=0,
-                              bootstrap=False)
-        tree = build_tree(recs, params)
+        forest = train_forest(recs, n_trees=1, params=params, seed=0)
+        rows = np.random.default_rng(0).integers(0, len(recs), size=len(recs))
+        tree = build_tree([recs[i] for i in rows], params)
         X = np.array([r.features for r in recs])
         assert (predict_batch(forest, X) == predict_batch(tree, X)).all()
 
@@ -265,8 +265,7 @@ class TestForest:
 
     def test_forest_shape_validated(self):
         with pytest.raises(ValueError):
-            ForestModel(trees=(Leaf(WF, (1, 0)),), n_trees=2, seed=0,
-                        global_majority=WF)
+            ForestModel(trees=(), seed=0, global_majority=WF)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +324,8 @@ class TestPrune:
         forest = train_forest(train, n_trees=5, params=TreeParams(min_leaf=2), seed=3)
         pruned = prune_model(forest, val)
         assert pruned.trees == tuple(prune_tree(t, val) for t in forest.trees)
-        assert (pruned.n_trees, pruned.seed, pruned.global_majority) == (
-            forest.n_trees, forest.seed, forest.global_majority)
+        assert (len(pruned.trees), pruned.seed, pruned.global_majority) == (
+            len(forest.trees), forest.seed, forest.global_majority)
         assert prune_model(forest.trees[0], val) == pruned.trees[0]
 
 
@@ -420,3 +419,8 @@ class TestSerialize:
     def test_bad_forest_header_rejected(self):
         with pytest.raises(ModelFormatError, match="forest header"):
             deserialize_model("F 2 0 XX\nL WF 1 0\nL LF 0 1\n")
+
+    @pytest.mark.parametrize("header", ["F 0 7 WF", "F -2 7 WF"])
+    def test_tree_count_below_one_names_line(self, header):
+        with pytest.raises(ModelFormatError, match="line 1: forest needs at least one tree"):
+            deserialize_model(f"{header}\nL WF 1 0\n")
