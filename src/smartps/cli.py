@@ -3,7 +3,7 @@
 Verbs: analyze, build-dataset, train, prune, evaluate, simulate, experiment.
 Every verb is reproducible from its flags plus seed; a run-manifest capturing
 both is written next to the outputs.  Existing outputs are never overwritten
-without --force.
+without --force, and a verb checks for them before it does any work.
 """
 
 from __future__ import annotations
@@ -24,14 +24,20 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _refuse_existing(paths, force: bool):
-    for path in paths:
-        if path.exists() and not force:
+# Files a verb writes into its --output directory; other verbs write --output.
+_BUNDLES = {"simulate": netsim.BUNDLE_FILES, "experiment": netsim.SUITE_FILES}
+
+
+def _refuse_existing(args):
+    """Stop before any work if an output of the verb exists and --force is not given."""
+    out = Path(args.output)
+    names = _BUNDLES.get(args.verb)
+    for path in [out / name for name in names] if names else [out]:
+        if path.exists() and not args.force:
             raise RuntimeError(f"refusing to overwrite {path} (use --force)")
 
 
-def _write_output(path: Path, content: str, force: bool):
-    _refuse_existing([path], force)
+def _write_output(path: Path, content: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
 
@@ -39,16 +45,20 @@ def _write_output(path: Path, content: str, force: bool):
 def _write_manifest(out_dir: Path, args: argparse.Namespace):
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {k: (str(v) if isinstance(v, Path) else v) for k, v in manifest.items()}
-    _write_output(out_dir / "run-manifest.json", json.dumps(manifest, indent=2) + "\n",
-                  True)
+    _write_output(out_dir / "run-manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_single(args, content: str) -> int:
     """Write a verb's one output to --output and its manifest next to it."""
     out = Path(args.output)
-    _write_output(out, content, args.force)
+    _write_output(out, content)
     _write_manifest(out.parent, args)
     return 0
+
+
+def _metrics_line(m: treelearn.EvalMetrics) -> str:
+    return (f"accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
+            f"recall={m.recall:.4f} f1={m.f1:.4f}")
 
 
 def cmd_analyze(args) -> int:
@@ -65,6 +75,8 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.trees < 1:
+        raise ValueError(f"--trees must be at least 1, got {args.trees}")
     records = dataset.records_from_csv(Path(args.input).read_text())
     params = treelearn.TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                                   min_igr=args.min_igr)
@@ -75,13 +87,10 @@ def cmd_train(args) -> int:
                                           seed=args.seed)
         return treelearn.build_tree(train, params)
 
-    model = learner(records)
     if args.folds:
         result = treelearn.kfold_evaluate(records, learner, k=args.folds, seed=args.seed)
-        m = result.mean
-        print(f"{args.folds}-fold: accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
-              f"recall={m.recall:.4f} f1={m.f1:.4f}")
-    return _write_single(args, treelearn.serialize_model(model))
+        print(f"{args.folds}-fold: {_metrics_line(result.mean)}")
+    return _write_single(args, treelearn.serialize_model(learner(records)))
 
 
 def cmd_prune(args) -> int:
@@ -94,9 +103,7 @@ def cmd_prune(args) -> int:
 def cmd_evaluate(args) -> int:
     model = treelearn.deserialize_model(Path(args.model).read_text())
     records = dataset.records_from_csv(Path(args.input).read_text())
-    m = treelearn.evaluate(model, records)
-    print(f"accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
-          f"recall={m.recall:.4f} f1={m.f1:.4f}")
+    print(_metrics_line(treelearn.evaluate(model, records)))
     return 0
 
 
@@ -111,21 +118,20 @@ def cmd_simulate(args) -> int:
     report = netsim.run_case(scenario, policy, args.seed, model, params)
     out_dir = Path(args.output)
     for name, content in report.to_csv_bundle().items():
-        _write_output(out_dir / name, content, args.force)
+        _write_output(out_dir / name, content)
     _write_manifest(out_dir, args)
     return 0
 
 
 def cmd_experiment(args) -> int:
     out_dir = Path(args.output)
-    _refuse_existing([out_dir / name for name in netsim.SUITE_FILES], args.force)
     rows = netsim.run_suite(scenarios.evaluation_suite(duration=args.duration),
                             (selector.SMARTPS, selector.MINRTT, selector.RR),
                             args.seed, args.seeds,
                             scenarios.pretrained_model())
     bundle = netsim.suite_csv_bundle(rows)
     for name, content in bundle.items():
-        _write_output(out_dir / name, content, args.force)
+        _write_output(out_dir / name, content)
     _write_manifest(out_dir, args)
     print(bundle["summary.csv"], end="")
     return 0
@@ -156,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--trees", type=int, default=1)
-    p.add_argument("--max-depth", type=int, default=8, dest="max_depth")
-    p.add_argument("--min-leaf", type=int, default=20, dest="min_leaf")
-    p.add_argument("--min-igr", type=float, default=1e-3, dest="min_igr")
+    tree = treelearn.TreeParams()
+    p.add_argument("--max-depth", type=int, default=tree.max_depth, dest="max_depth")
+    p.add_argument("--min-leaf", type=int, default=tree.min_leaf, dest="min_leaf")
+    p.add_argument("--min-igr", type=float, default=tree.min_igr, dest="min_igr")
     p.add_argument("--folds", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true")
@@ -179,10 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation")
     p.add_argument("--scenario", required=True)
     p.add_argument("--selector", required=True,
-                   choices=["smartps", "minrtt", "rr", "wf", "lf"])
+                   choices=[policy.lower() for policy in selector.POLICIES])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--block-size", type=int, default=16, dest="block_size")
+    p.add_argument("--block-size", type=int, default=netsim.SimParams.block_size,
+                   dest="block_size")
     p.add_argument("--output", default="simout")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)
@@ -206,6 +214,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if "output" in vars(args):   # every verb but evaluate writes files
+            _refuse_existing(args)
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:  # smartps errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -75,6 +75,8 @@ def pair_rows(samples: Sequence[AttributeSample],
     Returns (pairs, dropped) where dropped counts rows left unpaired.
     Samples must be time-ordered.
     """
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"pair window must be a finite number of seconds > 0, got {window}")
     pairs = []
     used = [False] * len(samples)
     for i, a in enumerate(samples):

@@ -2,7 +2,7 @@
 
 Fixed-step (1 ms) event loop over a WiFi and an LTE subflow whose capacity,
 base RTT and loss rate are driven from the scenario's MAC attributes through
-a simple channel model (Shannon-shaped capacity, logistic loss cliff).  The
+traceio's channel model (Shannon-shaped capacity, logistic loss cliff).  The
 sender runs per-subflow AIMD congestion control with RTO-triggered
 reinjection on the other path, the receiver releases the in-order prefix,
 and a pluggable selector chooses the priority path every 100 ms.  Everything
@@ -25,10 +25,10 @@ import numpy as np
 
 from . import featstats, scenarios, selector as selmod
 from .selector import Decision, Observation, SelectorState, WindowStats
-from .traceio import WF, LF, Scenario, scenario_mac_series
-
-WIFI = "WIFI"
-LTE = "LTE"
+from .traceio import (
+    DEFAULT_CHANNELS, LF, LTE, WF, WIFI, Scenario, channel_map_arrays, scenario_mac_series,
+    seeded_stream,
+)
 
 PKT_BYTES = 1500
 MS = 0.001
@@ -46,41 +46,6 @@ CWND_MAX = 1000.0      # packets
 
 class SimError(ValueError):
     """Invalid simulation input or broken invariant."""
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Mapping from MAC attributes to link behavior for one interface."""
-
-    cap_max: float       # Mbps at the SINR reference point
-    sinr_ref: float      # dB
-    rssi_cliff: float    # dBm; loss is 50% at the cliff
-    loss_scale: float    # dB; logistic steepness of the loss cliff
-    rtt_floor: float     # ms
-    rtt_loss_factor: float  # rtt_base = rtt_floor * (1 + q * loss)
-
-
-DEFAULT_CHANNELS = {
-    WIFI: ChannelParams(cap_max=25.0, sinr_ref=25.0, rssi_cliff=-75.0,
-                        loss_scale=3.0, rtt_floor=20.0, rtt_loss_factor=1.0),
-    LTE: ChannelParams(cap_max=15.0, sinr_ref=20.0, rssi_cliff=-95.0,
-                       loss_scale=3.0, rtt_floor=38.0, rtt_loss_factor=2.0),
-}
-
-
-def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str,
-                       params: Optional[ChannelParams] = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(capacity Mbps, base rtt ms, loss fraction) per interface state."""
-    p = params if params is not None else DEFAULT_CHANNELS[interface]
-    rssi = np.clip(np.asarray(rssi, dtype=float), -120.0, 0.0)
-    sinr = np.asarray(sinr, dtype=float)
-    ref = math.log2(1.0 + 10.0 ** (p.sinr_ref / 10.0))
-    cap = p.cap_max * np.minimum(1.0, np.log2(1.0 + 10.0 ** (sinr / 10.0)) / ref)
-    cap = np.maximum(cap, 0.0)
-    loss = 1.0 / (1.0 + np.exp((rssi - p.rssi_cliff) / p.loss_scale))
-    rtt = p.rtt_floor * (1.0 + p.rtt_loss_factor * loss)
-    return cap, rtt, loss
 
 
 @dataclass
@@ -142,13 +107,9 @@ class MetricsReport:
                 summary.append(f"{name}_p90 {p90:.6f}")
             except featstats.StatsError:
                 summary.append(f"{name}_p50 NA")
-        return {
-            "ag.csv": "\n".join(ag) + "\n",
-            "ad.csv": "\n".join(ad) + "\n",
-            "accumulation.csv": "\n".join(acc) + "\n",
-            "decisions.csv": selmod.decisions_csv(self.decisions),
-            "summary.txt": "\n".join(summary) + "\n",
-        }
+        texts = ("\n".join(ag) + "\n", "\n".join(ad) + "\n", "\n".join(acc) + "\n",
+                 selmod.decisions_csv(self.decisions), "\n".join(summary) + "\n")
+        return dict(zip(BUNDLE_FILES, texts))
 
 
 _DRAW_CHUNK = 4096   # uniform loss draws fetched from the generator at a time
@@ -243,7 +204,7 @@ def run(scenario: Scenario,
     dlv_wheel: list[list[int]] = [[] for _ in range(size)]
     ack_wheel: list[list[tuple[int, int, float]]] = [[] for _ in range(size)]
 
-    rng = np.random.Generator(np.random.Philox(key=[p.seed & 0xFFFFFFFFFFFFFFFF, 0x10c5]))
+    rng = seeded_stream(p.seed, 0x10c5)
     draws = rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, consumed in send order
     di = 0
 
@@ -476,6 +437,8 @@ class SuiteRow:
 def run_suite(suite: Sequence[Scenario], policies: Sequence[str], seed: int,
               seeds: int, model=None) -> list[SuiteRow]:
     """Every policy on every scenario, repeated with `seeds` consecutive seeds."""
+    if seeds < 1:
+        raise SimError(f"a suite needs at least 1 seed per scenario, got {seeds}")
     rows = []
     for index, scenario in enumerate(suite):
         for rep in range(seeds):
@@ -488,6 +451,7 @@ def run_suite(suite: Sequence[Scenario], policies: Sequence[str], seed: int,
     return rows
 
 
+BUNDLE_FILES = ("ag.csv", "ad.csv", "accumulation.csv", "decisions.csv", "summary.txt")
 SUITE_FILES = ("runs.csv", "summary.csv", "ag_cdf.csv")
 
 

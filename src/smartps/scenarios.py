@@ -10,10 +10,11 @@ from the same families.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 from . import dataset, traceio, treelearn
-from .traceio import Scenario, Segment, linear_ramp, noisy
+from .traceio import Scenario, Segment, TraceError, linear_ramp, noisy
 
 _LTE_STEADY = {
     "rssi_lte": noisy(-60.0, 2.0),
@@ -57,35 +58,31 @@ def stable(seed: int, duration: float = 60.0) -> Scenario:
         segments=(Segment(0.0, {**_WIFI_GOOD, **_LTE_STEADY}),))
 
 
+def _flapping(name: str, seed: int, duration: float, starts: Sequence[float]) -> Scenario:
+    """WiFi good from starts[0] = 0, then alternately bad and good from each later start."""
+    return Scenario(name=name, duration=duration, seed=seed, segments=tuple(
+        Segment(start, {**(_WIFI_BAD if i % 2 else _WIFI_GOOD), **_LTE_STEADY})
+        for i, start in enumerate(starts)))
+
+
 def interference_burst(seed: int, duration: float = 60.0,
                        bursts: Sequence[tuple[float, float]] = ((15.0, 30.0), (40.0, 55.0))
                        ) -> Scenario:
     """WiFi collapses during the burst intervals, recovers in between."""
-    edges = [0.0]
-    for a, b in bursts:
-        edges.extend([a, b])
-    segments = []
-    in_burst = False
-    for start in edges:
-        wifi = _WIFI_BAD if in_burst else _WIFI_GOOD
-        segments.append(Segment(start, {**wifi, **_LTE_STEADY}))
-        in_burst = not in_burst
-    return Scenario(name="interference", duration=duration, seed=seed,
-                    segments=tuple(segments))
+    return _flapping("interference", seed, duration,
+                     [0.0] + [edge for burst in bursts for edge in burst])
 
 
 def oscillating(seed: int, duration: float = 60.0, period: float = 10.0) -> Scenario:
     """WiFi alternates good/bad every half period."""
-    segments = []
+    if not (period > 0 and math.isfinite(duration)):   # else the loop below never ends
+        raise TraceError(f"need a period > 0 and a finite duration, got {period}, {duration}")
+    starts = []
     t = 0.0
-    good = True
     while t < duration:
-        wifi = _WIFI_GOOD if good else _WIFI_BAD
-        segments.append(Segment(t, {**wifi, **_LTE_STEADY}))
+        starts.append(t)
         t += period / 2.0
-        good = not good
-    return Scenario(name="oscillating", duration=duration, seed=seed,
-                    segments=tuple(segments))
+    return _flapping("oscillating", seed, duration, starts)
 
 
 def evaluation_suite(duration: float = 30.0) -> list[Scenario]:

@@ -9,7 +9,7 @@ Mbps) and application delay (AD, ms).
 Real-world traces of this shape are not publicly available, so
 :func:`synthesize_trace` generates internally consistent ones from scripted
 mobility scenarios: MAC attributes follow per-segment trajectories and the
-TCP-layer attributes are derived through the simulator's channel model.
+TCP-layer attributes are derived through the channel model below.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import numpy as np
 
 WF = "WF"
 LF = "LF"
+WIFI = "WIFI"
+LTE = "LTE"
 
 # Canonical CSV column order.  PLR columns are serialized as percent strings
 # ("0.03%"); everything else is a plain decimal.  `label` is optional and only
@@ -207,29 +209,58 @@ def write_trace(samples: Sequence[AttributeSample]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios and synthetic traces
+# Channel model, scenarios and synthetic traces
 # ---------------------------------------------------------------------------
 
-# MAC attributes a scenario can drive.  TCP-layer attributes are derived.
-SCENARIO_ATTRS = [
-    "rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte",
-    "rsrp_lte", "rsrq_lte", "td_wifi", "rd_wifi",
-]
+@dataclass(frozen=True)
+class ChannelParams:
+    """Mapping from MAC attributes to link behavior for one interface."""
 
-_DEFAULT_ATTRS = {
-    "rssi_wifi": -45.0, "rssi_lte": -60.0,
-    "sinr_wifi": 22.0, "sinr_lte": 15.0,
-    "rsrp_lte": -90.0, "rsrq_lte": -10.0,
-    "td_wifi": 30.0, "rd_wifi": 30.0,
+    cap_max: float       # Mbps at the SINR reference point
+    sinr_ref: float      # dB
+    rssi_cliff: float    # dBm; loss is 50% at the cliff
+    loss_scale: float    # dB; logistic steepness of the loss cliff
+    rtt_floor: float     # ms
+    rtt_loss_factor: float  # rtt_base = rtt_floor * (1 + q * loss)
+
+
+DEFAULT_CHANNELS = {
+    WIFI: ChannelParams(cap_max=25.0, sinr_ref=25.0, rssi_cliff=-75.0,
+                        loss_scale=3.0, rtt_floor=20.0, rtt_loss_factor=1.0),
+    LTE: ChannelParams(cap_max=15.0, sinr_ref=20.0, rssi_cliff=-95.0,
+                       loss_scale=3.0, rtt_floor=38.0, rtt_loss_factor=2.0),
 }
 
-# Clamp ranges keeping generated values inside AttributeSample invariants.
-_CLAMPS = {
-    "rssi_wifi": (-120.0, 0.0), "rssi_lte": (-120.0, 0.0),
-    "sinr_wifi": (-20.0, 50.0), "sinr_lte": (-20.0, 50.0),
-    "rsrp_lte": (-140.0, 0.0), "rsrq_lte": (-30.0, 0.0),
-    "td_wifi": (0.0, 1000.0), "rd_wifi": (0.0, 1000.0),
+
+def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str,
+                       params: Optional[ChannelParams] = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(capacity Mbps, base rtt ms, loss fraction) per interface state."""
+    p = params if params is not None else DEFAULT_CHANNELS[interface]
+    rssi = np.clip(np.asarray(rssi, dtype=float), -120.0, 0.0)
+    sinr = np.asarray(sinr, dtype=float)
+    ref = math.log2(1.0 + 10.0 ** (p.sinr_ref / 10.0))
+    cap = p.cap_max * np.minimum(1.0, np.log2(1.0 + 10.0 ** (sinr / 10.0)) / ref)
+    cap = np.maximum(cap, 0.0)
+    loss = 1.0 / (1.0 + np.exp((rssi - p.rssi_cliff) / p.loss_scale))
+    rtt = p.rtt_floor * (1.0 + p.rtt_loss_factor * loss)
+    return cap, rtt, loss
+
+
+# MAC attributes a scenario can drive (TCP-layer attributes are derived), in
+# noise-stream order: (value where no segment drives it, clamp range keeping
+# generated values inside AttributeSample invariants).
+_MAC_ATTRS = {
+    "rssi_wifi": (-45.0, (-120.0, 0.0)), "rssi_lte": (-60.0, (-120.0, 0.0)),
+    "sinr_wifi": (22.0, (-20.0, 50.0)), "sinr_lte": (15.0, (-20.0, 50.0)),
+    "rsrp_lte": (-90.0, (-140.0, 0.0)), "rsrq_lte": (-10.0, (-30.0, 0.0)),
+    "td_wifi": (30.0, (0.0, 1000.0)), "rd_wifi": (30.0, (0.0, 1000.0)),
 }
+SCENARIO_ATTRS = list(_MAC_ATTRS)
+
+
+# Trajectory kind -> how many of (v0, v1) it uses.
+TRAJECTORY_KINDS = {"constant": 1, "ramp": 2, "noisy": 2}
 
 
 @dataclass(frozen=True)
@@ -245,7 +276,7 @@ class Trajectory:
     v1: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "ramp", "noisy"):
+        if self.kind not in TRAJECTORY_KINDS:
             raise TraceError(f"unknown trajectory kind {self.kind!r}")
 
 
@@ -279,8 +310,8 @@ class Scenario:
     def __post_init__(self):
         segs = tuple(sorted(self.segments, key=lambda s: s.start))
         object.__setattr__(self, "segments", segs)
-        if self.duration < 0:
-            raise TraceError("scenario duration must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise TraceError(f"scenario duration must be finite and >= 0, got {self.duration}")
         if self.duration > 0:
             if not segs or segs[0].start != 0.0:
                 raise TraceError("first segment must start at t=0")
@@ -299,7 +330,8 @@ class Scenario:
 
     def attribute_series(self, attr: str, times: np.ndarray, rng=None) -> np.ndarray:
         """Evaluate one MAC attribute at the given times (noise-free unless rng given)."""
-        out = np.full(len(times), _DEFAULT_ATTRS[attr])
+        default, (lo, hi) = _MAC_ATTRS[attr]
+        out = np.full(len(times), default)
         for i, seg in enumerate(self.segments):
             end = self.segment_end(i)
             mask = (times >= seg.start) & (times < end) if end < self.duration \
@@ -316,13 +348,12 @@ class Scenario:
                 out[mask] = traj.v0
                 if rng is not None and traj.v1 > 0:
                     out[mask] += rng.normal(0.0, traj.v1, size=int(mask.sum()))
-        lo, hi = _CLAMPS[attr]
         return np.clip(out, lo, hi)
 
 
-def _attr_rng(seed: int, stream: int) -> np.random.Generator:
-    # Philox is counter-based: each (seed, stream) pair is an independent,
-    # order-insensitive stream, so evaluation order cannot change a trace.
+def seeded_stream(seed: int, stream: int) -> np.random.Generator:
+    """Stream `stream` of `seed`: Philox is counter-based, so each (seed, stream) pair
+    is an independent, order-insensitive stream and evaluation order changes nothing."""
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
 
 
@@ -330,7 +361,7 @@ def scenario_mac_series(scenario: Scenario, times: np.ndarray) -> dict[str, np.n
     """All MAC attribute series at the given times, with seeded noise."""
     series = {}
     for i, attr in enumerate(SCENARIO_ATTRS):
-        series[attr] = scenario.attribute_series(attr, times, rng=_attr_rng(scenario.seed, i))
+        series[attr] = scenario.attribute_series(attr, times, rng=seeded_stream(scenario.seed, i))
     return series
 
 
@@ -338,13 +369,11 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
     """Generate a trace for a scenario, alternating WF/LF priority per row.
 
     MAC attributes follow the scenario trajectories; TCP-layer attributes
-    (RTT, CWND, PLR, PDR) are derived from them through the simulator's
-    channel model so traces are internally consistent.  AG/AD reflect the
-    row's priority: the primary path dominates goodput and sets the delay.
-    Deterministic for a fixed (scenario, sampling_interval).
+    (RTT, CWND, PLR, PDR) are derived from them through the channel model so
+    traces are internally consistent.  AG/AD reflect the row's priority: the
+    primary path dominates goodput and sets the delay.  Deterministic for a
+    fixed (scenario, sampling_interval).
     """
-    from . import netsim  # deferred: netsim imports traceio for Scenario
-
     if sampling_interval <= 0:
         raise TraceError("sampling_interval must be > 0")
     n = int(math.floor(scenario.duration / sampling_interval + 1e-9))
@@ -353,60 +382,41 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
     times = np.arange(n) * sampling_interval
     mac = scenario_mac_series(scenario, times)
 
-    cap_w, rtt_w, loss_w = netsim.channel_map_arrays(mac["rssi_wifi"], mac["sinr_wifi"], "WIFI")
-    cap_l, rtt_l, loss_l = netsim.channel_map_arrays(mac["rssi_lte"], mac["sinr_lte"], "LTE")
-    eff_w = cap_w * (1.0 - loss_w)
-    eff_l = cap_l * (1.0 - loss_l)
+    rng = seeded_stream(scenario.seed, 101)
+    ag_noise, ad_noise = rng.normal(0, 0.4, n), rng.normal(0, 3.0, n)
+    # (wifi, lte) noise per derived attribute, drawn in this order.
+    noise = {col: [rng.normal(0, sigma, n) for _ in range(2)]
+             for col, sigma in (("rtt", 2.0), ("pdr", 1.0), ("plr", 0.1))}
 
-    rng = _attr_rng(scenario.seed, 101)
-    noise = {
-        "ag": rng.normal(0, 0.4, n), "ad": rng.normal(0, 3.0, n),
-        "rtt_w": rng.normal(0, 2.0, n), "rtt_l": rng.normal(0, 2.0, n),
-        "pdr_w": rng.normal(0, 1.0, n), "pdr_l": rng.normal(0, 1.0, n),
-        "plr_w": rng.normal(0, 0.1, n), "plr_l": rng.normal(0, 0.1, n),
-    }
-
-    samples = []
-    for i in range(n):
-        prio = WF if i % 2 == 0 else LF
-        if prio == WF:
-            eff_p, eff_s = eff_w[i], eff_l[i]
-            rtt_p, loss_p = rtt_w[i], loss_w[i]
-        else:
-            eff_p, eff_s = eff_l[i], eff_w[i]
-            rtt_p, loss_p = rtt_l[i], loss_l[i]
-        ag = max(0.0, 0.9 * eff_p + 0.3 * eff_s + noise["ag"][i])
+    wf_rows = np.arange(n) % 2 == 0   # rows alternate WF, LF, WF, ...
+    cols = {"t": np.round(times, 6), **mac}
+    goodput = np.zeros(n)
+    delay = np.empty(n)
+    for k, (iface, interface, primary) in enumerate((("wifi", WIFI, wf_rows),
+                                                      ("lte", LTE, ~wf_rows))):
+        cap, rtt, loss = channel_map_arrays(mac[f"rssi_{iface}"], mac[f"sinr_{iface}"],
+                                            interface)
+        # The primary path carries 0.9 of its effective capacity, the other 0.3.
+        carried = np.where(primary, 0.9, 0.3) * (cap * (1.0 - loss))
+        goodput += carried
         # Loss on the primary path stalls in-order delivery until timeout
         # recovery, so delay grows steeply with loss.
-        ad = max(1.0, rtt_p + 250.0 * loss_p + noise["ad"][i])
+        delay[primary] = (rtt + 250.0 * loss)[primary]
+        cols[f"pdr_{iface}"] = np.maximum(0.0, carried + noise["pdr"][k])
+        cols[f"plr_{iface}"] = np.clip(loss * (1.0 + noise["plr"][k]), 0.0, 1.0)
+        cols[f"rtt_{iface}"] = np.maximum(1.0, rtt + noise["rtt"][k])
+        # Congestion window, in whole packets, tracks the bandwidth-delay
+        # product of the path as long as it is usable; heavy loss collapses it.
+        cwnd = np.round(cap * cols[f"rtt_{iface}"] / 12.0 * (1.0 - loss))
+        cols[f"cwnd_{iface}"] = np.maximum(1.0, cwnd).astype(np.int64)
+    cols["ag"] = np.maximum(0.0, goodput + ag_noise)
+    cols["ad"] = np.maximum(1.0, delay + ad_noise)
 
-        def share(primary: bool) -> float:
-            return 0.9 if primary else 0.3
-
-        pdr_w = max(0.0, share(prio == WF) * eff_w[i] + noise["pdr_w"][i])
-        pdr_l = max(0.0, share(prio == LF) * eff_l[i] + noise["pdr_l"][i])
-        plr_wv = float(np.clip(loss_w[i] * (1.0 + noise["plr_w"][i]), 0.0, 1.0))
-        plr_lv = float(np.clip(loss_l[i] * (1.0 + noise["plr_l"][i]), 0.0, 1.0))
-        rtt_wv = max(1.0, rtt_w[i] + noise["rtt_w"][i])
-        rtt_lv = max(1.0, rtt_l[i] + noise["rtt_l"][i])
-        # Congestion window tracks the bandwidth-delay product of the path
-        # as long as it is usable; heavy loss collapses it.
-        cwnd_wv = max(1.0, round(cap_w[i] * rtt_wv / 12.0 * (1.0 - loss_w[i])))
-        cwnd_lv = max(1.0, round(cap_l[i] * rtt_lv / 12.0 * (1.0 - loss_l[i])))
-
-        samples.append(AttributeSample(
-            t=round(times[i], 6),
-            rssi_lte=float(mac["rssi_lte"][i]), rssi_wifi=float(mac["rssi_wifi"][i]),
-            sinr_lte=float(mac["sinr_lte"][i]), sinr_wifi=float(mac["sinr_wifi"][i]),
-            rsrp_lte=float(mac["rsrp_lte"][i]), rsrq_lte=float(mac["rsrq_lte"][i]),
-            td_wifi=float(mac["td_wifi"][i]), rd_wifi=float(mac["rd_wifi"][i]),
-            rtt_lte=rtt_lv, rtt_wifi=rtt_wv,
-            cwnd_lte=cwnd_lv, cwnd_wifi=cwnd_wv,
-            plr_lte=plr_lv, plr_wifi=plr_wv,
-            pdr_lte=pdr_l, pdr_wifi=pdr_w,
-            prio=prio, ag=ag, ad=ad,
-        ))
-    return samples
+    # Rows from one record array: column-wise .tolist() calls left a higher peak RSS.
+    names = list(cols)
+    rows = np.rec.fromarrays(list(cols.values()), names=names).tolist()
+    return [AttributeSample(prio=WF if i % 2 == 0 else LF, **dict(zip(names, row)))
+            for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +442,11 @@ def parse_scenario(text: str) -> Scenario:
         parts = line.split()
         key = parts[0]
 
+        def tokens(n: int):
+            if len(parts) != n:
+                raise TraceError(f"line {lineno}: expected {n} tokens, got {len(parts)} "
+                                 f"in {line!r}")
+
         def num(i: int) -> float:
             v = float(parts[i])
             if not math.isfinite(v):
@@ -439,6 +454,15 @@ def parse_scenario(text: str) -> Scenario:
             return v
 
         try:
+            if key in SCENARIO_ATTRS:
+                if not segments:
+                    raise TraceError(f"line {lineno}: trajectory before any segment")
+                kind = parts[1]
+                if kind not in TRAJECTORY_KINDS:
+                    raise TraceError(f"line {lineno}: unknown trajectory kind {kind!r}")
+                tokens(2 + TRAJECTORY_KINDS[kind])
+                segments[-1][1][key] = Trajectory(kind, *map(num, range(2, len(parts))))
+                continue
             if key == "name":
                 name = parts[1]
             elif key == "duration":
@@ -447,21 +471,9 @@ def parse_scenario(text: str) -> Scenario:
                 seed = int(parts[1])
             elif key == "segment":
                 segments.append((num(1), {}))
-            elif key in SCENARIO_ATTRS:
-                if not segments:
-                    raise TraceError(f"line {lineno}: trajectory before any segment")
-                kind = parts[1]
-                if kind == "constant":
-                    traj = constant(num(2))
-                elif kind == "ramp":
-                    traj = linear_ramp(num(2), num(3))
-                elif kind == "noisy":
-                    traj = noisy(num(2), num(3))
-                else:
-                    raise TraceError(f"line {lineno}: unknown trajectory kind {kind!r}")
-                segments[-1][1][key] = traj
             else:
                 raise TraceError(f"line {lineno}: unknown key {key!r}")
+            tokens(2)   # key and value
         except TraceError:
             raise
         except (IndexError, ValueError) as exc:
@@ -478,10 +490,6 @@ def write_scenario(scenario: Scenario) -> str:
     for seg in scenario.segments:
         out.append(f"segment {_fmt_num(seg.start)}")
         for attr, traj in sorted(seg.trajectories.items()):
-            if traj.kind == "constant":
-                out.append(f"  {attr} constant {_fmt_num(traj.v0)}")
-            elif traj.kind == "ramp":
-                out.append(f"  {attr} ramp {_fmt_num(traj.v0)} {_fmt_num(traj.v1)}")
-            else:
-                out.append(f"  {attr} noisy {_fmt_num(traj.v0)} {_fmt_num(traj.v1)}")
+            values = (traj.v0, traj.v1)[:TRAJECTORY_KINDS[traj.kind]]
+            out.append(f"  {attr} {traj.kind} " + " ".join(map(_fmt_num, values)))
     return "\n".join(out) + "\n"

@@ -12,21 +12,21 @@ line-oriented model serialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
+from .featstats import BIN_WIDTHS
 from .traceio import WF, LF
 
 LABELS = (WF, LF)
 _LABEL_INDEX = {WF: 0, LF: 1}
 
-# Candidate-threshold bin width per feature index (native units; see
-# featstats.BIN_WIDTHS for the family widths).
-FEATURE_BIN_WIDTHS = tuple(0.0005 if name.startswith("plr") else 5.0
-                           for name in FEATURE_NAMES)
+# Candidate-threshold bin width per feature index: its family's width
+# ("plr_wifi" -> BIN_WIDTHS["PLR"]), in native units.
+FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[name.split("_")[0].upper()] for name in FEATURE_NAMES)
 
 # Below this many distinct values, thresholds fall back to midpoints between
 # consecutive distinct raw values instead of bin-edge midpoints.
@@ -83,6 +83,9 @@ class EvalMetrics:
 
 
 def to_arrays(records: Sequence[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature matrix and label vector (0 = WF); every learner input goes through here."""
+    if len(records) == 0:
+        raise ValueError("empty record list")
     X = np.array([r.features for r in records], dtype=float).reshape(len(records), N_FEATURES)
     y = np.array([_LABEL_INDEX[r.label] for r in records], dtype=np.int8)
     return X, y
@@ -172,16 +175,15 @@ def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
     return best
 
 
+def _majority(wf: int, lf: int, tie: str) -> str:
+    """WF if it has more, LF if it has more, else the tie label."""
+    return WF if wf > lf else LF if lf > wf else tie
+
+
 def _leaf(y_node: np.ndarray, global_majority: str) -> Leaf:
     wf = int(np.count_nonzero(y_node == 0))
     lf = len(y_node) - wf
-    if wf > lf:
-        label = WF
-    elif lf > wf:
-        label = LF
-    else:
-        label = global_majority
-    return Leaf(label=label, counts=(wf, lf))
+    return Leaf(label=_majority(wf, lf, global_majority), counts=(wf, lf))
 
 
 def build_tree(records: Sequence[LabeledRecord],
@@ -192,8 +194,6 @@ def build_tree(records: Sequence[LabeledRecord],
     child), or best IGR below min_igr.  With feature_subset set, each node
     searches a seeded random subset of that many features.
     """
-    if len(records) == 0:
-        raise ValueError("build_tree: empty record list")
     return _grow_tree(*to_arrays(records), params)
 
 
@@ -225,9 +225,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> TreeNode:
 
 
 def global_majority(y: np.ndarray) -> str:
-    wf = int(np.count_nonzero(y == 0))
-    lf = len(y) - wf
-    return WF if wf >= lf else LF
+    return _leaf(y, WF).label
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +239,7 @@ def predict(model: Union[TreeNode, ForestModel],
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
     if isinstance(model, ForestModel):
         votes = sum(1 if _predict_tree(t, features) == WF else 0 for t in model.trees)
-        if votes * 2 > len(model.trees):
-            return WF
-        if votes * 2 < len(model.trees):
-            return LF
-        return model.global_majority
+        return _majority(votes, len(model.trees) - votes, model.global_majority)
     return _predict_tree(model, features)
 
 
@@ -295,8 +289,6 @@ def train_forest(records: Sequence[LabeledRecord], n_trees: int = 200,
     Feature subsampling defaults to ceil(sqrt(12)) = 4 features per node
     unless params pins a subset size.  Deterministic for a fixed seed.
     """
-    if len(records) == 0:
-        raise ValueError("train_forest: empty record list")
     base = params if params is not None else TreeParams()
     subset = base.feature_subset
     if subset is None:
@@ -336,34 +328,24 @@ def prune_tree(tree: TreeNode, validation: Sequence[LabeledRecord]) -> TreeNode:
     counts) whenever that does not lower accuracy on the validation set; ties
     favor pruning.  The input tree is not modified.
     """
-    if len(validation) == 0:
-        raise ValueError("prune_tree: empty validation set")
     X, y = to_arrays(validation)
-    root_wf, root_lf = aggregate_counts(tree)
-    gm = WF if root_wf >= root_lf else LF
+    gm = _majority(*aggregate_counts(tree), WF)
 
-    def prune(node: TreeNode, idx: np.ndarray) -> tuple[TreeNode, int]:
+    def prune(node: TreeNode, idx: np.ndarray) -> tuple[TreeNode, int, int, int]:
+        """(pruned node, validation rows it gets right, aggregated wf, lf counts)."""
         if isinstance(node, Leaf):
-            return node, int(np.count_nonzero(y[idx] == _LABEL_INDEX[node.label]))
+            return node, int(np.count_nonzero(y[idx] == _LABEL_INDEX[node.label])), *node.counts
         mask = X[idx, node.feature] <= node.threshold
-        left, lc = prune(node.left, idx[mask])
-        right, rc = prune(node.right, idx[~mask])
-        wf, lf = aggregate_counts(left)
-        rw, rl = aggregate_counts(right)
-        wf, lf = wf + rw, lf + rl
-        if wf > lf:
-            label = WF
-        elif lf > wf:
-            label = LF
-        else:
-            label = gm
+        left, lc, lw, ll = prune(node.left, idx[mask])
+        right, rc, rw, rl = prune(node.right, idx[~mask])
+        wf, lf = lw + rw, ll + rl
+        label = _majority(wf, lf, gm)
         leaf_correct = int(np.count_nonzero(y[idx] == _LABEL_INDEX[label]))
         if leaf_correct >= lc + rc:
-            return Leaf(label=label, counts=(wf, lf)), leaf_correct
-        return Internal(node.feature, node.threshold, left, right), lc + rc
+            return Leaf(label=label, counts=(wf, lf)), leaf_correct, wf, lf
+        return Internal(node.feature, node.threshold, left, right), lc + rc, wf, lf
 
-    pruned, _ = prune(tree, np.arange(len(validation)))
-    return pruned
+    return prune(tree, np.arange(len(validation)))[0]
 
 
 def prune_model(model: Union[TreeNode, ForestModel],
@@ -412,6 +394,8 @@ Learner = Callable[[Sequence[LabeledRecord]], Union[TreeNode, ForestModel]]
 def kfold_evaluate(records: Sequence[LabeledRecord], learner: Learner,
                    k: int = 10, seed: int = 0) -> KFoldResult:
     """Stratified seeded k-fold cross-validation; WF is the positive class."""
+    if k < 2:
+        raise ValueError(f"k-fold evaluation needs at least 2 folds, got {k}")
     by_class: dict[str, list[int]] = {WF: [], LF: []}
     for i, r in enumerate(records):
         by_class[r.label].append(i)
@@ -430,12 +414,7 @@ def kfold_evaluate(records: Sequence[LabeledRecord], learner: Learner,
         test = [r for i, r in enumerate(records) if fold_of[i] == f]
         model = learner(train)
         folds.append(evaluate(model, test))
-    mean = EvalMetrics(
-        accuracy=sum(m.accuracy for m in folds) / k,
-        precision=sum(m.precision for m in folds) / k,
-        recall=sum(m.recall for m in folds) / k,
-        f1=sum(m.f1 for m in folds) / k,
-    )
+    mean = EvalMetrics(*(sum(column) / k for column in zip(*map(astuple, folds))))  # per metric
     return KFoldResult(folds=tuple(folds), mean=mean)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from smartps import cli, dataset, netsim, scenarios, traceio
+from smartps import cli, dataset, netsim, scenarios, traceio, treelearn
 
 BUNDLE_FILES = ("ag.csv", "ad.csv", "accumulation.csv", "decisions.csv", "summary.txt")
 
@@ -25,6 +25,10 @@ EXPERIMENT_ARGS = ("--seed", "0", "--seeds", "1", "--duration", "2")
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the overwrite check")
 
 
 def bundle_digest(out_dir):
@@ -242,6 +246,79 @@ class TestExperiment:
         assert "refusing to overwrite" in capsys.readouterr().err
         assert (out / "summary.csv").read_text() == "old\n"
         assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+
+
+class TestRefusesBeforeWork:
+    def test_simulate_leaves_an_old_summary_alone(self, tmp_path, scenario_file,
+                                                  monkeypatch, capsys):
+        monkeypatch.setattr(netsim, "run", must_not_run)
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "summary.txt").write_text("old\n")
+        assert run_cli("simulate", "--scenario", str(scenario_file),
+                       "--selector", "minrtt", "--seed", "7", "--output", str(out)) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
+        assert (out / "summary.txt").read_text() == "old\n"
+
+    @pytest.mark.parametrize("verb,flags", [
+        ("analyze", ("--input", "{trace}")),
+        ("build-dataset", ("--input", "{trace}")),
+        ("train", ("--input", "{records}")),
+        ("prune", ("--model", "{records}", "--validation", "{records}")),
+    ])
+    def test_single_output_verbs(self, tmp_path, trace_file, dataset_file, monkeypatch,
+                                 capsys, verb, flags):
+        for module, name in ((traceio, "parse_trace"), (dataset, "records_from_csv"),
+                             (treelearn, "deserialize_model")):
+            monkeypatch.setattr(module, name, must_not_run)
+        out = tmp_path / "old.txt"
+        out.write_text("old\n")
+        argv = [flag.format(trace=trace_file, records=dataset_file) for flag in flags]
+        assert run_cli(verb, *argv, "--output", str(out)) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+
+
+class TestRejectsImpossibleValues:
+    @pytest.mark.parametrize("flag,value", [
+        ("--folds", "1"), ("--folds", "-1"), ("--trees", "0"), ("--trees", "-3")])
+    def test_train_counts(self, tmp_path, dataset_file, capsys, flag, value):
+        out = tmp_path / "m.txt"
+        assert run_cli("train", "--input", str(dataset_file), "--output", str(out),
+                       flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"got {value}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", ["-1", "0", "nan", "inf"])
+    def test_pair_window(self, tmp_path, trace_file, capsys, window):
+        out = tmp_path / "records.csv"
+        assert run_cli("build-dataset", "--input", str(trace_file), "--output", str(out),
+                       "--pair-window", window) == 1
+        assert capsys.readouterr().err.startswith("error: pair window")
+        assert not out.exists()
+
+    def test_evaluate_on_header_only_dataset(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("L WF 1 0\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text(dataset.records_to_csv([]))
+        assert run_cli("evaluate", "--model", str(model), "--input", str(empty)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "empty record list" in captured.err
+        assert "accuracy=" not in captured.out
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--seeds", "0"), "got 0"), (("--seeds", "-2"), "got -2"),
+        (("--duration", "nan"), "must be finite"),
+    ])
+    def test_experiment(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--output", str(out), *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
 
 
 class TestParser:

@@ -1,5 +1,7 @@
 """Pairing, merging, labeling, and dataset CSV round-trips."""
 
+import math
+
 import pytest
 
 from smartps import dataset
@@ -63,6 +65,11 @@ class TestPairRows:
         assert pairs == [] and dropped == 2
         pairs, dropped = pair_rows([a, b], window=10.0)
         assert len(pairs) == 1 and dropped == 0
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_window_must_be_finite_and_positive(self, reference_samples, window):
+        with pytest.raises(ValueError, match=f"pair window .* got {window}"):
+            pair_rows(reference_samples, window=window)
 
     def test_same_priority_never_pairs(self):
         samples = [make_sample(t=float(i), prio=WF) for i in range(4)]

@@ -1,4 +1,4 @@
-"""Every name a smartps module imports is referenced somewhere in that module."""
+"""Import hygiene: no unused names, and no import cycles between smartps modules."""
 
 import ast
 from pathlib import Path
@@ -35,3 +35,54 @@ def test_checker_flags_unused_and_keeps_used():
               "def f(x: Seq[int]) -> float:\n"
               "    return math.pi\n")
     assert unused_imports(source) == ["line 2: os", "line 3: Optional"]
+
+
+def package_imports(source: str, package: str = "smartps") -> set[str]:
+    """Modules of the package that a module imports, inside functions too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith(package + "."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:   # relative imports stay inside the package
+                module = package + ("." + module if module else "")
+            if module == package:
+                found.update(a.name for a in node.names)
+            elif module.startswith(package + "."):
+                found.add(module.split(".")[1])
+    return found
+
+
+def modules_in_cycles(graph: dict[str, set[str]]) -> list[str]:
+    """Modules that import themselves through a chain of imports."""
+    def reachable(start: str) -> set[str]:
+        seen, todo = set(), list(graph.get(start, ()))
+        while todo:
+            module = todo.pop()
+            if module not in seen:
+                seen.add(module)
+                todo.extend(graph.get(module, ()))
+        return seen
+
+    return sorted(m for m in graph if m in reachable(m))
+
+
+def test_no_import_cycles():
+    graph = {path.stem: package_imports(path.read_text()) for path in SRC.glob("*.py")}
+    assert modules_in_cycles(graph) == []
+
+
+def test_cycle_checker_counts_imports_inside_functions():
+    sources = {
+        "a": "from . import b\nfrom .c import X\n",
+        "b": "import smartps.c\n",
+        "c": "def f():\n    from smartps import a\n    return a\n",
+        "d": "from smartps.c import X\nimport numpy\n",
+    }
+    graph = {name: package_imports(text) for name, text in sources.items()}
+    assert graph == {"a": {"b", "c"}, "b": {"c"}, "c": {"a"}, "d": {"c"}}
+    assert modules_in_cycles(graph) == ["a", "b", "c"]
+    graph["c"] = set()
+    assert modules_in_cycles(graph) == []

@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from smartps import netsim, scenarios
 from smartps.netsim import (
-    DEFAULT_CHANNELS, LTE, WIFI, ChannelParams, MetricsReport, SimError,
-    SimParams, SuiteRow, channel_map_arrays, run,
+    MetricsReport, SimError,
+    SimParams, SuiteRow, run,
     suite_csv_bundle, switch_time,
     walkaway_comparison,
 )
 from smartps.selector import Decision, MODEL
-from smartps.traceio import WF, LF
+from smartps.traceio import (
+    DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +207,11 @@ class TestRun:
         b = run(scenarios.walkaway(seed=2, duration=5.0), "MINRTT",
                 SimParams(duration=5.0, seed=2))
         assert a.to_csv_bundle() != b.to_csv_bundle()
+
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_suite_needs_a_seed(self, seeds):
+        with pytest.raises(SimError, match=f"at least 1 seed per scenario, got {seeds}"):
+            netsim.run_suite([scenarios.stable(seed=0, duration=1.0)], ["RR"], 0, seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Trace schema, CSV round-tripping, and synthetic scenario generation."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from smartps import traceio
+from smartps import scenarios, traceio
 from smartps.traceio import (
     WF, LF, AttributeSample, Scenario, Segment, TraceError,
     constant, linear_ramp, noisy,
@@ -179,6 +182,21 @@ class TestScenario:
         with pytest.raises(TraceError):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("bad", ["name x extra", "duration 10 20", "seed 1 2", "segment 0 9",
+                                     "rssi_wifi constant -60 5 junk", "rssi_wifi ramp -60 -80 1"])
+    def test_parse_rejects_trailing_tokens(self, bad):
+        lines = ["name x", "duration 10", "seed 1", "segment 0", "rssi_wifi noisy -60 2"]
+        lineno = next(i for i, line in enumerate(lines, start=1)
+                      if line.split()[0] == bad.split()[0])
+        lines[lineno - 1] = bad
+        with pytest.raises(TraceError, match=f"line {lineno}: expected"):
+            parse_scenario("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_duration_must_be_finite_and_non_negative(self, duration):
+        with pytest.raises(TraceError, match=f"finite and >= 0, got {duration}"):
+            Scenario(name="x", duration=duration, seed=0, segments=(Segment(0.0, {}),))
+
 
 class TestSynthesize:
     def test_zero_duration_gives_empty_trace(self):
@@ -206,6 +224,20 @@ class TestSynthesize:
     def test_bad_sampling_interval_rejected(self):
         with pytest.raises(TraceError):
             synthesize_trace(walkaway_scenario(), 0.0)
+
+    @pytest.mark.parametrize("interval,digest", [
+        (0.1, "7de96fd628273345eb0538155ecae5be785ee4bf005b294dafcae123084e75ba"),
+        (0.05, "d6c4f22d12ae626c137b4b7f114f12a0ab7281af5de2ec9370ad376c2203594d"),
+        (0.37, "cbe060f4e56bb2a5416c7b6c2dd0cce25ce58b468834cd0da54dde52c495eed2"),
+    ])
+    def test_pinned_trace_digest(self, interval, digest):
+        # A change that moves these digests changes every synthesized trace,
+        # and with them the training corpus and the pretrained model.
+        h = hashlib.sha256()
+        for scn in (scenarios.walkaway(3, 60.0), scenarios.interference_burst(5, 60.0),
+                    scenarios.oscillating(6, 33.0, period=7.0), scenarios.stable(9, 20.0)):
+            h.update(write_trace(synthesize_trace(scn, interval)).encode())
+        assert h.hexdigest() == digest
 
     def test_random_scenarios_respect_invariants(self):
         # Seeded sweep: every generated sample must validate even when the

@@ -360,6 +360,16 @@ class TestMetrics:
         with pytest.raises(ValueError, match="WF"):
             kfold_evaluate(records, lambda train: Leaf(WF, (1, 0)), k=10)
 
+    @pytest.mark.parametrize("k", [1, 0, -1])
+    def test_kfold_needs_two_folds(self, k):
+        records = [rec(WF)] * 20 + [rec(LF)] * 20
+        with pytest.raises(ValueError, match=f"at least 2 folds, got {k}"):
+            kfold_evaluate(records, lambda train: Leaf(WF, (1, 0)), k=k)
+
+    def test_evaluate_rejects_empty_records(self):
+        with pytest.raises(ValueError, match="empty record list"):
+            evaluate(Leaf(WF, (1, 0)), [])
+
     def test_kfold_deterministic(self):
         records = planted_records(200, seed=8, noise=0.1)
         learner = lambda train: build_tree(train, TreeParams(min_leaf=5))
