@@ -1,9 +1,11 @@
 """Command-line entry point wiring the whole pipeline.
 
 Verbs: analyze, build-dataset, train, prune, evaluate, simulate, experiment.
-Every verb is reproducible from its flags plus seed; a run-manifest capturing
-both is written next to the outputs.  Existing outputs are never overwritten
-without --force, and a verb checks for them before it does any work.
+Every verb is reproducible from its flags plus seed; a manifest capturing
+both is written next to each output: `<output>.manifest.json` beside a
+single-file output, `run-manifest.json` inside a bundle directory.  Existing
+outputs are never overwritten without --force, and a verb checks for them
+before it does any work.
 """
 
 from __future__ import annotations
@@ -42,17 +44,17 @@ def _write_output(path: Path, content: str):
     path.write_text(content)
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace):
+def _write_manifest(path: Path, args: argparse.Namespace):
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {k: (str(v) if isinstance(v, Path) else v) for k, v in manifest.items()}
-    _write_output(out_dir / "run-manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_output(path, json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_single(args, content: str) -> int:
     """Write a verb's one output to --output and its manifest next to it."""
     out = Path(args.output)
     _write_output(out, content)
-    _write_manifest(out.parent, args)
+    _write_manifest(out.with_name(out.name + ".manifest.json"), args)
     return 0
 
 
@@ -119,7 +121,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.output)
     for name, content in report.to_csv_bundle().items():
         _write_output(out_dir / name, content)
-    _write_manifest(out_dir, args)
+    _write_manifest(out_dir / "run-manifest.json", args)
     return 0
 
 
@@ -132,7 +134,7 @@ def cmd_experiment(args) -> int:
     bundle = netsim.suite_csv_bundle(rows)
     for name, content in bundle.items():
         _write_output(out_dir / name, content)
-    _write_manifest(out_dir, args)
+    _write_manifest(out_dir / "run-manifest.json", args)
     print(bundle["summary.csv"], end="")
     return 0
 

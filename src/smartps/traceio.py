@@ -51,7 +51,7 @@ class TraceError(ValueError):
     """Malformed trace file or scenario file."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeSample:
     """One timestamped row of cross-layer attributes plus performance metrics."""
 

@@ -37,14 +37,25 @@ class ModelFormatError(ValueError):
     """Malformed serialized model."""
 
 
+# Instance attribute that holds the classifier `predict` compiles for a model.
+_CLASSIFIER = "_classifier"
+
+
+class _Model:
+    """Base of the model classes: the compiled classifier is left out of a pickle."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != _CLASSIFIER}
+
+
 @dataclass(frozen=True)
-class Leaf:
+class Leaf(_Model):
     label: str
     counts: tuple[int, int]  # (wf, lf) training counts reaching this leaf
 
 
 @dataclass(frozen=True)
-class Internal:
+class Internal(_Model):
     feature: int
     threshold: float
     left: "TreeNode"   # value <= threshold
@@ -55,7 +66,7 @@ TreeNode = Union[Leaf, Internal]
 
 
 @dataclass(frozen=True)
-class ForestModel:
+class ForestModel(_Model):
     trees: tuple[TreeNode, ...]
     seed: int
     global_majority: str
@@ -232,21 +243,102 @@ def global_majority(y: np.ndarray) -> str:
 # Prediction
 # ---------------------------------------------------------------------------
 
+# Trees are compiled in groups of about this many nodes, one function each.
+# Compiling costs a transient of about 3 KiB per node of the function, so a
+# whole forest in one function can take several MiB; a function per tree
+# costs a call per tree on every predict.
+_GROUP_NODES = 500
+# CPython's tokenizer allows 100 indentation levels; a subtree that would
+# nest deeper is compiled as a function of its own.
+_MAX_NEST = 90
+
+
 def predict(model: Union[TreeNode, ForestModel],
             features: Sequence[float]) -> str:
-    """Classify one 12-feature vector as WF or LF."""
+    """Classify one 12-feature vector as WF or LF.
+
+    The model runs as generated Python code, compiled on its first predict
+    and kept on the model object (a pruned copy compiles its own).
+    """
     if len(features) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
+    classify = model.__dict__.get(_CLASSIFIER)
+    if classify is None:
+        classify = _compile_classifier(model)
+        object.__setattr__(model, _CLASSIFIER, classify)   # not a field: eq and repr ignore it
+    return classify(features)
+
+
+def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
+    """The model's vote as a function of a feature vector; a single tree is a one-tree forest."""
     if isinstance(model, ForestModel):
-        votes = sum(1 if _predict_tree(t, features) == WF else 0 for t in model.trees)
-        return _majority(votes, len(model.trees) - votes, model.global_majority)
-    return _predict_tree(model, features)
+        trees, tie = model.trees, model.global_majority
+    else:
+        trees, tie = (model,), WF   # one vote cannot tie
+    groups: list[list[TreeNode]] = [[]]
+    nodes = 0
+    for tree in map(_merge_alike, trees):
+        if nodes >= _GROUP_NODES:
+            groups.append([])
+            nodes = 0
+        groups[-1].append(tree)
+        nodes += node_count(tree)
+    counters = tuple(_wf_vote_counter(group) for group in groups)
+    n = len(trees)
+
+    def classify(features: Sequence[float]) -> str:
+        votes = 0
+        for count in counters:
+            votes += count(features)
+        return _majority(votes, n - votes, tie)
+
+    return classify
 
 
-def _predict_tree(node: TreeNode, features: Sequence[float]) -> str:
-    while isinstance(node, Internal):
-        node = node.left if features[node.feature] <= node.threshold else node.right
-    return node.label
+def _merge_alike(node: TreeNode) -> TreeNode:
+    """The tree with every split whose two sides vote alike replaced by a leaf of that label.
+
+    Only leaf labels survive; the leaf counts of merged subtrees are dropped.
+    """
+    if isinstance(node, Leaf):
+        return node
+    left, right = _merge_alike(node.left), _merge_alike(node.right)
+    if isinstance(left, Leaf) and isinstance(right, Leaf) and left.label == right.label:
+        return left
+    return Internal(node.feature, node.threshold, left, right)
+
+
+def _wf_vote_counter(trees: Sequence[TreeNode]) -> Callable[[Sequence[float]], int]:
+    """Compile trees into nested `if x<f> <= <threshold>:` blocks counting WF leaves reached.
+
+    Thresholds are written with repr, which round-trips a float exactly, so
+    each comparison is the one the tree makes; a NaN feature goes right.
+    """
+    lines = ["def count(x):",
+             "    " + ", ".join(f"x{f}" for f in range(N_FEATURES)) + " = x",
+             "    v = 0"]
+    subtrees: dict[str, Callable[[Sequence[float]], int]] = {}
+
+    def emit(node: TreeNode, depth: int):
+        pad = "    " * depth
+        if isinstance(node, Leaf):
+            lines.append(pad + ("v += 1" if node.label == WF else "pass"))
+        elif depth > _MAX_NEST:
+            name = f"subtree{len(subtrees)}"
+            subtrees[name] = _wf_vote_counter((node,))
+            lines.append(f"{pad}v += {name}(x)")
+        else:
+            lines.append(f"{pad}if x{node.feature} <= {float(node.threshold)!r}:")
+            emit(node.left, depth + 1)
+            lines.append(pad + "else:")
+            emit(node.right, depth + 1)
+
+    for tree in trees:
+        emit(tree, 1)
+    lines.append("    return v")
+    namespace = {"inf": math.inf, "nan": math.nan, **subtrees}   # repr of non-finite thresholds
+    exec(compile("\n".join(lines), "<treelearn.predict>", "exec"), namespace)
+    return namespace["count"]
 
 
 def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndarray:

@@ -72,7 +72,20 @@ class TestAnalyze:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "attribute,kendall_ag,kendall_ad,cig_ag,cig_ad"
         assert len(lines) == 11
-        assert (tmp_path / "run-manifest.json").exists()
+        assert (tmp_path / "corr.csv.manifest.json").exists()
+
+    def test_each_output_keeps_its_own_manifest(self, tmp_path, trace_file):
+        assert run_cli("analyze", "--input", str(trace_file), "--grouped",
+                       "--output", str(tmp_path / "corr.csv")) == 0
+        assert run_cli("build-dataset", "--input", str(trace_file), "--pair-window", "0.5",
+                       "--output", str(tmp_path / "records.csv")) == 0
+        corr = json.loads((tmp_path / "corr.csv.manifest.json").read_text())
+        records = json.loads((tmp_path / "records.csv.manifest.json").read_text())
+        assert (corr["verb"], corr["grouped"], corr["output"]) == (
+            "analyze", True, str(tmp_path / "corr.csv"))
+        assert (records["verb"], records["pair_window"], records["output"]) == (
+            "build-dataset", 0.5, str(tmp_path / "records.csv"))
+        assert not (tmp_path / "run-manifest.json").exists()
 
     def test_refuses_overwrite_without_force(self, tmp_path, trace_file):
         out = tmp_path / "corr.csv"

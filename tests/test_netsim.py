@@ -15,10 +15,11 @@ from smartps.netsim import (
     suite_csv_bundle, switch_time,
     walkaway_comparison,
 )
-from smartps.selector import Decision, MODEL
+from smartps.selector import Decision, MODEL, SelectorState
 from smartps.traceio import (
     DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays,
 )
+from smartps.treelearn import TreeParams, train_forest
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +183,21 @@ class TestRun:
         assert rep.total_goodput == pytest.approx(11.0904, abs=1e-4)
         assert h.hexdigest() == (
             "f8837ae2272bb25ef7e49d3bc4fbd30b1ff5dc4d9d87d36a85d0b20271405880")
+
+    def test_one_ms_forest_decisions_pinned(self):
+        # 3,000 forest decisions (2,309 WF, 691 LF) pin scalar predict far more
+        # tightly than the suite digests' 100-ms decisions of the 20-tree forest.
+        forest = train_forest(scenarios.training_corpus(7), n_trees=25,
+                              params=TreeParams(max_depth=6, min_leaf=20), seed=7)
+        state = SelectorState(policy="SMARTPS", offline_model=forest, seed=7)
+        rep = run(scenarios.walkaway(seed=5, duration=3.0), state,
+                  SimParams(duration=3.0, seed=7, decision_interval=0.001))
+        h = hashlib.sha256()
+        for name, text in sorted(rep.to_csv_bundle().items()):
+            h.update(name.encode() + b"\n" + text.encode())
+        assert rep.total_goodput == pytest.approx(13.048, abs=1e-4)
+        assert h.hexdigest() == (
+            "cb2573b8160af4ca3869156d27f499c8812e14faf9a32ad4a73214f04b8f96b6")
 
     @settings(max_examples=25, deadline=None)
     @given(wifi_floor=st.floats(1.0, 300.0), wifi_q=st.floats(0.0, 3.0),

@@ -1,10 +1,13 @@
 """Tree growing, forests, pruning, k-fold evaluation, and serialization."""
 
 import math
+import pickle
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartps import treelearn
 from smartps.dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
@@ -224,6 +227,101 @@ class TestPredict:
         t = build_tree(recs, TreeParams(min_leaf=10))
         m = evaluate(t, planted_records(500, seed=2))
         assert m.accuracy > 0.95
+
+
+# Thresholds and feature values share one small pool, so a feature often
+# equals a threshold exactly (it goes left); NaN compares false and goes right.
+POOL = (-60.0, -0.5, -0.0, 0.1, 12.25, 1e-300)
+LEAVES = st.builds(Leaf, st.sampled_from((WF, LF)), st.just((1, 1)))
+TREES = st.recursive(LEAVES, lambda kids: st.builds(
+    Internal, st.integers(0, N_FEATURES - 1), st.sampled_from(POOL), kids, kids),
+    max_leaves=12)
+FORESTS = st.builds(ForestModel, st.lists(TREES, min_size=1, max_size=8).map(tuple),
+                    st.just(0), st.sampled_from((WF, LF)))
+ROWS = st.lists(st.lists(st.one_of(st.sampled_from(POOL), st.just(math.nan),
+                                   st.floats(allow_nan=False)),
+                         min_size=N_FEATURES, max_size=N_FEATURES),
+                min_size=1, max_size=20)
+
+
+def flipped(node):
+    """The tree with every leaf label swapped, so it votes against the original."""
+    if isinstance(node, Leaf):
+        return Leaf(LF if node.label == WF else WF, node.counts)
+    return Internal(node.feature, node.threshold, flipped(node.left), flipped(node.right))
+
+
+def assert_scalar_matches_batch(model, rows):
+    batch = predict_batch(model, np.array(rows, dtype=float))
+    assert [predict(model, row) for row in rows] == [(WF, LF)[i] for i in batch]
+
+
+class TestCompiledPredict:
+    """predict runs generated code; predict_batch's walk is the reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(FORESTS, TREES), rows=ROWS)
+    def test_equals_batch(self, model, rows):
+        assert_scalar_matches_batch(model, rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tree=TREES, tie=st.sampled_from((WF, LF)), rows=ROWS)
+    def test_tie_resolves_to_global_majority(self, tree, tie, rows):
+        forest = ForestModel(trees=(tree, flipped(tree)), seed=0, global_majority=tie)
+        assert {predict(forest, row) for row in rows} == {tie}
+        assert_scalar_matches_batch(forest, rows)
+
+    @pytest.mark.parametrize("label", [WF, LF])
+    def test_single_leaf_model(self, label):
+        rows = [[0.0] * N_FEATURES, [math.nan] * N_FEATURES]
+        assert [predict(Leaf(label, (0, 0)), row) for row in rows] == [label, label]
+        assert_scalar_matches_batch(Leaf(label, (0, 0)), rows)
+
+    def test_threshold_equal_goes_left_and_nan_right(self):
+        forest = ForestModel(trees=(TestPredict.TREE,) * 3, seed=0, global_majority=WF)
+        rows = [[-60.0] + [0.0] * (N_FEATURES - 1), [math.nan] * N_FEATURES]
+        for model in (TestPredict.TREE, forest):
+            assert [predict(model, row) for row in rows] == [LF, WF]
+            assert_scalar_matches_batch(model, rows)
+
+    def test_tree_deeper_than_python_can_indent(self):
+        tree = Leaf(WF, (1, 0))
+        for depth in range(150):
+            tree = Internal(depth % N_FEATURES, float(depth), tree, Leaf(LF, (0, 1)))
+        rows = [[float(v)] * N_FEATURES for v in (-1.0, 0.0, 0.5, 75.0, 149.0, 149.5)]
+        assert_scalar_matches_batch(tree, rows)
+        assert predict(tree, rows[0]) == WF and predict(tree, rows[-1]) == LF
+
+    def test_compiled_once_per_model(self, monkeypatch):
+        compiles = []
+        compile_classifier = treelearn._compile_classifier
+        monkeypatch.setattr(treelearn, "_compile_classifier",
+                            lambda m: compiles.append(m) or compile_classifier(m))
+        forest = ForestModel(trees=(TestPredict.TREE,), seed=0, global_majority=WF)
+        for _ in range(3):
+            predict(forest, [0.0] * N_FEATURES)
+        assert len(compiles) == 1
+        predict(replace(forest), [0.0] * N_FEATURES)
+        assert len(compiles) == 2
+
+    def test_predicted_model_pickles(self):
+        forest = ForestModel(trees=(TestPredict.TREE,), seed=0, global_majority=WF)
+        for model in (TestPredict.TREE, forest):
+            assert predict(model, [-70.0] * N_FEATURES) == LF
+            copy = pickle.loads(pickle.dumps(model))
+            assert copy == model
+            assert predict(copy, [-70.0] * N_FEATURES) == LF
+
+    def test_pruned_forest_predicts_with_its_own_trees(self):
+        # The split is right on training counts but wrong on validation, so it
+        # is pruned to the tie label WF of its aggregated counts (5, 5).
+        forest = ForestModel(trees=(TestPredict.TREE,), seed=0, global_majority=WF)
+        left = [-70.0] + [0.0] * (N_FEATURES - 1)
+        assert predict(forest, left) == LF   # compiles the unpruned forest
+        pruned = prune_model(forest, [rec(WF, rssi_wifi=-70), rec(WF, rssi_wifi=-50)])
+        assert pruned.trees == (Leaf(WF, (3, 3)),)
+        assert predict(pruned, left) == WF
+        assert predict(forest, left) == LF
 
 
 # ---------------------------------------------------------------------------
