@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -57,7 +57,6 @@ class SimParams:
     decision_interval: float = 0.1  # seconds
     online_window: float = 1.0      # selector A/B measurement window, seconds
     check_conservation: bool = True
-    channels: dict = field(default_factory=lambda: dict(DEFAULT_CHANNELS))
 
 
 @dataclass
@@ -107,6 +106,7 @@ class MetricsReport:
                 summary.append(f"{name}_p90 {p90:.6f}")
             except featstats.StatsError:
                 summary.append(f"{name}_p50 NA")
+                summary.append(f"{name}_p90 NA")
         texts = ("\n".join(ag) + "\n", "\n".join(ad) + "\n", "\n".join(acc) + "\n",
                  selmod.decisions_csv(self.decisions), "\n".join(summary) + "\n")
         return dict(zip(BUNDLE_FILES, texts))
@@ -188,8 +188,7 @@ def run(scenario: Scenario,
     paths = []
     for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
                                           (1, LTE, "rssi_lte", "sinr_lte")):
-        cap, rtt, loss = channel_map_arrays(mac[rssi_key], mac[sinr_key], name,
-                                            p.channels.get(name))
+        cap, rtt, loss = channel_map_arrays(mac[rssi_key], mac[sinr_key], name)
         paths.append(_Path(name, pid, cap, rtt, loss, n_ticks))
     wifi, lte = paths
     rto_pairs = ((wifi, lte), (lte, wifi))

@@ -232,11 +232,10 @@ DEFAULT_CHANNELS = {
 }
 
 
-def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str,
-                       params: Optional[ChannelParams] = None
+def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(capacity Mbps, base rtt ms, loss fraction) per interface state."""
-    p = params if params is not None else DEFAULT_CHANNELS[interface]
+    p = DEFAULT_CHANNELS[interface]
     rssi = np.clip(np.asarray(rssi, dtype=float), -120.0, 0.0)
     sinr = np.asarray(sinr, dtype=float)
     ref = math.log2(1.0 + 10.0 ** (p.sinr_ref / 10.0))

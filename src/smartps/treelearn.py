@@ -32,12 +32,15 @@ FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[name.split("_")[0].upper()] for name in FE
 # consecutive distinct raw values instead of bin-edge midpoints.
 SMALL_VALUE_SET = 32
 
+# Features a forest tree searches per node: ceil(sqrt(12)) = 4 (Breiman, 2001).
+FOREST_FEATURES = math.ceil(math.sqrt(N_FEATURES))
+
 
 class ModelFormatError(ValueError):
     """Malformed serialized model."""
 
 
-# Instance attribute that holds the classifier `predict` compiles for a model.
+# Instance attribute that holds the classifier `_compiled` builds for a model.
 _CLASSIFIER = "_classifier"
 
 
@@ -81,8 +84,14 @@ class TreeParams:
     max_depth: int = 8
     min_leaf: int = 20
     min_igr: float = 1e-3
-    feature_subset: Optional[int] = None  # None or >= N_FEATURES: all features
-    seed: int = 0
+
+    def __post_init__(self):
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be at least 1, got {self.min_leaf}")
+        if not (math.isfinite(self.min_igr) and self.min_igr >= 0):
+            raise ValueError(f"min_igr must be finite and at least 0, got {self.min_igr}")
 
 
 @dataclass(frozen=True)
@@ -202,27 +211,25 @@ def build_tree(records: Sequence[LabeledRecord],
     """Grow an IGR decision tree top-down.
 
     Stops on purity, max depth, min_leaf (no split may produce a smaller
-    child), or best IGR below min_igr.  With feature_subset set, each node
-    searches a seeded random subset of that many features.
+    child), or best IGR below min_igr.  Each node searches all 12 features.
     """
     return _grow_tree(*to_arrays(records), params)
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> TreeNode:
+def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
+               rng: Optional[np.random.Generator] = None) -> TreeNode:
+    """Grow on (X, y); with rng, each node searches FOREST_FEATURES features drawn from it."""
     gm = global_majority(y)
-    rng = np.random.default_rng(params.seed)
-    subset = params.feature_subset
-    use_subset = subset is not None and subset < N_FEATURES
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
         y_node = y[idx]
         if depth >= params.max_depth or len(np.unique(y_node)) < 2 \
                 or len(idx) < 2 * params.min_leaf:
             return _leaf(y_node, gm)
-        if use_subset:
-            feats = sorted(rng.choice(N_FEATURES, size=subset, replace=False).tolist())
-        else:
+        if rng is None:
             feats = range(N_FEATURES)
+        else:
+            feats = sorted(rng.choice(N_FEATURES, size=FOREST_FEATURES, replace=False).tolist())
         best = _best_split(X, y, idx, feats, params.min_leaf)
         if best is None or best[0] < params.min_igr:
             return _leaf(y_node, gm)
@@ -257,16 +264,27 @@ def predict(model: Union[TreeNode, ForestModel],
             features: Sequence[float]) -> str:
     """Classify one 12-feature vector as WF or LF.
 
-    The model runs as generated Python code, compiled on its first predict
-    and kept on the model object (a pruned copy compiles its own).
+    The model runs as generated Python code, compiled on its first
+    prediction and kept on the model object (a pruned copy compiles its own).
     """
     if len(features) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
+    return _compiled(model)(features)
+
+
+def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndarray:
+    """predict over the rows of an (n, 12) array; returns int8 labels (0=WF)."""
+    classify = _compiled(model)
+    return np.array([_LABEL_INDEX[classify(row)] for row in X.tolist()], dtype=np.int8)
+
+
+def _compiled(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
+    """The model's compiled classifier, compiled on first use and kept on the model."""
     classify = model.__dict__.get(_CLASSIFIER)
     if classify is None:
         classify = _compile_classifier(model)
         object.__setattr__(model, _CLASSIFIER, classify)   # not a field: eq and repr ignore it
-    return classify(features)
+    return classify
 
 
 def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
@@ -341,57 +359,23 @@ def _wf_vote_counter(trees: Sequence[TreeNode]) -> Callable[[Sequence[float]], i
     return namespace["count"]
 
 
-def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndarray:
-    """Vectorized prediction over an (n, 12) array; returns int8 labels (0=WF)."""
-    if isinstance(model, ForestModel):
-        wf_votes = np.zeros(len(X), dtype=np.int32)
-        for t in model.trees:
-            wf_votes += (_predict_tree_batch(t, X) == 0)
-        out = np.where(wf_votes * 2 > len(model.trees), 0, 1).astype(np.int8)
-        ties = wf_votes * 2 == len(model.trees)
-        if ties.any():
-            out[ties] = _LABEL_INDEX[model.global_majority]
-        return out
-    return _predict_tree_batch(model, X)
-
-
-def _predict_tree_batch(node: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int8)
-
-    def walk(n: TreeNode, idx: np.ndarray):
-        if isinstance(n, Leaf):
-            out[idx] = _LABEL_INDEX[n.label]
-            return
-        mask = X[idx, n.feature] <= n.threshold
-        walk(n.left, idx[mask])
-        walk(n.right, idx[~mask])
-
-    walk(node, np.arange(len(X)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Forest
 # ---------------------------------------------------------------------------
 
 def train_forest(records: Sequence[LabeledRecord], n_trees: int = 200,
-                 params: Optional[TreeParams] = None, seed: int = 0) -> ForestModel:
+                 params: TreeParams = TreeParams(), seed: int = 0) -> ForestModel:
     """Bootstrap forest: tree i trains on a resample drawn with seed + i.
 
-    Feature subsampling defaults to ceil(sqrt(12)) = 4 features per node
-    unless params pins a subset size.  Deterministic for a fixed seed.
+    Each node draws FOREST_FEATURES features from a second generator seeded
+    with seed + i.  Deterministic for a fixed seed.
     """
-    base = params if params is not None else TreeParams()
-    subset = base.feature_subset
-    if subset is None:
-        subset = math.ceil(math.sqrt(N_FEATURES))
     X, y = to_arrays(records)
     n = len(y)
     trees = []
     for i in range(n_trees):
         rows = np.random.default_rng(seed + i).integers(0, n, size=n)
-        tp = replace(base, feature_subset=subset, seed=seed + i)
-        trees.append(_grow_tree(X[rows], y[rows], tp))
+        trees.append(_grow_tree(X[rows], y[rows], params, np.random.default_rng(seed + i)))
     return ForestModel(trees=tuple(trees), seed=seed, global_majority=global_majority(y))
 
 
@@ -561,6 +545,8 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
                 wf, lf = int(parts[2]), int(parts[3])
             except ValueError:
                 fail(lineno, f"malformed leaf counts in {line!r}")
+            if wf < 0 or lf < 0:
+                fail(lineno, f"negative leaf count in {line!r}")
             return Leaf(label=parts[1], counts=(wf, lf))
         if parts[0] == "N":
             if len(parts) != 3:

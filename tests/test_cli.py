@@ -304,6 +304,18 @@ class TestRejectsImpossibleValues:
         assert err.startswith("error:") and f"got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,field,value", [
+        ("--min-leaf", "min_leaf", "0"), ("--min-leaf", "min_leaf", "-5"),
+        ("--max-depth", "max_depth", "-1"), ("--min-igr", "min_igr", "-0.1"),
+        ("--min-igr", "min_igr", "nan"), ("--min-igr", "min_igr", "inf")])
+    def test_train_tree_settings(self, tmp_path, dataset_file, capsys, flag, field, value):
+        out = tmp_path / "m.txt"
+        assert run_cli("train", "--input", str(dataset_file), "--output", str(out),
+                       flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ") and f"got {value}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("window", ["-1", "0", "nan", "inf"])
     def test_pair_window(self, tmp_path, trace_file, capsys, window):
         out = tmp_path / "records.csv"

@@ -3,6 +3,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ def dead(interface):
                          rtt_loss_factor=p.rtt_loss_factor)
 
 
+def channels(**overrides):
+    """Patch DEFAULT_CHANNELS, keyed by interface (WIFI, LTE), for a with block."""
+    assert set(overrides) <= set(DEFAULT_CHANNELS)
+    return mock.patch.dict(DEFAULT_CHANNELS, overrides)
+
+
 class TestRun:
     def test_zero_duration_rejected(self):
         with pytest.raises(SimError):
@@ -88,11 +95,9 @@ class TestRun:
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_non_finite_rtt_rejected(self, floor):
-        channels = {WIFI: DEFAULT_CHANNELS[WIFI],
-                    LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)}
-        with pytest.raises(SimError, match="LTE base RTT"):
-            run(scenarios.stable(seed=0, duration=1.0), WF,
-                SimParams(duration=1.0, channels=channels))
+        with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)), \
+                pytest.raises(SimError, match="LTE base RTT"):
+            run(scenarios.stable(seed=0, duration=1.0), WF, SimParams(duration=1.0))
 
     @pytest.mark.parametrize("field,value", [
         ("tick", 0.01), ("tick", 0.0005), ("block_size", 0),
@@ -112,19 +117,19 @@ class TestRun:
         assert len(run(scn, WF).window_t) == 20  # no params: the scenario's duration
 
     def test_zero_capacity_delivers_nothing(self):
-        params = SimParams(duration=2.0, channels={WIFI: dead(WIFI), LTE: dead(LTE)})
-        rep = run(scenarios.stable(seed=0, duration=2.0), WF, params)
+        with channels(WIFI=dead(WIFI), LTE=dead(LTE)):
+            rep = run(scenarios.stable(seed=0, duration=2.0), WF, SimParams(duration=2.0))
         assert rep.total_goodput == 0.0
         assert rep.ad_samples == []
+        assert rep.to_csv_bundle()["summary.txt"].endswith("ad_p50 NA\nad_p90 NA\n")
 
     def test_single_perfect_path_approaches_capacity(self):
         from smartps.traceio import Scenario, Segment, constant
         scn = Scenario(name="perfect", duration=10.0, seed=0, segments=(
             Segment(0.0, {"rssi_wifi": constant(-40.0),
                           "sinr_wifi": constant(30.0)}),))
-        params = SimParams(duration=10.0, seed=1, channels={
-            WIFI: DEFAULT_CHANNELS[WIFI], LTE: dead(LTE)})
-        rep = run(scn, WF, params)
+        with channels(LTE=dead(LTE)):
+            rep = run(scn, WF, SimParams(duration=10.0, seed=1))
         assert 23.0 <= rep.total_goodput <= 25.0 * 1.05
 
     def test_goodput_bounded_by_combined_capacity(self):
@@ -150,9 +155,8 @@ class TestRun:
         assert rep.window_t[0] == 0.0
 
     def test_ad_at_least_one_way_delay(self):
-        params = SimParams(duration=5.0, seed=3, channels={
-            WIFI: DEFAULT_CHANNELS[WIFI], LTE: dead(LTE)})
-        rep = run(scenarios.stable(seed=0, duration=5.0), WF, params)
+        with channels(LTE=dead(LTE)):
+            rep = run(scenarios.stable(seed=0, duration=5.0), WF, SimParams(duration=5.0, seed=3))
         assert rep.ad_samples
         assert min(v for _, v in rep.ad_samples) >= 10.0  # half of 20 ms rtt
 
@@ -173,10 +177,9 @@ class TestRun:
     def test_long_rtt_channel_pinned(self):
         # A 150-ms LTE rtt floor gives round trips near 450 ticks, beyond any
         # fixed 128-bucket timing wheel, and 26 RTO reinjections in 10 s.
-        channels = {WIFI: DEFAULT_CHANNELS[WIFI],
-                    LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=150.0)}
-        rep = run(scenarios.walkaway(seed=5, duration=10.0), "MINRTT",
-                  SimParams(duration=10.0, seed=7, channels=channels))
+        with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=150.0)):
+            rep = run(scenarios.walkaway(seed=5, duration=10.0), "MINRTT",
+                      SimParams(duration=10.0, seed=7))
         h = hashlib.sha256()
         for name, text in sorted(rep.to_csv_bundle().items()):
             h.update(name.encode() + b"\n" + text.encode())
@@ -207,14 +210,13 @@ class TestRun:
            seed=st.integers(0, 2**16))
     def test_random_channels_conserve_and_reproduce(self, wifi_floor, wifi_q, lte_floor,
                                                     lte_q, kind, policy, seed):
-        channels = {
-            WIFI: replace(DEFAULT_CHANNELS[WIFI], rtt_floor=wifi_floor, rtt_loss_factor=wifi_q),
-            LTE: replace(DEFAULT_CHANNELS[LTE], rtt_floor=lte_floor, rtt_loss_factor=lte_q)}
         scn = getattr(scenarios, kind)(seed=seed, duration=1.0)
-        params = SimParams(duration=1.0, seed=seed, check_conservation=True,
-                           channels=channels)
-        a = run(scn, policy, params)
-        b = run(scn, policy, params)
+        params = SimParams(duration=1.0, seed=seed, check_conservation=True)
+        with channels(
+                WIFI=replace(DEFAULT_CHANNELS[WIFI], rtt_floor=wifi_floor, rtt_loss_factor=wifi_q),
+                LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=lte_floor, rtt_loss_factor=lte_q)):
+            a = run(scn, policy, params)
+            b = run(scn, policy, params)
         assert a.to_csv_bundle() == b.to_csv_bundle()
 
     def test_seed_changes_outcome(self):

@@ -1,5 +1,6 @@
 """Tree growing, forests, pruning, k-fold evaluation, and serialization."""
 
+import hashlib
 import math
 import pickle
 import random
@@ -9,14 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smartps import treelearn
+from smartps import scenarios, treelearn
 from smartps.dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
 from smartps.traceio import WF, LF
 from smartps.treelearn import (
     ForestModel, Internal, Leaf, ModelFormatError, TreeParams,
-    aggregate_counts, build_tree, candidate_thresholds, deserialize_model,
+    _grow_tree, aggregate_counts, build_tree, candidate_thresholds, deserialize_model,
     evaluate, igr, kfold_evaluate, metrics_from_confusion, node_count,
-    predict, predict_batch, prune_model, prune_tree, serialize_model, train_forest,
+    predict, predict_batch, prune_model, prune_tree, serialize_model, to_arrays, train_forest,
 )
 
 
@@ -251,45 +252,63 @@ def flipped(node):
     return Internal(node.feature, node.threshold, flipped(node.left), flipped(node.right))
 
 
-def assert_scalar_matches_batch(model, rows):
+def walk(node, row):
+    while isinstance(node, Internal):
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.label
+
+
+def reference_label(model, row):
+    """Walk each tree of the model; a forest's tie goes to its global majority."""
+    if not isinstance(model, ForestModel):
+        return walk(model, row)
+    wf = sum(walk(tree, row) == WF for tree in model.trees)
+    lf = len(model.trees) - wf
+    return WF if wf > lf else LF if lf > wf else model.global_majority
+
+
+def assert_matches_reference(model, rows):
+    want = [reference_label(model, row) for row in rows]
+    assert [predict(model, row) for row in rows] == want
     batch = predict_batch(model, np.array(rows, dtype=float))
-    assert [predict(model, row) for row in rows] == [(WF, LF)[i] for i in batch]
+    assert batch.dtype == np.int8
+    assert [(WF, LF)[i] for i in batch] == want
 
 
 class TestCompiledPredict:
-    """predict runs generated code; predict_batch's walk is the reference."""
+    """predict and predict_batch run generated code; a plain tree walk is the reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(model=st.one_of(FORESTS, TREES), rows=ROWS)
     def test_equals_batch(self, model, rows):
-        assert_scalar_matches_batch(model, rows)
+        assert_matches_reference(model, rows)
 
     @settings(max_examples=50, deadline=None)
     @given(tree=TREES, tie=st.sampled_from((WF, LF)), rows=ROWS)
     def test_tie_resolves_to_global_majority(self, tree, tie, rows):
         forest = ForestModel(trees=(tree, flipped(tree)), seed=0, global_majority=tie)
         assert {predict(forest, row) for row in rows} == {tie}
-        assert_scalar_matches_batch(forest, rows)
+        assert_matches_reference(forest, rows)
 
     @pytest.mark.parametrize("label", [WF, LF])
     def test_single_leaf_model(self, label):
         rows = [[0.0] * N_FEATURES, [math.nan] * N_FEATURES]
         assert [predict(Leaf(label, (0, 0)), row) for row in rows] == [label, label]
-        assert_scalar_matches_batch(Leaf(label, (0, 0)), rows)
+        assert_matches_reference(Leaf(label, (0, 0)), rows)
 
     def test_threshold_equal_goes_left_and_nan_right(self):
         forest = ForestModel(trees=(TestPredict.TREE,) * 3, seed=0, global_majority=WF)
         rows = [[-60.0] + [0.0] * (N_FEATURES - 1), [math.nan] * N_FEATURES]
         for model in (TestPredict.TREE, forest):
             assert [predict(model, row) for row in rows] == [LF, WF]
-            assert_scalar_matches_batch(model, rows)
+            assert_matches_reference(model, rows)
 
     def test_tree_deeper_than_python_can_indent(self):
         tree = Leaf(WF, (1, 0))
         for depth in range(150):
             tree = Internal(depth % N_FEATURES, float(depth), tree, Leaf(LF, (0, 1)))
         rows = [[float(v)] * N_FEATURES for v in (-1.0, 0.0, 0.5, 75.0, 149.0, 149.5)]
-        assert_scalar_matches_batch(tree, rows)
+        assert_matches_reference(tree, rows)
         assert predict(tree, rows[0]) == WF and predict(tree, rows[-1]) == LF
 
     def test_compiled_once_per_model(self, monkeypatch):
@@ -300,6 +319,7 @@ class TestCompiledPredict:
         forest = ForestModel(trees=(TestPredict.TREE,), seed=0, global_majority=WF)
         for _ in range(3):
             predict(forest, [0.0] * N_FEATURES)
+        predict_batch(forest, np.zeros((2, N_FEATURES)))   # shares predict's classifier
         assert len(compiles) == 1
         predict(replace(forest), [0.0] * N_FEATURES)
         assert len(compiles) == 2
@@ -330,13 +350,14 @@ class TestCompiledPredict:
 
 class TestForest:
     def test_degenerate_forest_equals_tree(self):
+        # A 1-tree forest is the tree grown on the seed-0 bootstrap rows with
+        # features drawn from a second default_rng(0).
         recs = planted_records(400, seed=3)
-        params = TreeParams(min_leaf=5, feature_subset=N_FEATURES)
+        params = TreeParams(min_leaf=5)
         forest = train_forest(recs, n_trees=1, params=params, seed=0)
+        X, y = to_arrays(recs)
         rows = np.random.default_rng(0).integers(0, len(recs), size=len(recs))
-        tree = build_tree([recs[i] for i in rows], params)
-        X = np.array([r.features for r in recs])
-        assert (predict_batch(forest, X) == predict_batch(tree, X)).all()
+        assert forest.trees == (_grow_tree(X[rows], y[rows], params, np.random.default_rng(0)),)
 
     def test_deterministic_for_fixed_seed(self):
         recs = planted_records(300, seed=4)
@@ -364,6 +385,22 @@ class TestForest:
     def test_forest_shape_validated(self):
         with pytest.raises(ValueError):
             ForestModel(trees=(), seed=0, global_majority=WF)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestModelTextPins:
+    """sha256 of the forest and the single tree that training_corpus(7) gives."""
+
+    def test_pretrained_forest(self):
+        assert sha256(serialize_model(scenarios.pretrained_model())) == (
+            "dfbc261625e2e8a79a66ae829727e40f8819bdde997d8adc778a8b6c7ec32aa6")
+
+    def test_single_tree_on_training_corpus(self):
+        assert sha256(serialize_model(build_tree(scenarios.training_corpus(7)))) == (
+            "6fced6a3e4878f190bc01126c4c7b8356764855917451972eb731f351b152695")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +564,12 @@ class TestSerialize:
     def test_bad_forest_header_rejected(self):
         with pytest.raises(ModelFormatError, match="forest header"):
             deserialize_model("F 2 0 XX\nL WF 1 0\nL LF 0 1\n")
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("L WF -3 5\n", 1), ("N 0 -60.0\nL WF 1 0\nL LF 2 -1\n", 3)])
+    def test_negative_leaf_count_names_line(self, text, lineno):
+        with pytest.raises(ModelFormatError, match=f"line {lineno}: negative leaf count"):
+            deserialize_model(text)
 
     @pytest.mark.parametrize("header", ["F 0 7 WF", "F -2 7 WF"])
     def test_tree_count_below_one_names_line(self, header):
