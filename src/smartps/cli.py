@@ -116,8 +116,7 @@ def cmd_simulate(args) -> int:
     if policy == selector.SMARTPS:
         model = (treelearn.deserialize_model(Path(args.model).read_text()) if args.model
                  else scenarios.pretrained_model())
-    params = netsim.SimParams(duration=scenario.duration, block_size=args.block_size)
-    report = netsim.run_case(scenario, policy, args.seed, model, params)
+    report = netsim.run_case(scenario, policy, args.seed, model)
     out_dir = Path(args.output)
     for name, content in report.to_csv_bundle().items():
         _write_output(out_dir / name, content)
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[policy.lower() for policy in selector.POLICIES])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--model", default=None)
-    p.add_argument("--block-size", type=int, default=netsim.SimParams.block_size,
-                   dest="block_size")
     p.add_argument("--output", default="simout")
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_simulate)

@@ -6,7 +6,8 @@ traceio's channel model (Shannon-shaped capacity, logistic loss cliff).  The
 sender runs per-subflow AIMD congestion control with RTO-triggered
 reinjection on the other path, the receiver releases the in-order prefix,
 and a pluggable selector chooses the priority path every 100 ms.  Everything
-is a pure function of (scenario, policy, seed).
+is a pure function of (scenario, selector state, params): `run` takes all
+three, and `run_case` builds the last two from a policy name and a seed.
 
 Packet deliveries and acks wait on a timing wheel with one bucket per tick,
 sized from the run's own largest round trip, and the channel state each tick
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ MIN_RTO = 200.0        # ms
 RTO_MULT = 4.0         # rto = max(MIN_RTO, RTO_MULT * srtt)
 CWND_INIT = 10.0       # packets
 CWND_MAX = 1000.0      # packets
+BLOCK_PACKETS = 16     # packets per application block (AD unit)
 
 
 class SimError(ValueError):
@@ -51,7 +53,6 @@ class SimError(ValueError):
 @dataclass
 class SimParams:
     duration: float = 60.0
-    block_size: int = 16            # packets per application block (AD unit)
     seed: int = 0
     tick: float = MS                # run() rejects any other step
     decision_interval: float = 0.1  # seconds
@@ -72,15 +73,11 @@ class MetricsReport:
     total_goodput: float                      # Mbps over the whole run
 
     def percentile(self, metric: str, p: float) -> float:
-        """Nearest-rank percentile of a series: ag, ad, acc_wifi or acc_lte."""
+        """Nearest-rank percentile of a series: ag or ad."""
         if metric == "ag":
             series = self.ag_series
         elif metric == "ad":
             series = [v for _, v in self.ad_samples]
-        elif metric == "acc_wifi":
-            series = self.accumulation[WIFI]
-        elif metric == "acc_lte":
-            series = self.accumulation[LTE]
         else:
             raise SimError(f"unknown metric {metric!r}")
         return featstats.percentile(series, p)
@@ -160,30 +157,25 @@ class _Path:
         self.pdr_est = 0.0
 
 
-def run(scenario: Scenario,
-        policy: Union[str, SelectorState],
-        params: Optional[SimParams] = None) -> MetricsReport:
+def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsReport:
     """Simulate one connection over the scenario under the given selector."""
-    p = params if params is not None else SimParams(duration=scenario.duration)
-    if scenario.duration <= 0:
-        raise SimError("scenario duration must be > 0")
+    p = params
     if p.duration != scenario.duration:
         raise SimError(f"params.duration {p.duration} s differs from the scenario's "
                        f"duration {scenario.duration} s")
     if p.tick != MS:
         raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
-    if p.block_size < 1:
-        raise SimError(f"block_size must be >= 1 packet; got {p.block_size}")
     for name in ("decision_interval", "online_window"):
         length = getattr(p, name)
         if not (math.isfinite(length) and length >= p.tick):
             raise SimError(f"{name} must be a finite length of at least one tick "
                            f"({p.tick} s); got {length}")
-    state = policy if isinstance(policy, SelectorState) else SelectorState(policy=policy, seed=p.seed)
 
     n_ticks = int(round(scenario.duration / p.tick))
-    if n_ticks < 1:
-        raise SimError(f"scenario duration {scenario.duration} s is shorter than one tick")
+    window_ticks = int(round(METRICS_WINDOW / p.tick))
+    if n_ticks < window_ticks or n_ticks % window_ticks:
+        raise SimError(f"scenario duration {scenario.duration} s is not a positive whole "
+                       f"number of {METRICS_WINDOW} s metrics windows")
     mac = scenario_mac_series(scenario, np.arange(n_ticks) * p.tick)
     paths = []
     for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
@@ -207,8 +199,7 @@ def run(scenario: Scenario,
     draws = rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, consumed in send order
     di = 0
 
-    block_size = p.block_size
-    recv_window = RECV_WINDOW
+    block_packets, recv_window = BLOCK_PACKETS, RECV_WINDOW
     min_rto, rto_mult, cwnd_max = MIN_RTO, RTO_MULT, CWND_MAX
     credit_max = 4.0 * PKT_BYTES
     next_seq = 0
@@ -219,7 +210,6 @@ def run(scenario: Scenario,
     seq_state_guard = p.check_conservation
 
     decision_ticks = int(round(p.decision_interval / p.tick))
-    window_ticks = int(round(METRICS_WINDOW / p.tick))
     online_ticks = int(round(p.online_window / p.tick))
     online = state.policy == selmod.SMARTPS
 
@@ -246,7 +236,6 @@ def run(scenario: Scenario,
         )
         return Observation(
             t=tick * p.tick, features=feats,
-            srtt_wifi=wifi.srtt, srtt_lte=lte.srtt,
             space_wifi=wifi.cwnd - len(wifi.in_flight),
             space_lte=lte.cwnd - len(lte.in_flight),
         )
@@ -270,8 +259,8 @@ def run(scenario: Scenario,
                         delivered_upto += 1
                         released_win_bytes += PKT_BYTES
                         online_released += 1
-                        if delivered_upto % block_size == 0:
-                            block = delivered_upto // block_size - 1
+                        if delivered_upto % block_packets == 0:
+                            block = delivered_upto // block_packets - 1
                             start = block_first_send.pop(block, None)
                             if start is not None:
                                 ad_samples.append((tick * p.tick, float(tick - start)))
@@ -350,8 +339,8 @@ def run(scenario: Scenario,
                 elif allow_new and next_seq - delivered_upto < recv_window:
                     seq = next_seq
                     next_seq += 1
-                    if seq % block_size == 0:
-                        block_first_send[seq // block_size] = tick
+                    if seq % block_packets == 0:
+                        block_first_send[seq // block_packets] = tick
                 else:
                     break
                 credit -= PKT_BYTES
@@ -413,12 +402,10 @@ def run(scenario: Scenario,
 # Policy comparisons: evaluation suite and walkaway (missed-handover) study
 # ---------------------------------------------------------------------------
 
-def run_case(scenario: Scenario, policy: str, seed: int, model=None,
-             params: Optional[SimParams] = None) -> MetricsReport:
+def run_case(scenario: Scenario, policy: str, seed: int, model=None) -> MetricsReport:
     """Run one (scenario, policy, seed) case; MINRTT and RR ignore the model."""
     state = SelectorState(policy=policy, offline_model=model, seed=seed)
-    return run(scenario, state, replace(params or SimParams(duration=scenario.duration),
-                                        seed=seed))
+    return run(scenario, state, SimParams(duration=scenario.duration, seed=seed))
 
 
 @dataclass(frozen=True)
@@ -495,13 +482,12 @@ class WalkawayComparison:
     degraded_accumulation_p90: dict[str, float]  # WiFi in-flight after the cliff
 
 
-def walkaway_comparison(seed: int, model=None,
-                        params: Optional[SimParams] = None) -> WalkawayComparison:
+def walkaway_comparison(seed: int, model=None) -> WalkawayComparison:
     """Run the walkaway scenario under MinRTT and SmartPS and compare."""
     scenario = scenarios.walkaway(seed)
     if model is None:
         model = scenarios.pretrained_model()
-    reports = {policy: run_case(scenario, policy, seed, model, params)
+    reports = {policy: run_case(scenario, policy, seed, model)
                for policy in (selmod.MINRTT, selmod.SMARTPS)}
 
     # windows after the noise-free WiFi RSSI trajectory crosses the loss cliff

@@ -33,6 +33,10 @@ DEFAULT_REFRESH_INTERVAL = 30.0   # seconds
 DEFAULT_MIN_TRAIN = 500           # records required before a refresh retrains
 DEFAULT_ONLINE_TREES = 50
 
+# MINRTT compares the TCP-layer smoothed RTTs carried in these features.
+_RTT_WIFI = FEATURE_NAMES.index("rtt_wifi")
+_RTT_LTE = FEATURE_NAMES.index("rtt_lte")
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -40,8 +44,6 @@ class Observation:
 
     t: float
     features: tuple[float, ...]   # 12-vector in dataset.FEATURE_NAMES order
-    srtt_wifi: float              # ms
-    srtt_lte: float               # ms
     space_wifi: float             # cwnd space (packets); > 0 means sendable
     space_lte: float
 
@@ -103,7 +105,7 @@ def decide(state: SelectorState, obs: Observation) -> Decision:
     if state.policy == SMARTPS:
         prio = treelearn.predict(state.offline_model, obs.features)
     elif state.policy == MINRTT:
-        prio = WF if obs.srtt_wifi <= obs.srtt_lte else LF
+        prio = WF if obs.features[_RTT_WIFI] <= obs.features[_RTT_LTE] else LF
     elif state.policy == RR:
         prio = WF if state.rr_cursor == 0 else LF
         state.rr_cursor ^= 1

@@ -10,7 +10,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from smartps import dataset, netsim, scenarios, selector, traceio, treelearn
 from smartps.dataset import FEATURE_NAMES
@@ -319,17 +318,16 @@ def test_criterion_7_conservation_and_determinism(capsys):
         model = scenarios.pretrained_model()
         scn = scenarios.walkaway(seed=13, duration=20.0)
 
-        def smartps(seed):
-            return selector.SelectorState(policy=selector.SMARTPS,
-                                          offline_model=model, seed=seed)
+        def state(policy):
+            return selector.SelectorState(policy=policy, offline_model=model, seed=13)
 
         # check_conservation=True raises mid-run on any tick where a packet
         # is not in exactly one of {transit, reorder buffer, released, pending}.
-        for policy_factory in (lambda s: "MINRTT", lambda s: "RR", smartps):
+        for policy in (selector.MINRTT, selector.RR, selector.SMARTPS):
             params = netsim.SimParams(duration=20.0, seed=13,
                                       check_conservation=True)
-            rep_a = netsim.run(scn, policy_factory(13), params)
-            rep_b = netsim.run(scn, policy_factory(13),
+            rep_a = netsim.run(scn, state(policy), params)
+            rep_b = netsim.run(scn, state(policy),
                                netsim.SimParams(duration=20.0, seed=13,
                                                 check_conservation=True))
             assert rep_a.to_csv_bundle() == rep_b.to_csv_bundle()

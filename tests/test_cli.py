@@ -183,12 +183,6 @@ class TestSimulate:
                        "--output", str(out)) == 0
         assert bundle_digest(out) == SIMULATE_DIGESTS[selector]
 
-    def test_zero_block_size_is_an_error(self, tmp_path, scenario_file, capsys):
-        assert run_cli("simulate", "--scenario", str(scenario_file),
-                       "--selector", "minrtt", "--seed", "7", "--block-size", "0",
-                       "--output", str(tmp_path / "sim")) == 1
-        assert "error:" in capsys.readouterr().err
-
     @pytest.mark.parametrize("old,new,lineno", [
         ("duration 3", "duration inf", 2),
         ("rssi_wifi ramp -30 -85", "rssi_wifi constant nan", 9),
@@ -246,6 +240,14 @@ class TestExperiment:
             report = netsim.run_case(suite[index], policy, int(seed), model)
             assert groups[(policy, scenario, seed)] == [
                 f"{v:.6f}" for v in sorted(report.ag_series)]
+
+    def test_whole_windows_reach_ag_cdf(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert run_cli("experiment", "--output", str(out),
+                       "--seeds", "1", "--duration", "0.3") == 0
+        capsys.readouterr()
+        lines = (out / "ag_cdf.csv").read_text().splitlines()
+        assert len(lines) - 1 == 3 * 20 * 3   # three 100-ms windows per run
 
     def test_refuses_overwrite_before_simulating(self, tmp_path, monkeypatch, capsys):
         def must_not_run(*args, **kwargs):
@@ -337,6 +339,10 @@ class TestRejectsImpossibleValues:
     @pytest.mark.parametrize("flags,message", [
         (("--seeds", "0"), "got 0"), (("--seeds", "-2"), "got -2"),
         (("--duration", "nan"), "must be finite"),
+        (("--seeds", "1", "--duration", "0.25"),
+         "0.25 s is not a positive whole number of 0.1 s metrics windows"),
+        (("--seeds", "1", "--duration", "0.05"),
+         "0.05 s is not a positive whole number of 0.1 s metrics windows"),
     ])
     def test_experiment(self, tmp_path, capsys, flags, message):
         out = tmp_path / "exp"

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from smartps import dataset
 from smartps.dataset import (
     AG_EPS, FEATURE_NAMES, LabeledRecord, better_than, build_dataset,
     merge_pair, pair_rows, records_from_csv, records_to_csv,

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from smartps import netsim, scenarios
 from smartps.netsim import (
     MetricsReport, SimError,
-    SimParams, SuiteRow, run,
+    SimParams, SuiteRow, run, run_case,
     suite_csv_bundle, switch_time,
     walkaway_comparison,
 )
@@ -87,20 +87,21 @@ def channels(**overrides):
 class TestRun:
     def test_zero_duration_rejected(self):
         with pytest.raises(SimError):
-            run(scenarios.stable(seed=0, duration=0.0), WF)
+            run_case(scenarios.stable(seed=0, duration=0.0), WF, 0)
 
     def test_duration_under_one_tick_rejected(self):
-        with pytest.raises(SimError, match="shorter than one tick"):
-            run(scenarios.stable(seed=0, duration=0.0004), WF)
+        with pytest.raises(SimError, match=r"0\.0004 s is not a positive whole number "
+                                           r"of 0\.1 s metrics windows"):
+            run_case(scenarios.stable(seed=0, duration=0.0004), WF, 0)
 
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_non_finite_rtt_rejected(self, floor):
         with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)), \
                 pytest.raises(SimError, match="LTE base RTT"):
-            run(scenarios.stable(seed=0, duration=1.0), WF, SimParams(duration=1.0))
+            run_case(scenarios.stable(seed=0, duration=1.0), WF, 0)
 
     @pytest.mark.parametrize("field,value", [
-        ("tick", 0.01), ("tick", 0.0005), ("block_size", 0),
+        ("tick", 0.01), ("tick", 0.0005),
         ("decision_interval", 0), ("decision_interval", -1), ("decision_interval", 0.0004),
         ("decision_interval", math.nan), ("decision_interval", math.inf),
         ("online_window", 0), ("online_window", -1), ("online_window", 0.0004),
@@ -108,17 +109,16 @@ class TestRun:
     def test_params_the_loop_cannot_honour_rejected(self, field, value):
         params = SimParams(duration=1.0, **{field: value})
         with pytest.raises(SimError, match=field):
-            run(scenarios.stable(seed=0, duration=1.0), WF, params)
+            run(scenarios.stable(seed=0, duration=1.0), SelectorState(policy=WF), params)
 
     def test_params_duration_must_match_scenario(self):
         scn = scenarios.stable(seed=0, duration=2.0)
         with pytest.raises(SimError, match=r"60\.0 s .* 2\.0 s"):
-            run(scn, WF, SimParams(duration=60.0))
-        assert len(run(scn, WF).window_t) == 20  # no params: the scenario's duration
+            run(scn, SelectorState(policy=WF), SimParams(duration=60.0))
 
     def test_zero_capacity_delivers_nothing(self):
         with channels(WIFI=dead(WIFI), LTE=dead(LTE)):
-            rep = run(scenarios.stable(seed=0, duration=2.0), WF, SimParams(duration=2.0))
+            rep = run_case(scenarios.stable(seed=0, duration=2.0), WF, 0)
         assert rep.total_goodput == 0.0
         assert rep.ad_samples == []
         assert rep.to_csv_bundle()["summary.txt"].endswith("ad_p50 NA\nad_p90 NA\n")
@@ -129,57 +129,52 @@ class TestRun:
             Segment(0.0, {"rssi_wifi": constant(-40.0),
                           "sinr_wifi": constant(30.0)}),))
         with channels(LTE=dead(LTE)):
-            rep = run(scn, WF, SimParams(duration=10.0, seed=1))
+            rep = run_case(scn, WF, 1)
         assert 23.0 <= rep.total_goodput <= 25.0 * 1.05
 
     def test_goodput_bounded_by_combined_capacity(self):
-        rep = run(scenarios.stable(seed=2, duration=5.0), "RR",
-                  SimParams(duration=5.0, seed=2))
+        rep = run_case(scenarios.stable(seed=2, duration=5.0), "RR", 2)
         assert rep.total_goodput <= 40.0
 
     def test_conservation_holds_across_policies(self):
         scn = scenarios.walkaway(seed=5, duration=10.0)
         for policy in (WF, LF, "MINRTT", "RR"):
-            run(scn, policy, SimParams(duration=10.0, seed=5))  # a violation raises
+            run_case(scn, policy, 5)  # a violation raises
 
     def test_decision_cadence(self):
-        rep = run(scenarios.stable(seed=0, duration=2.0), WF,
-                  SimParams(duration=2.0))
+        rep = run_case(scenarios.stable(seed=0, duration=2.0), WF, 0)
         assert len(rep.decisions) == 20  # one per 100 ms
 
     def test_window_series_aligned(self):
-        rep = run(scenarios.stable(seed=0, duration=1.0), WF,
-                  SimParams(duration=1.0))
+        rep = run_case(scenarios.stable(seed=0, duration=1.0), WF, 0)
         assert len(rep.window_t) == len(rep.ag_series) == 10
         assert len(rep.accumulation[WIFI]) == len(rep.accumulation[LTE]) == 10
         assert rep.window_t[0] == 0.0
 
     def test_ad_at_least_one_way_delay(self):
         with channels(LTE=dead(LTE)):
-            rep = run(scenarios.stable(seed=0, duration=5.0), WF, SimParams(duration=5.0, seed=3))
+            rep = run_case(scenarios.stable(seed=0, duration=5.0), WF, 3)
         assert rep.ad_samples
         assert min(v for _, v in rep.ad_samples) >= 10.0  # half of 20 ms rtt
 
     def test_cwnd_cap_bounds_accumulation(self, monkeypatch):
         monkeypatch.setattr(netsim, "CWND_INIT", 1.0)
         monkeypatch.setattr(netsim, "CWND_MAX", 1.0)
-        params = SimParams(duration=3.0, seed=4)
-        rep = run(scenarios.stable(seed=0, duration=3.0), WF, params)
+        rep = run_case(scenarios.stable(seed=0, duration=3.0), WF, 4)
         for name in (WIFI, LTE):
             assert max(rep.accumulation[name]) <= 1500.0
 
     def test_byte_identical_determinism(self):
         scn = scenarios.walkaway(seed=9, duration=5.0)
-        a = run(scn, "MINRTT", SimParams(duration=5.0, seed=9))
-        b = run(scn, "MINRTT", SimParams(duration=5.0, seed=9))
+        a = run_case(scn, "MINRTT", 9)
+        b = run_case(scn, "MINRTT", 9)
         assert a.to_csv_bundle() == b.to_csv_bundle()
 
     def test_long_rtt_channel_pinned(self):
         # A 150-ms LTE rtt floor gives round trips near 450 ticks, beyond any
         # fixed 128-bucket timing wheel, and 26 RTO reinjections in 10 s.
         with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=150.0)):
-            rep = run(scenarios.walkaway(seed=5, duration=10.0), "MINRTT",
-                      SimParams(duration=10.0, seed=7))
+            rep = run_case(scenarios.walkaway(seed=5, duration=10.0), "MINRTT", 7)
         h = hashlib.sha256()
         for name, text in sorted(rep.to_csv_bundle().items()):
             h.update(name.encode() + b"\n" + text.encode())
@@ -211,19 +206,16 @@ class TestRun:
     def test_random_channels_conserve_and_reproduce(self, wifi_floor, wifi_q, lte_floor,
                                                     lte_q, kind, policy, seed):
         scn = getattr(scenarios, kind)(seed=seed, duration=1.0)
-        params = SimParams(duration=1.0, seed=seed, check_conservation=True)
         with channels(
                 WIFI=replace(DEFAULT_CHANNELS[WIFI], rtt_floor=wifi_floor, rtt_loss_factor=wifi_q),
                 LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=lte_floor, rtt_loss_factor=lte_q)):
-            a = run(scn, policy, params)
-            b = run(scn, policy, params)
+            a = run_case(scn, policy, seed)   # conservation is checked every tick
+            b = run_case(scn, policy, seed)
         assert a.to_csv_bundle() == b.to_csv_bundle()
 
     def test_seed_changes_outcome(self):
-        a = run(scenarios.walkaway(seed=1, duration=5.0), "MINRTT",
-                SimParams(duration=5.0, seed=1))
-        b = run(scenarios.walkaway(seed=2, duration=5.0), "MINRTT",
-                SimParams(duration=5.0, seed=2))
+        a = run_case(scenarios.walkaway(seed=1, duration=5.0), "MINRTT", 1)
+        b = run_case(scenarios.walkaway(seed=2, duration=5.0), "MINRTT", 2)
         assert a.to_csv_bundle() != b.to_csv_bundle()
 
     @pytest.mark.parametrize("seeds", [0, -2])
@@ -286,9 +278,6 @@ class TestReport:
     def test_ag_p90(self):
         assert make_report().percentile("ag", 90) == 30.0
 
-    def test_accumulation_percentile(self):
-        assert make_report().percentile("acc_wifi", 90) == 3000.0
-
     def test_unknown_metric_rejected(self):
         with pytest.raises(SimError):
             make_report().percentile("bogus", 50)
@@ -331,16 +320,15 @@ class TestSwitchTime:
         assert switch_time(dseq(prios)) == pytest.approx(0.9)
 
 
-class TestWalkaway:
-    def test_smartps_switches_no_later_than_minrtt(self):
-        cmp = walkaway_comparison(seed=0, params=SimParams(duration=60.0))
-        s = cmp.switch_times["SMARTPS"]
-        m = cmp.switch_times["MINRTT"]
-        assert s is not None
-        inf = float("inf")
-        assert s <= (m if m is not None else inf)
+@pytest.fixture(scope="class")
+def walkaway_seed0():
+    return walkaway_comparison(seed=0)
 
-    def test_smartps_drains_wifi_after_cliff(self):
-        cmp = walkaway_comparison(seed=0, params=SimParams(duration=60.0))
-        assert (cmp.degraded_accumulation_p90["SMARTPS"]
-                < cmp.degraded_accumulation_p90["MINRTT"])
+
+class TestWalkaway:
+    def test_smartps_switches_no_later_than_minrtt(self, walkaway_seed0):
+        # MinRTT never hands over within the 60-s walk.
+        assert walkaway_seed0.switch_times == {"MINRTT": None, "SMARTPS": 28.6}
+
+    def test_smartps_drains_wifi_after_cliff(self, walkaway_seed0):
+        assert walkaway_seed0.degraded_accumulation_p90 == {"MINRTT": 3000, "SMARTPS": 0}

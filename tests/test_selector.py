@@ -2,7 +2,6 @@
 
 import pytest
 
-from smartps import selector
 from smartps.dataset import FEATURE_NAMES, N_FEATURES
 from smartps.selector import (
     FALLBACK, MINRTT, MODEL, RR, SMARTPS,
@@ -16,6 +15,8 @@ from tests.test_treelearn import planted_records
 
 # Model that prefers WiFi when its RSSI is above the -60 dBm line.
 RSSI_WIFI = FEATURE_NAMES.index("rssi_wifi")
+RTT_WIFI = FEATURE_NAMES.index("rtt_wifi")
+RTT_LTE = FEATURE_NAMES.index("rtt_lte")
 RSSI_MODEL = Internal(feature=RSSI_WIFI, threshold=-60.0,
                       left=Leaf(LF, (0, 10)), right=Leaf(WF, (10, 0)))
 
@@ -24,8 +25,9 @@ def obs(t=0.0, rssi_wifi=-40.0, srtt_wifi=20.0, srtt_lte=45.0,
         space_wifi=5.0, space_lte=5.0):
     features = [0.0] * N_FEATURES
     features[RSSI_WIFI] = rssi_wifi
-    return Observation(t=t, features=tuple(features), srtt_wifi=srtt_wifi,
-                       srtt_lte=srtt_lte, space_wifi=space_wifi,
+    features[RTT_WIFI] = srtt_wifi
+    features[RTT_LTE] = srtt_lte
+    return Observation(t=t, features=tuple(features), space_wifi=space_wifi,
                        space_lte=space_lte)
 
 
@@ -44,8 +46,7 @@ class TestStateValidation:
 
     def test_observation_arity_checked(self):
         with pytest.raises(ValueError):
-            Observation(t=0.0, features=(1.0,), srtt_wifi=1, srtt_lte=1,
-                        space_wifi=1, space_lte=1)
+            Observation(t=0.0, features=(1.0,), space_wifi=1, space_lte=1)
 
 
 class TestSmartPs:
