@@ -90,8 +90,8 @@ def cmd_train(args) -> int:
         return treelearn.build_tree(train, params)
 
     if args.folds:
-        result = treelearn.kfold_evaluate(records, learner, k=args.folds, seed=args.seed)
-        print(f"{args.folds}-fold: {_metrics_line(result.mean)}")
+        mean = treelearn.kfold_evaluate(records, learner, k=args.folds, seed=args.seed)
+        print(f"{args.folds}-fold: {_metrics_line(mean)}")
     return _write_single(args, treelearn.serialize_model(learner(records)))
 
 

@@ -69,11 +69,10 @@ def better_than(a: tuple[float, float], b: tuple[float, float]) -> int:
 
 def pair_rows(samples: Sequence[AttributeSample],
               window: float = DEFAULT_PAIR_WINDOW
-              ) -> tuple[list[tuple[AttributeSample, AttributeSample]], int]:
+              ) -> list[tuple[AttributeSample, AttributeSample]]:
     """Greedily pair each row with the next opposite-priority row within window.
 
-    Returns (pairs, dropped) where dropped counts rows left unpaired.
-    Samples must be time-ordered.
+    Rows left unpaired are dropped.  Samples must be time-ordered.
     """
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"pair window must be a finite number of seconds > 0, got {window}")
@@ -90,8 +89,7 @@ def pair_rows(samples: Sequence[AttributeSample],
                 pairs.append((a, b))
                 used[i] = used[j] = True
                 break
-    dropped = used.count(False)
-    return pairs, dropped
+    return pairs
 
 
 def merge_pair(pair: tuple[AttributeSample, AttributeSample]) -> LabeledRecord:
@@ -118,8 +116,7 @@ def merge_pair(pair: tuple[AttributeSample, AttributeSample]) -> LabeledRecord:
 def build_dataset(samples: Sequence[AttributeSample],
                   window: float = DEFAULT_PAIR_WINDOW) -> list[LabeledRecord]:
     """pair_rows then merge_pair, in pair time order."""
-    pairs, _ = pair_rows(samples, window=window)
-    return [merge_pair(p) for p in pairs]
+    return [merge_pair(p) for p in pair_rows(samples, window=window)]
 
 
 def records_to_csv(records: Sequence[LabeledRecord]) -> str:

@@ -37,25 +37,9 @@ AG_BIN_WIDTH = 5.0   # Mbps
 AD_BIN_WIDTH = 5.0   # ms
 
 
-@dataclass(frozen=True)
-class BinSpec:
+def bin_index(v: float, width: float) -> int:
     """Fixed-width binning: value v lands in floor(v / width)."""
-
-    width: float
-    min_count: int = 1
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise StatsError("bin width must be > 0")
-        if self.min_count < 1:
-            raise StatsError("min_count must be >= 1")
-
-    def index(self, v: float) -> int:
-        return int(math.floor(v / self.width))
-
-
-def default_spec(attribute: str, min_count: int = 1) -> BinSpec:
-    return BinSpec(width=BIN_WIDTHS[attribute], min_count=min_count)
+    return int(math.floor(v / width))
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -108,7 +92,7 @@ def entropy(labels: Sequence) -> float:
     return h
 
 
-def cig(x: Sequence[float], y: Sequence[float], x_spec: BinSpec,
+def cig(x: Sequence[float], y: Sequence[float], x_width: float,
         y_width: float) -> float:
     """Conditional information gain (H(Y) - H(Y|X)) / H(Y), in [0, 1].
 
@@ -119,10 +103,10 @@ def cig(x: Sequence[float], y: Sequence[float], x_spec: BinSpec,
         raise StatsError("cig: x and y length mismatch")
     if len(x) == 0:
         raise StatsError("cig: empty input")
-    if y_width <= 0:
-        raise StatsError("cig: y_width must be > 0")
-    xb = [x_spec.index(v) for v in x]
-    yb = [int(math.floor(v / y_width)) for v in y]
+    if x_width <= 0 or y_width <= 0:
+        raise StatsError(f"cig: bin widths must be > 0, got {x_width} and {y_width}")
+    xb = [bin_index(v, x_width) for v in x]
+    yb = [bin_index(v, y_width) for v in y]
     h_y = entropy(yb)
     if h_y == 0.0:
         return 0.0
@@ -163,10 +147,9 @@ class CorrelationRow:
     kendall_ad: float
     cig_ag: float
     cig_ad: float
-    available: bool = True
 
 
-def _binned_kendall(x: list[float], y: list[float], spec: BinSpec) -> float:
+def _binned_kendall(x: list[float], y: list[float], width: float, min_count: int) -> float:
     """Kendall between bin index and the mean metric value in that bin.
 
     Binning first (with min_count filtering) matches the summary-then-correlate
@@ -174,8 +157,8 @@ def _binned_kendall(x: list[float], y: list[float], spec: BinSpec) -> float:
     """
     bins: dict[int, list[float]] = {}
     for xv, yv in zip(x, y):
-        bins.setdefault(spec.index(xv), []).append(yv)
-    bins = {k: v for k, v in bins.items() if len(v) >= spec.min_count}
+        bins.setdefault(bin_index(xv, width), []).append(yv)
+    bins = {k: v for k, v in bins.items() if len(v) >= min_count}
     if len(bins) < 2:
         raise StatsError("binned kendall: fewer than two populated bins")
     ks = sorted(bins)
@@ -190,16 +173,18 @@ def correlation_table(samples: Sequence[AttributeSample],
 
     Ungrouped: every row contributes to every interface variant of an
     attribute.  Grouped: each variant only sees rows whose priority matches
-    its interface (WiFi attributes under WF, LTE attributes under LF).  The
-    reported value is the median across the variants that have enough data;
-    attributes with no usable variant are marked unavailable.
+    its interface (WiFi attributes under WF, LTE attributes under LF).  A
+    variant contributes all four figures or none; each reported figure is the
+    median across contributing variants, and NaN when there are none.
     """
     if len(samples) == 0:
         raise StatsError("correlation_table: no samples")
+    if min_count < 1:
+        raise StatsError(f"min_count must be >= 1, got {min_count}")
     rows = []
     for attr in ATTRIBUTES:
-        spec = default_spec(attr, min_count=min_count)
-        per_metric: dict[str, list[float]] = {"kag": [], "kad": [], "cag": [], "cad": []}
+        width = BIN_WIDTHS[attr]
+        figures = []
         for field_name, iface_prio in ATTRIBUTE_FIELDS[attr]:
             use = [s for s in samples if (not grouped_by_prio or s.prio == iface_prio)]
             if len(use) < 2:
@@ -208,29 +193,21 @@ def correlation_table(samples: Sequence[AttributeSample],
             ag = [s.ag for s in use]
             ad = [s.ad for s in use]
             try:
-                per_metric["kag"].append(_binned_kendall(x, ag, spec))
-                per_metric["kad"].append(_binned_kendall(x, ad, spec))
-                cig_spec = BinSpec(spec.width)
-                per_metric["cag"].append(cig(x, ag, cig_spec, AG_BIN_WIDTH))
-                per_metric["cad"].append(cig(x, ad, cig_spec, AD_BIN_WIDTH))
+                figures.append((_binned_kendall(x, ag, width, min_count),
+                                _binned_kendall(x, ad, width, min_count),
+                                cig(x, ag, width, AG_BIN_WIDTH),
+                                cig(x, ad, width, AD_BIN_WIDTH)))
             except StatsError:
                 continue
-        if not per_metric["kag"]:
-            rows.append(CorrelationRow(attr, math.nan, math.nan, math.nan, math.nan,
-                                       available=False))
-            continue
-        med = lambda vs: float(np.median(vs))
-        rows.append(CorrelationRow(attr, med(per_metric["kag"]), med(per_metric["kad"]),
-                                   med(per_metric["cag"]), med(per_metric["cad"])))
+        medians = np.median(figures, axis=0).tolist() if figures else [math.nan] * 4
+        rows.append(CorrelationRow(attr, *medians))
     return rows
 
 
 def correlation_table_csv(rows: Sequence[CorrelationRow]) -> str:
     out = ["attribute,kendall_ag,kendall_ad,cig_ag,cig_ad"]
     for r in rows:
-        if r.available:
-            out.append(f"{r.attribute},{r.kendall_ag:.4f},{r.kendall_ad:.4f},"
-                       f"{r.cig_ag:.4f},{r.cig_ad:.4f}")
-        else:
-            out.append(f"{r.attribute},NA,NA,NA,NA")
+        cells = (r.kendall_ag, r.kendall_ad, r.cig_ag, r.cig_ad)
+        out.append(",".join([r.attribute] + ["NA" if math.isnan(v) else f"{v:.4f}"
+                                             for v in cells]))
     return "\n".join(out) + "\n"

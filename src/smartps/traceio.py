@@ -28,8 +28,8 @@ WIFI = "WIFI"
 LTE = "LTE"
 
 # Canonical CSV column order.  PLR columns are serialized as percent strings
-# ("0.03%"); everything else is a plain decimal.  `label` is optional and only
-# present in merged/labeled traces.
+# ("0.03%"); everything else is a plain decimal.  Labels are not part of a
+# trace: they live in the dataset records built from it.
 TRACE_COLUMNS = [
     "t",
     "rssi_lte", "rssi_wifi",
@@ -44,6 +44,7 @@ TRACE_COLUMNS = [
 ]
 
 _PLR_COLUMNS = {"plr_lte", "plr_wifi"}
+_NUMERIC_COLUMNS = [c for c in TRACE_COLUMNS if c != "prio"]
 _PRIO_TAGS = {"WF": WF, "LF": LF, "LF(4G)": LF, "LF(5G)": LF}
 
 
@@ -75,7 +76,6 @@ class AttributeSample:
     prio: str                # WF or LF
     ag: float                # Mbps, >= 0
     ad: float                # ms, > 0
-    label: Optional[str] = None  # WF or LF; present only in merged datasets
     # Raw priority tag as it appeared in the file (e.g. "LF(4G)").  The
     # interface-pair suffix is metadata only; the classifier sees `prio`.
     prio_tag: Optional[str] = None
@@ -86,8 +86,10 @@ class AttributeSample:
                 raise TraceError(f"{where}: {msg}")
 
         bad(self.prio not in (WF, LF), f"prio must be WF or LF, got {self.prio!r}")
-        if self.label is not None:
-            bad(self.label not in (WF, LF), f"label must be WF or LF, got {self.label!r}")
+        for name in _NUMERIC_COLUMNS:   # parse_trace refuses a non-finite cell
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise TraceError(f"{where}, column {name}: non-finite value {v!r}")
         for name in ("plr_lte", "plr_wifi"):
             v = getattr(self, name)
             bad(not (0.0 <= v <= 1.0), f"{name}={v} outside [0,1]")
@@ -136,8 +138,7 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
     if not lines:
         raise TraceError("empty input: header row required")
     header = [h.strip() for h in lines[0].split(",")]
-    has_label = header == TRACE_COLUMNS + ["label"]
-    if not has_label and header != TRACE_COLUMNS:
+    if header != TRACE_COLUMNS:
         missing = [c for c in TRACE_COLUMNS if c not in header]
         if missing:
             raise TraceError(f"header: missing column(s) {missing}")
@@ -151,27 +152,18 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
             raise TraceError(f"row {rowno}: expected {len(header)} cells, got {len(cells)}")
         vals = {}
         for col, cell in zip(header, cells):
-            if col in ("prio", "label"):
+            if col == "prio":
                 continue
             try:
                 v = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
             except (ValueError, ArithmeticError):
                 raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
-            if not math.isfinite(v):
-                raise TraceError(f"row {rowno}, column {col}: non-finite cell {cell!r}")
             vals[col] = v
         raw_prio = cells[header.index("prio")]
         if raw_prio not in _PRIO_TAGS:
             raise TraceError(f"row {rowno}, column prio: unknown tag {raw_prio!r}")
-        label = None
-        if has_label:
-            raw_label = cells[-1]
-            if raw_label != "":
-                if raw_label not in (WF, LF):
-                    raise TraceError(f"row {rowno}, column label: unknown label {raw_label!r}")
-                label = raw_label
         sample = AttributeSample(
-            prio=_PRIO_TAGS[raw_prio], label=label,
+            prio=_PRIO_TAGS[raw_prio],
             prio_tag=raw_prio if raw_prio not in (WF, LF) else None,
             **vals,
         )
@@ -184,10 +176,8 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
 
 
 def write_trace(samples: Sequence[AttributeSample]) -> str:
-    """Canonical CSV text, with a label column if any sample has a label; inverts parse_trace."""
-    include_label = any(s.label is not None for s in samples)
-    header = TRACE_COLUMNS + (["label"] if include_label else [])
-    out = [",".join(header)]
+    """Canonical CSV text; inverts parse_trace."""
+    out = [",".join(TRACE_COLUMNS)]
     prev_t = -math.inf
     for i, s in enumerate(samples):
         s.validate(f"sample {i}")
@@ -202,8 +192,6 @@ def write_trace(samples: Sequence[AttributeSample]) -> str:
                 cells.append(_fmt_plr(getattr(s, col)))
             else:
                 cells.append(_fmt_num(getattr(s, col)))
-        if include_label:
-            cells.append(s.label if s.label is not None else "")
         out.append(",".join(cells))
     return "\n".join(out) + "\n"
 
@@ -277,6 +265,8 @@ class Trajectory:
     def __post_init__(self):
         if self.kind not in TRAJECTORY_KINDS:
             raise TraceError(f"unknown trajectory kind {self.kind!r}")
+        if not (math.isfinite(self.v0) and math.isfinite(self.v1)):
+            raise TraceError(f"trajectory values must be finite, got {self.v0}, {self.v1}")
 
 
 def constant(v: float) -> Trajectory:
@@ -309,6 +299,8 @@ class Scenario:
     def __post_init__(self):
         segs = tuple(sorted(self.segments, key=lambda s: s.start))
         object.__setattr__(self, "segments", segs)
+        if self.name.split() != [self.name]:   # the scenario file holds it as one token
+            raise TraceError(f"scenario name must be one word, got {self.name!r}")
         if not (math.isfinite(self.duration) and self.duration >= 0):
             raise TraceError(f"scenario duration must be finite and >= 0, got {self.duration}")
         if self.duration > 0:
@@ -318,6 +310,8 @@ class Scenario:
                 if b.start <= a.start:
                     raise TraceError("segments must have strictly increasing start times")
         for seg in segs:
+            if not math.isfinite(seg.start):
+                raise TraceError(f"segment start must be finite, got {seg.start}")
             for attr in seg.trajectories:
                 if attr not in SCENARIO_ATTRS:
                     raise TraceError(f"segment drives unknown attribute {attr!r}")

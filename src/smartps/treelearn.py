@@ -458,18 +458,12 @@ def evaluate(model: Union[TreeNode, ForestModel],
     return metrics_from_confusion(tp, fp, fn, tn)
 
 
-@dataclass(frozen=True)
-class KFoldResult:
-    folds: tuple[EvalMetrics, ...]
-    mean: EvalMetrics
-
-
 Learner = Callable[[Sequence[LabeledRecord]], Union[TreeNode, ForestModel]]
 
 
 def kfold_evaluate(records: Sequence[LabeledRecord], learner: Learner,
-                   k: int = 10, seed: int = 0) -> KFoldResult:
-    """Stratified seeded k-fold cross-validation; WF is the positive class."""
+                   k: int = 10, seed: int = 0) -> EvalMetrics:
+    """Mean metrics of stratified seeded k-fold cross-validation; WF is the positive class."""
     if k < 2:
         raise ValueError(f"k-fold evaluation needs at least 2 folds, got {k}")
     by_class: dict[str, list[int]] = {WF: [], LF: []}
@@ -490,8 +484,7 @@ def kfold_evaluate(records: Sequence[LabeledRecord], learner: Learner,
         test = [r for i, r in enumerate(records) if fold_of[i] == f]
         model = learner(train)
         folds.append(evaluate(model, test))
-    mean = EvalMetrics(*(sum(column) / k for column in zip(*map(astuple, folds))))  # per metric
-    return KFoldResult(folds=tuple(folds), mean=mean)
+    return EvalMetrics(*(sum(column) / k for column in zip(*map(astuple, folds))))  # per metric
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +526,7 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
     def read_node() -> TreeNode:
         nonlocal pos
         if pos >= len(lines):
-            last = lines[-1][0] if lines else 0
-            raise ModelFormatError(f"line {last}: truncated model (node expected)")
+            fail(lines[-1][0], "truncated model (node expected)")
         lineno, line = lines[pos]
         pos += 1
         parts = line.split()
@@ -577,11 +569,10 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
         if n_trees < 1:
             fail(first_lineno, f"forest needs at least one tree, got {n_trees}")
         pos = 1
-        trees = tuple(read_node() for _ in range(n_trees))
-        if pos != len(lines):
-            fail(lines[pos][0], "trailing content after forest")
-        return ForestModel(trees=trees, seed=seed, global_majority=parts[3])
-    node = read_node()
+        model = ForestModel(trees=tuple(read_node() for _ in range(n_trees)), seed=seed,
+                            global_majority=parts[3])
+    else:
+        model = read_node()
     if pos != len(lines):
-        fail(lines[pos][0], "trailing content after tree")
-    return node
+        fail(lines[pos][0], "trailing content after model")
+    return model

@@ -13,7 +13,7 @@ import numpy as np
 
 from smartps import dataset, netsim, scenarios, selector, traceio, treelearn
 from smartps.dataset import FEATURE_NAMES
-from smartps.featstats import BinSpec, cig, entropy, kendall_tau_b
+from smartps.featstats import cig, entropy, kendall_tau_b
 from smartps.traceio import WF, LF
 
 from tests.conftest import REFERENCE_TRACE
@@ -90,13 +90,12 @@ def test_criterion_1_statistics(capsys):
         assert entropy([WF, LF]) == 1.0
 
         # CIG hand values to 1e-12 (x bin width 5, y bin width 5).
-        spec = BinSpec(5.0)
         assert cig([-39.0, -39.0, -42.0, -42.0], [2.0, 2.0, 7.0, 7.0],
-                   spec, 5.0) == 1.0
+                   5.0, 5.0) == 1.0
         assert cig([-39.0, -38.0, -37.0, -36.0], [2.0, 7.0, 2.0, 7.0],
-                   spec, 5.0) == 0.0
+                   5.0, 5.0) == 0.0
         h_cond = 0.75 * (-(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3))
-        got = cig([-39.0, -38.0, -37.0, -42.0], [2.0, 3.0, 7.0, 8.0], spec, 5.0)
+        got = cig([-39.0, -38.0, -37.0, -42.0], [2.0, 3.0, 7.0, 8.0], 5.0, 5.0)
         assert abs(got - (1.0 - h_cond)) <= 1e-12
 
         # CIG bounded on 1000 random inputs.
@@ -105,7 +104,7 @@ def test_criterion_1_statistics(capsys):
             n = int(nrng.integers(1, 80))
             xv = nrng.normal(-50, 25, size=n).tolist()
             yv = nrng.normal(25, 20, size=n).tolist()
-            assert 0.0 <= cig(xv, yv, spec, 5.0) <= 1.0
+            assert 0.0 <= cig(xv, yv, 5.0, 5.0) <= 1.0
 
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0
@@ -154,10 +153,9 @@ def test_criterion_3_tree_and_forest(capsys):
         records = planted_records(50_000, seed=42, noise=0.05)
         params = treelearn.TreeParams(max_depth=8, min_leaf=50)
 
-        result = treelearn.kfold_evaluate(
+        tree_acc = treelearn.kfold_evaluate(
             records, lambda train: treelearn.build_tree(train, params),
-            k=10, seed=0)
-        tree_acc = result.mean.accuracy
+            k=10, seed=0).accuracy
         assert tree_acc >= 0.90
 
         # Forest vs single tree on a shared 80/20 holdout.

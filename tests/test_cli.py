@@ -318,6 +318,14 @@ class TestRejectsImpossibleValues:
         assert err.startswith(f"error: {field} ") and f"got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_min_count(self, tmp_path, trace_file, capsys, value):
+        out = tmp_path / "corr.csv"
+        assert run_cli("analyze", "--input", str(trace_file), "--output", str(out),
+                       "--min-count", value) == 1
+        assert capsys.readouterr().err.startswith(f"error: min_count must be >= 1, got {value}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("window", ["-1", "0", "nan", "inf"])
     def test_pair_window(self, tmp_path, trace_file, capsys, window):
         out = tmp_path / "records.csv"

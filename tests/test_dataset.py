@@ -50,9 +50,8 @@ class TestBetterThan:
 
 class TestPairRows:
     def test_reference_trace_two_pairs(self, reference_samples):
-        pairs, dropped = pair_rows(reference_samples)
+        pairs = pair_rows(reference_samples)
         assert len(pairs) == 2
-        assert dropped == 0
         assert pairs[0] == (reference_samples[0], reference_samples[1])
         assert pairs[1] == (reference_samples[2], reference_samples[3])
 
@@ -60,10 +59,8 @@ class TestPairRows:
         # Rows at t=1 and t=10 are 9s apart; a wide window would pair them,
         # the default 5s window must not.
         a, b = reference_samples[1], reference_samples[2]
-        pairs, dropped = pair_rows([a, b], window=5.0)
-        assert pairs == [] and dropped == 2
-        pairs, dropped = pair_rows([a, b], window=10.0)
-        assert len(pairs) == 1 and dropped == 0
+        assert pair_rows([a, b], window=5.0) == []
+        assert pair_rows([a, b], window=10.0) == [(a, b)]
 
     @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
     def test_window_must_be_finite_and_positive(self, reference_samples, window):
@@ -72,18 +69,16 @@ class TestPairRows:
 
     def test_same_priority_never_pairs(self):
         samples = [make_sample(t=float(i), prio=WF) for i in range(4)]
-        pairs, dropped = pair_rows(samples)
-        assert pairs == [] and dropped == 4
+        assert pair_rows(samples) == []
 
     def test_greedy_takes_nearest_following(self):
         a = make_sample(t=0.0, prio=WF)
         b = make_sample(t=1.0, prio=LF)
         c = make_sample(t=2.0, prio=LF)
-        pairs, dropped = pair_rows([a, b, c])
-        assert pairs == [(a, b)] and dropped == 1
+        assert pair_rows([a, b, c]) == [(a, b)]
 
     def test_empty_input(self):
-        assert pair_rows([]) == ([], 0)
+        assert pair_rows([]) == []
 
 
 # ---------------------------------------------------------------------------

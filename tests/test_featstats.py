@@ -1,15 +1,17 @@
 """Binning, percentiles, Kendall tau-b, entropy, CIG, and correlation tables."""
 
+import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from smartps import featstats
 from smartps.featstats import (
-    BinSpec, StatsError, cig, correlation_table, correlation_table_csv,
-    default_spec, entropy, kendall_tau_b, percentile,
+    BIN_WIDTHS, StatsError, bin_index, cig, correlation_table, correlation_table_csv,
+    entropy, kendall_tau_b, percentile,
 )
 
 
@@ -19,33 +21,33 @@ from smartps.featstats import (
 
 class TestBinning:
     def test_rssi_example(self):
-        spec = default_spec("RSSI")
-        assert [spec.index(v) for v in (-39.0, -42.0)] == [-8, -9]
+        assert [bin_index(v, BIN_WIDTHS["RSSI"]) for v in (-39.0, -42.0)] == [-8, -9]
 
     def test_plr_width(self):
-        spec = default_spec("PLR")
-        assert [spec.index(v) for v in (0.0, 0.0003, 0.0004, 0.0012)] == [0, 0, 0, 2]
+        assert [bin_index(v, BIN_WIDTHS["PLR"]) for v in (0.0, 0.0003, 0.0004, 0.0012)] \
+            == [0, 0, 0, 2]
 
     def test_boundary_value_goes_to_upper_bin(self):
-        spec = BinSpec(5.0)
-        assert spec.index(-40.0) == -8
-        assert spec.index(-35.0) == -7
+        assert bin_index(-40.0, 5.0) == -8
+        assert bin_index(-35.0, 5.0) == -7
 
     def test_min_count_drops_sparse_bins(self):
         # Bin -8 holds two rows and bin -9 one, so only one bin reaches
         # min_count=2 and the binned Kendall has nothing to rank.
         x, y = [-39.0, -38.0, -42.0], [1.0, 2.0, 3.0]
-        assert featstats._binned_kendall(x, y, BinSpec(5.0)) == -1.0
+        assert featstats._binned_kendall(x, y, 5.0, 1) == -1.0
         with pytest.raises(StatsError):
-            featstats._binned_kendall(x, y, BinSpec(5.0, min_count=2))
+            featstats._binned_kendall(x, y, 5.0, 2)
 
     def test_bad_width_rejected(self):
-        with pytest.raises(StatsError):
-            BinSpec(0.0)
+        for x_width, y_width in ((0.0, 5.0), (5.0, 0.0), (-5.0, 5.0)):
+            with pytest.raises(StatsError, match="bin widths must be > 0"):
+                cig([1.0, 2.0], [1.0, 2.0], x_width, y_width)
 
     def test_bad_min_count_rejected(self):
-        with pytest.raises(StatsError):
-            BinSpec(5.0, min_count=0)
+        for min_count in (0, -3):
+            with pytest.raises(StatsError, match=f"min_count must be >= 1, got {min_count}"):
+                correlation_table(synthetic_samples(10), min_count=min_count)
 
 
 class TestPercentile:
@@ -169,7 +171,7 @@ class TestEntropy:
 
 
 class TestCig:
-    SPEC = BinSpec(5.0)
+    SPEC = 5.0
 
     def test_fully_informative(self):
         # x bins split y bins perfectly -> CIG 1.
@@ -247,15 +249,16 @@ class TestCorrelationTable:
         samples = synthetic_samples(50)
         rows = {r.attribute: r for r in correlation_table(samples, min_count=5)}
         # rsrp is constant in make_sample -> one bin -> kendall undefined.
-        assert rows["RSRP"].available is False
+        r = rows["RSRP"]
+        assert all(math.isnan(v) for v in (r.kendall_ag, r.kendall_ad, r.cig_ag, r.cig_ad))
 
     def test_grouped_restricts_to_matching_priority(self):
         samples = synthetic_samples(200)
         ungrouped = {r.attribute: r for r in correlation_table(samples, min_count=5)}
         grouped = {r.attribute: r for r in
                    correlation_table(samples, grouped_by_prio=True, min_count=5)}
-        assert grouped["RSSI"].available
-        assert ungrouped["RSSI"].available
+        assert not math.isnan(grouped["RSSI"].kendall_ag)
+        assert not math.isnan(ungrouped["RSSI"].kendall_ag)
 
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
@@ -268,3 +271,13 @@ class TestCorrelationTable:
         assert lines[0] == "attribute,kendall_ag,kendall_ad,cig_ag,cig_ad"
         assert len(lines) == 11
         assert any(",NA,NA,NA,NA" in ln for ln in lines)
+
+    def test_variant_gives_all_four_figures_or_none(self):
+        # With AD constant, every variant's kendall_ad fails after its
+        # kendall_ag succeeded; no figure of that variant may survive.
+        samples = [dataclasses.replace(s, ad=25.0) for s in synthetic_samples(200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = correlation_table(samples, min_count=5)
+        lines = correlation_table_csv(rows).strip().splitlines()[1:]
+        assert lines == [f"{attr},NA,NA,NA,NA" for attr in featstats.ATTRIBUTES]

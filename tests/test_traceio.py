@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartps import scenarios, traceio
 from smartps.traceio import (
@@ -93,14 +94,12 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="plr_wifi"):
             parse_trace(bad)
 
-    def test_label_column_optional(self, reference_trace_text):
-        labeled = reference_trace_text.replace("prio,ag,ad", "prio,ag,ad,label")
-        labeled = "\n".join(
-            line if i == 0 else line + ("" if i == 0 else ",WF")
-            for i, line in enumerate(labeled.splitlines())
-        ) + "\n"
-        samples = parse_trace(labeled)
-        assert all(s.label == WF for s in samples)
+    def test_label_column_rejected(self, reference_trace_text):
+        # Labels live in the dataset records, never in a trace.
+        labeled = "\n".join(line + (",label" if i == 0 else ",WF")
+                             for i, line in enumerate(reference_trace_text.splitlines()))
+        with pytest.raises(TraceError, match="header: unexpected column order"):
+            parse_trace(labeled + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +125,83 @@ class TestWriteTrace:
         assert len(samples) == 1000
         assert parse_trace(write_trace(samples)) == samples
 
-    def test_label_roundtrip(self):
-        samples = [make_sample(label=LF)]
-        again = parse_trace(write_trace(samples))
-        assert again == samples
+
+# ---------------------------------------------------------------------------
+# Round-trip properties
+# ---------------------------------------------------------------------------
+
+# The numeric bounds AttributeSample.validate enforces, per column.
+BOUNDS = {"plr_lte": (0.0, 1.0), "plr_wifi": (0.0, 1.0),
+          **dict.fromkeys(("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"), (0.0, None)),
+          **dict.fromkeys(("rtt_lte", "rtt_wifi", "ad"), (math.ulp(0.0), None)),
+          **dict.fromkeys(("cwnd_lte", "cwnd_wifi"), (1.0, None)),
+          **dict.fromkeys(("rssi_lte", "rssi_wifi", "rsrp_lte"), (None, 0.0))}
+
+
+def numbers(lo=None, hi=None):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def traces(draw):
+    """Time-ordered valid samples; a raw prio tag is drawn the way a file carries it."""
+    n = draw(st.integers(0, 6))
+    times = sorted(draw(st.lists(numbers(), min_size=n, max_size=n)))
+    samples = []
+    for t in times:
+        tag = draw(st.sampled_from(sorted(traceio._PRIO_TAGS)))
+        values = {col: draw(numbers(*BOUNDS.get(col, (None, None))))
+                  for col in traceio.TRACE_COLUMNS if col not in ("t", "prio")}
+        samples.append(AttributeSample(
+            t=t, prio=traceio._PRIO_TAGS[tag], prio_tag=None if tag in (WF, LF) else tag,
+            **values))
+    return samples
+
+
+TRAJECTORIES = st.one_of(st.builds(constant, numbers()),
+                         st.builds(linear_ramp, numbers(), numbers()),
+                         st.builds(noisy, numbers(), numbers()))
+
+
+@st.composite
+def scenario_files(draw):
+    starts = sorted(draw(st.sets(numbers(0.0), max_size=3)) | {0.0})
+    return Scenario(
+        name=draw(st.text(min_size=1).filter(lambda name: name.split() == [name])),
+        duration=draw(numbers(0.0)), seed=draw(st.integers()),
+        segments=tuple(Segment(start, draw(st.dictionaries(
+            st.sampled_from(traceio.SCENARIO_ATTRS), TRAJECTORIES, max_size=3)))
+            for start in starts))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(samples=traces())
+    def test_trace(self, samples):
+        assert parse_trace(write_trace(samples)) == samples
+
+    @settings(max_examples=300, deadline=None)
+    @given(scn=scenario_files())
+    def test_scenario(self, scn):
+        assert parse_scenario(write_scenario(scn)) == scn
+
+    @pytest.mark.parametrize("col", ["t", "sinr_lte", "rssi_wifi", "plr_lte", "ad"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_refuses_non_finite(self, col, value):
+        with pytest.raises(TraceError, match=f"sample 0, column {col}: non-finite"):
+            write_trace([make_sample(**{col: value})])
+
+    @pytest.mark.parametrize("name", ["", "two words", "line\nbreak", " padded"])
+    def test_scenario_name_must_be_one_word(self, name):
+        with pytest.raises(TraceError, match="one word"):
+            Scenario(name=name, duration=1.0, seed=0, segments=(Segment(0.0, {}),))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_scenario_numbers_must_be_finite(self, value):
+        with pytest.raises(TraceError, match="trajectory values must be finite"):
+            noisy(-60.0, value)
+        with pytest.raises(TraceError, match="segment start must be finite"):
+            Scenario(name="x", duration=0.0, seed=0, segments=(Segment(value, {}),))
 
 
 # ---------------------------------------------------------------------------

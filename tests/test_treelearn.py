@@ -481,14 +481,11 @@ class TestMetrics:
     def test_constant_wf_learner_on_balanced_data(self):
         records = ([rec(WF, rssi_wifi=-40 - i) for i in range(20)]
                    + [rec(LF, rssi_wifi=-70 - i) for i in range(20)])
-        result = kfold_evaluate(records, lambda train: Leaf(WF, (1, 0)),
-                                k=10, seed=0)
-        m = result.mean
+        m = kfold_evaluate(records, lambda train: Leaf(WF, (1, 0)), k=10, seed=0)
         assert m.accuracy == 0.5
         assert m.recall == 1.0
         assert m.precision == 0.5
         assert m.f1 == pytest.approx(2 / 3)
-        assert len(result.folds) == 10
 
     def test_kfold_needs_k_members_per_class(self):
         records = [rec(WF)] * 9 + [rec(LF)] * 20
@@ -536,6 +533,11 @@ class TestSerialize:
                      left=Leaf(WF, (1, 0)), right=Leaf(LF, (0, 1)))
         assert deserialize_model(serialize_model(t)) == t
 
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(FORESTS, TREES))
+    def test_roundtrip_property(self, model):
+        assert deserialize_model(serialize_model(model)) == model
+
     def test_empty_rejected(self):
         with pytest.raises(ModelFormatError):
             deserialize_model("")
@@ -545,8 +547,10 @@ class TestSerialize:
             deserialize_model("N 0 -60.0\nL WF 1 0\n")
 
     def test_trailing_content_rejected(self):
-        with pytest.raises(ModelFormatError, match="trailing"):
-            deserialize_model("L WF 1 0\nL LF 0 1\n")
+        for text, lineno in (("L WF 1 0\nL LF 0 1\n", 2),
+                             ("F 1 0 WF\nL WF 1 0\nL LF 0 1\n", 3)):
+            with pytest.raises(ModelFormatError, match=f"line {lineno}: trailing"):
+                deserialize_model(text)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ModelFormatError, match="line 1"):
