@@ -477,7 +477,6 @@ def switch_time(decisions: Sequence[Decision]) -> Optional[float]:
 
 @dataclass(frozen=True)
 class WalkawayComparison:
-    seed: int
     switch_times: dict[str, Optional[float]]
     degraded_accumulation_p90: dict[str, float]  # WiFi in-flight after the cliff
 
@@ -500,6 +499,5 @@ def walkaway_comparison(seed: int, model=None) -> WalkawayComparison:
         series = [a for a, d in zip(rep.accumulation[WIFI], degraded) if d]
         acc_p90[name] = featstats.percentile(series, 90) if series else 0.0
     return WalkawayComparison(
-        seed=seed,
         switch_times={name: switch_time(rep.decisions) for name, rep in reports.items()},
         degraded_accumulation_p90=acc_p90)

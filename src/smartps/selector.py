@@ -130,7 +130,7 @@ def _sample_from_window(w: WindowStats) -> AttributeSample:
         plr_lte=min(max(f["plr_lte"], 0.0), 1.0),
         plr_wifi=min(max(f["plr_wifi"], 0.0), 1.0),
         pdr_lte=max(f["pdr_lte"], 0.0), pdr_wifi=max(f["pdr_wifi"], 0.0),
-        prio=w.priority, ag=max(w.ag, 0.0), ad=max(w.ad, 1e-3),
+        prio_tag=w.priority, ag=max(w.ag, 0.0), ad=max(w.ad, 1e-3),
     )
 
 

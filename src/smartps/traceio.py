@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Sequence, TextIO, Union
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -73,19 +74,23 @@ class AttributeSample:
     plr_wifi: float          # fraction in [0, 1]
     pdr_lte: float           # Mbps, >= 0
     pdr_wifi: float          # Mbps, >= 0
-    prio: str                # WF or LF
+    # Priority tag as the file holds it: WF, LF, LF(4G) or LF(5G).  The
+    # interface-pair suffix is metadata only; the classifier sees `prio`.
+    prio_tag: str
     ag: float                # Mbps, >= 0
     ad: float                # ms, > 0
-    # Raw priority tag as it appeared in the file (e.g. "LF(4G)").  The
-    # interface-pair suffix is metadata only; the classifier sees `prio`.
-    prio_tag: Optional[str] = None
+
+    @property
+    def prio(self) -> str:
+        """WF or LF."""
+        return _PRIO_TAGS[self.prio_tag]
 
     def validate(self, where: str = "sample") -> None:
         def bad(cond, msg):
             if cond:
                 raise TraceError(f"{where}: {msg}")
 
-        bad(self.prio not in (WF, LF), f"prio must be WF or LF, got {self.prio!r}")
+        bad(self.prio_tag not in _PRIO_TAGS, f"unknown prio tag {self.prio_tag!r}")
         for name in _NUMERIC_COLUMNS:   # parse_trace refuses a non-finite cell
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -128,9 +133,9 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
     """Parse a trace CSV (header required) into a list of samples.
 
     PLR cells may be percent-formatted ("0.03%") or plain fractions.  The raw
-    priority tags LF(4G)/LF(5G) collapse to prio=LF with the tag preserved in
-    ``prio_tag``.  Raises :class:`TraceError` naming the offending row and
-    column on any malformed cell or invariant violation.
+    priority tags LF(4G)/LF(5G) are kept in ``prio_tag`` and read as prio=LF.
+    Raises :class:`TraceError` naming the offending row and column on any
+    malformed cell or invariant violation.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -162,11 +167,8 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
         raw_prio = cells[header.index("prio")]
         if raw_prio not in _PRIO_TAGS:
             raise TraceError(f"row {rowno}, column prio: unknown tag {raw_prio!r}")
-        sample = AttributeSample(
-            prio=_PRIO_TAGS[raw_prio],
-            prio_tag=raw_prio if raw_prio not in (WF, LF) else None,
-            **vals,
-        )
+        # One shared string per tag, not one per row.
+        sample = AttributeSample(prio_tag=sys.intern(raw_prio), **vals)
         sample.validate(f"row {rowno}")
         if sample.t < prev_t:
             raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
@@ -187,7 +189,7 @@ def write_trace(samples: Sequence[AttributeSample]) -> str:
         cells = []
         for col in TRACE_COLUMNS:
             if col == "prio":
-                cells.append(s.prio_tag if s.prio_tag else s.prio)
+                cells.append(s.prio_tag)
             elif col in _PLR_COLUMNS:
                 cells.append(_fmt_plr(getattr(s, col)))
             else:
@@ -267,6 +269,10 @@ class Trajectory:
             raise TraceError(f"unknown trajectory kind {self.kind!r}")
         if not (math.isfinite(self.v0) and math.isfinite(self.v1)):
             raise TraceError(f"trajectory values must be finite, got {self.v0}, {self.v1}")
+        if TRAJECTORY_KINDS[self.kind] == 1 and self.v1 != 0.0:
+            raise TraceError(f"a {self.kind} trajectory takes one value, got v1={self.v1}")
+        if self.kind == "noisy" and self.v1 < 0.0:
+            raise TraceError(f"noisy sigma must be >= 0, got {self.v1}")
 
 
 def constant(v: float) -> Trajectory:
@@ -408,7 +414,7 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
     # Rows from one record array: column-wise .tolist() calls left a higher peak RSS.
     names = list(cols)
     rows = np.rec.fromarrays(list(cols.values()), names=names).tolist()
-    return [AttributeSample(prio=WF if i % 2 == 0 else LF, **dict(zip(names, row)))
+    return [AttributeSample(prio_tag=WF if i % 2 == 0 else LF, **dict(zip(names, row)))
             for i, row in enumerate(rows)]
 
 
@@ -424,9 +430,7 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
 # ---------------------------------------------------------------------------
 
 def parse_scenario(text: str) -> Scenario:
-    name = None
-    duration = None
-    seed = None
+    header: dict = {}   # name, duration and seed, each set once
     segments: list[tuple[float, dict]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -437,44 +441,43 @@ def parse_scenario(text: str) -> Scenario:
 
         def tokens(n: int):
             if len(parts) != n:
-                raise TraceError(f"line {lineno}: expected {n} tokens, got {len(parts)} "
-                                 f"in {line!r}")
+                raise TraceError(f"expected {n} tokens, got {len(parts)} in {line!r}")
 
         def num(i: int) -> float:
             v = float(parts[i])
             if not math.isfinite(v):
-                raise TraceError(f"line {lineno}: non-finite number {parts[i]!r}")
+                raise TraceError(f"non-finite number {parts[i]!r}")
             return v
 
         try:
             if key in SCENARIO_ATTRS:
                 if not segments:
-                    raise TraceError(f"line {lineno}: trajectory before any segment")
+                    raise TraceError("trajectory before any segment")
+                if key in segments[-1][1]:
+                    raise TraceError(f"{key} is set twice in one segment")
                 kind = parts[1]
                 if kind not in TRAJECTORY_KINDS:
-                    raise TraceError(f"line {lineno}: unknown trajectory kind {kind!r}")
+                    raise TraceError(f"unknown trajectory kind {kind!r}")
                 tokens(2 + TRAJECTORY_KINDS[kind])
                 segments[-1][1][key] = Trajectory(kind, *map(num, range(2, len(parts))))
                 continue
-            if key == "name":
-                name = parts[1]
-            elif key == "duration":
-                duration = num(1)
-            elif key == "seed":
-                seed = int(parts[1])
+            if key in ("name", "duration", "seed"):
+                if key in header:
+                    raise TraceError(f"{key} is set twice")
+                header[key] = (parts[1] if key == "name" else
+                               num(1) if key == "duration" else int(parts[1]))
             elif key == "segment":
                 segments.append((num(1), {}))
             else:
-                raise TraceError(f"line {lineno}: unknown key {key!r}")
+                raise TraceError(f"unknown key {key!r}")
             tokens(2)   # key and value
-        except TraceError:
-            raise
+        except TraceError as exc:
+            raise TraceError(f"line {lineno}: {exc}") from None
         except (IndexError, ValueError) as exc:
             raise TraceError(f"line {lineno}: malformed scenario line {line!r}") from exc
-    if name is None or duration is None or seed is None:
+    if len(header) < 3:
         raise TraceError("scenario file must set name, duration and seed")
-    return Scenario(name=name, duration=duration, seed=seed,
-                    segments=tuple(Segment(s, t) for s, t in segments))
+    return Scenario(**header, segments=tuple(Segment(s, t) for s, t in segments))
 
 
 def write_scenario(scenario: Scenario) -> str:

@@ -11,6 +11,7 @@ line-oriented model serialization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import astuple, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
@@ -40,15 +41,16 @@ class ModelFormatError(ValueError):
     """Malformed serialized model."""
 
 
-# Instance attribute that holds the classifier `_compiled` builds for a model.
-_CLASSIFIER = "_classifier"
-
-
 class _Model:
     """Base of the model classes: the compiled classifier is left out of a pickle."""
 
+    @functools.cached_property
+    def _classifier(self) -> Callable[[Sequence[float]], str]:
+        """Compiled on first use and kept on the model; eq and repr ignore it."""
+        return _compile_classifier(self)
+
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != _CLASSIFIER}
+        return {k: v for k, v in self.__dict__.items() if k != "_classifier"}
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,7 @@ def to_arrays(records: Sequence[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]
 # Split machinery
 # ---------------------------------------------------------------------------
 
-def candidate_thresholds(values: Sequence[float], width: float = 5.0) -> list[float]:
+def candidate_thresholds(values: Sequence[float], width: float) -> list[float]:
     """Candidate split thresholds for one feature.
 
     Few distinct values: midpoints between consecutive distinct raw values.
@@ -150,21 +152,6 @@ def _igr_from_counts(wf_l: int, lf_l: int, wf_r: int, lf_r: int) -> Optional[flo
     ig = h_parent - (nl / n) * _h2(wf_l, lf_l) - (nr / n) * _h2(wf_r, lf_r)
     split_info = -(nl / n) * math.log2(nl / n) - (nr / n) * math.log2(nr / n)
     return ig / split_info
-
-
-def igr(records: Sequence[LabeledRecord], feature_index: int,
-        threshold: float) -> Optional[float]:
-    """IGR of splitting records at (feature, threshold); None for an empty side."""
-    if len(records) == 0:
-        raise ValueError("igr: empty record list")
-    wf_l = lf_l = wf_r = lf_r = 0
-    for r in records:
-        left = r.features[feature_index] <= threshold
-        if r.label == WF:
-            wf_l, wf_r = (wf_l + 1, wf_r) if left else (wf_l, wf_r + 1)
-        else:
-            lf_l, lf_r = (lf_l + 1, lf_r) if left else (lf_l, lf_r + 1)
-    return _igr_from_counts(wf_l, lf_l, wf_r, lf_r)
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, idx: np.ndarray,
@@ -269,22 +256,13 @@ def predict(model: Union[TreeNode, ForestModel],
     """
     if len(features) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
-    return _compiled(model)(features)
+    return model._classifier(features)
 
 
 def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndarray:
     """predict over the rows of an (n, 12) array; returns int8 labels (0=WF)."""
-    classify = _compiled(model)
+    classify = model._classifier
     return np.array([_LABEL_INDEX[classify(row)] for row in X.tolist()], dtype=np.int8)
-
-
-def _compiled(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
-    """The model's compiled classifier, compiled on first use and kept on the model."""
-    classify = model.__dict__.get(_CLASSIFIER)
-    if classify is None:
-        classify = _compile_classifier(model)
-        object.__setattr__(model, _CLASSIFIER, classify)   # not a field: eq and repr ignore it
-    return classify
 
 
 def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:

@@ -68,13 +68,13 @@ class TestPairRows:
             pair_rows(reference_samples, window=window)
 
     def test_same_priority_never_pairs(self):
-        samples = [make_sample(t=float(i), prio=WF) for i in range(4)]
+        samples = [make_sample(t=float(i), prio_tag=WF) for i in range(4)]
         assert pair_rows(samples) == []
 
     def test_greedy_takes_nearest_following(self):
-        a = make_sample(t=0.0, prio=WF)
-        b = make_sample(t=1.0, prio=LF)
-        c = make_sample(t=2.0, prio=LF)
+        a = make_sample(t=0.0, prio_tag=WF)
+        b = make_sample(t=1.0, prio_tag=LF)
+        c = make_sample(t=2.0, prio_tag=LF)
         assert pair_rows([a, b, c]) == [(a, b)]
 
     def test_empty_input(self):
@@ -106,13 +106,13 @@ class TestMergePair:
 
     def test_full_tie_keeps_earlier_priority(self):
         # Tie-breaking is by timestamp, not argument order.
-        a = make_sample(t=0.0, prio=LF, ag=10.0, ad=20.0)
-        b = make_sample(t=1.0, prio=WF, ag=10.0, ad=20.0)
+        a = make_sample(t=0.0, prio_tag=LF, ag=10.0, ad=20.0)
+        b = make_sample(t=1.0, prio_tag=WF, ag=10.0, ad=20.0)
         assert merge_pair((a, b)).label == LF
         assert merge_pair((b, a)).label == LF
 
     def test_same_priority_rejected(self):
-        a = make_sample(prio=WF)
+        a = make_sample(prio_tag=WF)
         with pytest.raises(ValueError):
             merge_pair((a, a))
 

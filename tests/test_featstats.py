@@ -228,7 +228,7 @@ def synthetic_samples(n=200, seed=0, ag_from_rssi=True):
         ag = (rssi + 100.0) / 3.0 if ag_from_rssi else float(rng.uniform(5, 25))
         samples.append(make_sample(
             t=float(i), rssi_wifi=rssi, rssi_lte=rssi - 20.0,
-            prio="WF" if i % 2 == 0 else "LF",
+            prio_tag="WF" if i % 2 == 0 else "LF",
             ag=ag, ad=max(1.0, 120.0 - ag * 4.0)))
     return samples
 

@@ -55,7 +55,7 @@ class TestSmartPs:
         assert decide(state, obs(rssi_wifi=-40.0)) == Decision(0.0, WF, MODEL)
         assert decide(state, obs(rssi_wifi=-80.0)) == Decision(0.0, LF, MODEL)
 
-    def test_eps_zero_never_explores(self):
+    def test_open_path_decisions_follow_the_model(self):
         # Every decision with an open path is the model's own.
         state = smartps_state()
         for i in range(200):
@@ -63,7 +63,7 @@ class TestSmartPs:
             d = decide(state, obs(t=float(i), rssi_wifi=rssi))
             assert d == Decision(float(i), WF if i % 2 else LF, MODEL)
 
-    def test_decisions_deterministic_per_seed(self):
+    def test_equal_states_decide_alike(self):
         a = smartps_state(seed=42)
         b = smartps_state(seed=42)
         seq_a = [decide(a, obs(t=float(i))) for i in range(100)]

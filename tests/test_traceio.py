@@ -21,7 +21,7 @@ def make_sample(**overrides):
         rsrp_lte=-90.0, rsrq_lte=-10.0, td_wifi=30.0, rd_wifi=30.0,
         rtt_lte=45.0, rtt_wifi=20.0, cwnd_lte=10.0, cwnd_wifi=20.0,
         plr_lte=0.0, plr_wifi=0.001, pdr_lte=5.0, pdr_wifi=15.0,
-        prio=WF, ag=12.0, ad=25.0,
+        prio_tag=WF, ag=12.0, ad=25.0,
     )
     base.update(overrides)
     return AttributeSample(**base)
@@ -46,7 +46,25 @@ class TestParseTrace:
         assert [s.prio for s in reference_samples] == [LF, WF, LF, WF]
         assert reference_samples[0].prio_tag == "LF(4G)"
         assert reference_samples[2].prio_tag == "LF(5G)"
-        assert reference_samples[1].prio_tag is None
+        assert reference_samples[1].prio_tag == WF
+
+    def test_interface_tag_reads_as_lf_and_is_written_back(self):
+        s = make_sample(prio_tag="LF(4G)")
+        assert s.prio == LF
+        assert write_trace([s]).splitlines()[1].split(",")[17] == "LF(4G)"
+        assert parse_trace(write_trace([s])) == [s]
+
+    def test_prio_is_not_a_field(self):
+        # The class is read from the tag, so the two cannot disagree.
+        with pytest.raises(TypeError):
+            make_sample(prio=WF, prio_tag="LF(4G)")
+
+    def test_parsed_tags_are_shared(self):
+        # One string object per tag, not one per row.
+        text = write_trace([make_sample(t=0.0, prio_tag="LF(4G)"),
+                            make_sample(t=1.0, prio_tag="LF(4G)")])
+        a, b = parse_trace(text)
+        assert a.prio_tag is b.prio_tag
 
     def test_percent_plr_parsing(self, reference_samples):
         assert reference_samples[1].plr_lte == 0.0001
@@ -107,6 +125,10 @@ class TestParseTrace:
 # ---------------------------------------------------------------------------
 
 class TestWriteTrace:
+    def test_unknown_prio_tag_refused(self):
+        with pytest.raises(TraceError, match=r"sample 0: unknown prio tag 'LF\(6G\)'"):
+            write_trace([make_sample(prio_tag="LF(6G)")])
+
     def test_empty_list_gives_header_only(self):
         assert write_trace([]) == ",".join(traceio.TRACE_COLUMNS) + "\n"
 
@@ -152,15 +174,13 @@ def traces(draw):
         tag = draw(st.sampled_from(sorted(traceio._PRIO_TAGS)))
         values = {col: draw(numbers(*BOUNDS.get(col, (None, None))))
                   for col in traceio.TRACE_COLUMNS if col not in ("t", "prio")}
-        samples.append(AttributeSample(
-            t=t, prio=traceio._PRIO_TAGS[tag], prio_tag=None if tag in (WF, LF) else tag,
-            **values))
+        samples.append(AttributeSample(t=t, prio_tag=tag, **values))
     return samples
 
 
 TRAJECTORIES = st.one_of(st.builds(constant, numbers()),
                          st.builds(linear_ramp, numbers(), numbers()),
-                         st.builds(noisy, numbers(), numbers()))
+                         st.builds(noisy, numbers(), numbers(0.0)))
 
 
 @st.composite
@@ -195,6 +215,16 @@ class TestRoundTripProperties:
     def test_scenario_name_must_be_one_word(self, name):
         with pytest.raises(TraceError, match="one word"):
             Scenario(name=name, duration=1.0, seed=0, segments=(Segment(0.0, {}),))
+
+    def test_one_value_kind_refuses_a_second_value(self):
+        # write_scenario writes only the values a kind reads.
+        with pytest.raises(TraceError, match="constant trajectory takes one value"):
+            traceio.Trajectory("constant", -50.0, 3.0)
+
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-300])
+    def test_noisy_sigma_must_not_be_negative(self, sigma):
+        with pytest.raises(TraceError, match="noisy sigma must be >= 0"):
+            noisy(-60.0, sigma)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_scenario_numbers_must_be_finite(self, value):
@@ -263,6 +293,23 @@ class TestScenario:
         lines[lineno - 1] = bad
         with pytest.raises(TraceError, match=f"line {lineno}: expected"):
             parse_scenario("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("line", ["name y", "duration 20", "seed 2"])
+    def test_parse_rejects_a_repeated_setting(self, line):
+        text = f"name x\nduration 10\nseed 1\n{line}\nsegment 0\n"
+        with pytest.raises(TraceError, match=f"line 4: {line.split()[0]} is set twice"):
+            parse_scenario(text)
+
+    def test_parse_rejects_a_repeated_attribute_in_one_segment(self):
+        text = ("name x\nduration 10\nseed 1\nsegment 0\n  rssi_wifi constant -50\n"
+                "  rssi_wifi constant -80\n")
+        with pytest.raises(TraceError, match="line 6: rssi_wifi is set twice in one segment"):
+            parse_scenario(text)
+
+    def test_parse_names_the_line_of_a_bad_trajectory(self):
+        text = "name x\nduration 10\nseed 1\nsegment 0\n  rssi_wifi noisy -50 -4\n"
+        with pytest.raises(TraceError, match="line 5: noisy sigma must be >= 0, got -4"):
+            parse_scenario(text)
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
     def test_duration_must_be_finite_and_non_negative(self, duration):

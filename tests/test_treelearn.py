@@ -14,9 +14,9 @@ from smartps import scenarios, treelearn
 from smartps.dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
 from smartps.traceio import WF, LF
 from smartps.treelearn import (
-    ForestModel, Internal, Leaf, ModelFormatError, TreeParams,
-    _grow_tree, aggregate_counts, build_tree, candidate_thresholds, deserialize_model,
-    evaluate, igr, kfold_evaluate, metrics_from_confusion, node_count,
+    FEATURE_BIN_WIDTHS, ForestModel, Internal, Leaf, ModelFormatError, TreeParams,
+    _grow_tree, _igr_from_counts, aggregate_counts, build_tree, candidate_thresholds,
+    deserialize_model, evaluate, kfold_evaluate, metrics_from_confusion, node_count,
     predict, predict_batch, prune_model, prune_tree, serialize_model, to_arrays, train_forest,
 )
 
@@ -57,13 +57,13 @@ def planted_records(n, seed, noise=0.0):
 
 class TestCandidateThresholds:
     def test_small_value_set_raw_midpoints(self):
-        assert candidate_thresholds([1.0, 2.0, 4.0]) == [1.5, 3.0]
+        assert candidate_thresholds([1.0, 2.0, 4.0], 5.0) == [1.5, 3.0]
 
     def test_duplicates_collapse(self):
-        assert candidate_thresholds([1.0, 1.0, 2.0, 2.0]) == [1.5]
+        assert candidate_thresholds([1.0, 1.0, 2.0, 2.0], 5.0) == [1.5]
 
     def test_single_value_no_candidates(self):
-        assert candidate_thresholds([3.0, 3.0]) == []
+        assert candidate_thresholds([3.0, 3.0], 5.0) == []
 
     def test_large_value_set_uses_bin_edges(self):
         vals = [float(v) for v in range(-50, -9)]  # 41 distinct, bins -10..-2
@@ -78,34 +78,28 @@ class TestCandidateThresholds:
 
 
 class TestIgr:
+    """_igr_from_counts takes the (wf, lf) counts left of a split, then right of it."""
+
     FOUR = [rec(WF, rssi_wifi=-40), rec(WF, rssi_wifi=-45),
             rec(LF, rssi_wifi=-80), rec(LF, rssi_wifi=-85)]
     FI = FEATURE_NAMES.index("rssi_wifi")
 
     def test_perfect_split_is_one(self):
-        assert igr(self.FOUR, self.FI, -60.0) == 1.0
+        assert _igr_from_counts(0, 2, 2, 0) == 1.0
 
     def test_useless_split_is_zero(self):
-        mixed = [rec(WF, rssi_wifi=-40), rec(LF, rssi_wifi=-45),
-                 rec(WF, rssi_wifi=-80), rec(LF, rssi_wifi=-85)]
-        assert igr(mixed, self.FI, -60.0) == pytest.approx(0.0)
+        assert _igr_from_counts(1, 1, 1, 1) == pytest.approx(0.0)
 
     def test_empty_side_is_none(self):
-        assert igr(self.FOUR, self.FI, -100.0) is None
-        assert igr(self.FOUR, self.FI, 0.0) is None
-
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            igr([], 0, 0.0)
+        assert _igr_from_counts(0, 0, 2, 2) is None
+        assert _igr_from_counts(2, 2, 0, 0) is None
 
     def test_matches_entropy_arithmetic(self):
         # 3 WF / 1 LF split so that left = [WF, WF], right = [WF, LF].
-        recs = [rec(WF, rssi_wifi=-40), rec(WF, rssi_wifi=-45),
-                rec(WF, rssi_wifi=-80), rec(LF, rssi_wifi=-85)]
         h_parent = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))
         ig = h_parent - 0.5 * 0.0 - 0.5 * 1.0
         split_info = 1.0
-        assert igr(recs, self.FI, -60.0) == pytest.approx(ig / split_info, abs=1e-12)
+        assert _igr_from_counts(2, 0, 1, 1) == pytest.approx(ig / split_info, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ class TestBuildTree:
             for fname in ("rssi_wifi", "rtt_lte"):
                 fi = FEATURE_NAMES.index(fname)
                 xs = [r.features[fi] for r in recs]
-                for thr in candidate_thresholds(xs):
+                for thr in candidate_thresholds(xs, FEATURE_BIN_WIDTHS[fi]):
                     score = oracle_igr(xs, labels, thr)
                     if score is not None and (best is None or score > best):
                         best = score
@@ -191,7 +185,8 @@ class TestBuildTree:
                 assert isinstance(t, Leaf)
             else:
                 assert isinstance(t, Internal)
-                achieved = igr(recs, t.feature, t.threshold)
+                achieved = oracle_igr([r.features[t.feature] for r in recs], labels,
+                                      t.threshold)
                 assert achieved == pytest.approx(best, abs=1e-12)
 
 
