@@ -83,7 +83,10 @@ class AttributeSample:
     @property
     def prio(self) -> str:
         """WF or LF."""
-        return _PRIO_TAGS[self.prio_tag]
+        try:
+            return _PRIO_TAGS[self.prio_tag]
+        except KeyError:   # a sample built in code; parse_trace checks each row's tag
+            raise TraceError(f"unknown prio tag {self.prio_tag!r}") from None
 
     def validate(self, where: str = "sample") -> None:
         def bad(cond, msg):

@@ -8,7 +8,7 @@ from smartps.dataset import (
     AG_EPS, FEATURE_NAMES, LabeledRecord, better_than, build_dataset,
     merge_pair, pair_rows, records_from_csv, records_to_csv,
 )
-from smartps.traceio import WF, LF
+from smartps.traceio import WF, LF, TraceError
 
 from tests.test_traceio import make_sample
 
@@ -124,6 +124,11 @@ class TestBuildDataset:
 
     def test_empty(self):
         assert build_dataset([]) == []
+
+    def test_unknown_prio_tag_names_the_tag(self):
+        # A sample built in code is not validated; reading its class still names the tag.
+        with pytest.raises(TraceError, match=r"unknown prio tag 'LF\(6G\)'"):
+            build_dataset([make_sample(prio_tag="LF(6G)"), make_sample(t=1.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from smartps import scenarios, treelearn
 from smartps.dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
 from smartps.traceio import WF, LF
 from smartps.treelearn import (
-    FEATURE_BIN_WIDTHS, ForestModel, Internal, Leaf, ModelFormatError, TreeParams,
-    _grow_tree, _igr_from_counts, aggregate_counts, build_tree, candidate_thresholds,
-    deserialize_model, evaluate, kfold_evaluate, metrics_from_confusion, node_count,
-    predict, predict_batch, prune_model, prune_tree, serialize_model, to_arrays, train_forest,
+    FEATURE_BIN_WIDTHS, FOREST_FEATURES, SMALL_VALUE_SET, ForestModel, Internal, Leaf,
+    ModelFormatError, TreeParams, _best_split, _grow_tree, _igr_from_counts,
+    aggregate_counts, build_tree, candidate_thresholds, deserialize_model, evaluate,
+    kfold_evaluate, metrics_from_confusion, node_count, predict, predict_batch, prune_model,
+    prune_tree, serialize_model, to_arrays, train_forest,
 )
 
 
@@ -126,6 +127,12 @@ class TestBuildTree:
         with pytest.raises(ValueError):
             build_tree([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        recs = [rec(WF, rssi_wifi=-40), rec(LF, rssi_wifi=bad), rec(LF, rssi_wifi=-80)]
+        with pytest.raises(ValueError, match=rf"record 1: feature rssi_wifi is not finite \({bad}\)"):
+            build_tree(recs, SMALL_PARAMS)
+
     def test_max_depth_zero_gives_majority_leaf(self):
         t = build_tree(TestIgr.FOUR + [rec(WF)], TreeParams(max_depth=0))
         assert t == Leaf(label=WF, counts=(3, 2))
@@ -188,6 +195,81 @@ class TestBuildTree:
                 achieved = oracle_igr([r.features[t.feature] for r in recs], labels,
                                       t.threshold)
                 assert achieved == pytest.approx(best, abs=1e-12)
+
+
+def reference_split(X, y, idx, features, min_leaf):
+    """The split search as a plain loop: every candidate scored with
+    _igr_from_counts, features in the given order, thresholds ascending, and
+    the first strictly best kept."""
+    best = None
+    for f in features:
+        vals = [float(X[i, f]) for i in idx]
+        labels = [int(y[i]) for i in idx]
+        distinct = sorted(set(vals))
+        if len(distinct) <= SMALL_VALUE_SET:
+            cands = [(a + b) / 2.0 for a, b in zip(distinct, distinct[1:])]
+        else:
+            w = FEATURE_BIN_WIDTHS[f]
+            bins = sorted({math.floor(v / w) for v in distinct})
+            cands = [((k1 + 1) * w + k2 * w) / 2.0 for k1, k2 in zip(bins, bins[1:])]
+        n_wf = labels.count(0)
+        n_lf = len(labels) - n_wf
+        for thr in cands:
+            wl = sum(1 for v, lab in zip(vals, labels) if v <= thr and lab == 0)
+            ll = sum(1 for v, lab in zip(vals, labels) if v <= thr and lab == 1)
+            if wl + ll < min_leaf or len(vals) - (wl + ll) < min_leaf:
+                continue
+            score = _igr_from_counts(wl, ll, n_wf - wl, n_lf - ll)
+            if best is None or score > best[0]:
+                best = (score, f, thr)
+    return best
+
+
+@st.composite
+def split_cases(draw):
+    """A node with heavily tied values.  Each searched column holds multiples
+    of a third of its bin width, drawn from 3, 7 or 121 of them, so both the
+    raw-midpoint and the bin-edge branch come up, with several values per bin."""
+    features = draw(st.one_of(
+        st.just(list(range(N_FEATURES))),
+        st.lists(st.integers(0, N_FEATURES - 1), min_size=FOREST_FEATURES,
+                 max_size=FOREST_FEATURES, unique=True).map(sorted)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 150))
+    X = np.zeros((n, N_FEATURES))
+    for f in features:
+        spread = draw(st.sampled_from((1, 3, 60)))
+        X[:, f] = rng.integers(-spread, spread + 1, size=n) * FEATURE_BIN_WIDTHS[f] / 3
+    y = (rng.random(n) < draw(st.sampled_from((0.1, 0.5, 0.9)))).astype(np.int8)
+    idx = draw(st.one_of(st.just(np.arange(n)),
+                         st.sets(st.integers(0, n - 1), min_size=1).map(sorted).map(np.array)))
+    m = len(idx)
+    min_leaf = draw(st.one_of(st.sampled_from((1, max(1, m // 2), m // 2 + 1)),
+                              st.integers(1, max(1, m // 4))))
+    return X, y, idx, features, min_leaf
+
+
+class TestBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(case=split_cases())
+    def test_equals_reference_search(self, case):
+        assert _best_split(*case) == reference_split(*case)
+
+    @pytest.mark.parametrize("wf, lf, first, second, winner", [
+        (17, 64, (5, 57), (12, 7), 0),    # equal exact IGRs: the first feature wins
+        (21, 53, (14, 51), (7, 2), 1),    # the second is higher by one ulp
+    ])
+    def test_exact_formula_breaks_near_ties(self, wf, lf, first, second, winner):
+        # Two one-candidate features whose (wf, lf) left counts give IGRs that
+        # the numpy screen orders differently from _igr_from_counts (numpy 2.4).
+        X = np.ones((wf + lf, N_FEATURES))
+        y = np.array([0] * wf + [1] * lf, dtype=np.int8)
+        for f, (wl, ll) in enumerate((first, second)):
+            X[:wl, f] = X[wf:wf + ll, f] = 0.0
+        scores = [_igr_from_counts(wl, ll, wf - wl, lf - ll) for wl, ll in (first, second)]
+        best = _best_split(X, y, np.arange(wf + lf), [0, 1], 1)
+        assert best == (scores[winner], winner, 0.5)
+        assert best == reference_split(X, y, np.arange(wf + lf), [0, 1], 1)
 
 
 class TestPredict:
