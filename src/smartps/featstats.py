@@ -10,13 +10,13 @@ normalized reduction of metric uncertainty given an attribute.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .traceio import WF, LF, AttributeSample
+from .traceio import TRACE_COLUMNS, WF, LF, AttributeSample
 
 
 class StatsError(ValueError):
@@ -37,9 +37,23 @@ AG_BIN_WIDTH = 5.0   # Mbps
 AD_BIN_WIDTH = 5.0   # ms
 
 
-def bin_index(v: float, width: float) -> int:
-    """Fixed-width binning: value v lands in floor(v / width)."""
-    return int(math.floor(v / width))
+def family(column: str) -> str:
+    """Attribute family of a trace or feature column: "plr_wifi" -> "PLR"."""
+    return column.split("_")[0].upper()
+
+
+def bin_index(values, width: float) -> np.ndarray:
+    """Fixed-width binning: each value v lands in bin floor(v / width), as int64."""
+    a = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):        # an overflowed quotient is refused below
+        q = np.floor(a / width)
+    ok = np.abs(q) < 2.0 ** 63              # False for NaN and inf too
+    if not ok.all():
+        v = float(a[~ok][0])
+        if not math.isfinite(v):
+            raise StatsError(f"bin_index: non-finite value {v!r}")
+        raise StatsError(f"bin_index: {v!r} / {width} is outside the int64 bins")
+    return q.astype(np.int64)
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -59,10 +73,12 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     within-tie pair counts of x and y.  Raises on degenerate input (fewer
     than two points, mismatched lengths, or all ties on one side).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise StatsError("kendall_tau_b: x and y must be equal-length vectors")
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise StatsError(f"kendall_tau_b: non-finite {name} value {a[~np.isfinite(a)][0]}")
     n = len(x)
     if n < 2:
         raise StatsError("kendall_tau_b: need at least two points")
@@ -73,8 +89,8 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     conc = int(np.count_nonzero(prod > 0))
     disc = int(np.count_nonzero(prod < 0))
     n0 = n * (n - 1) // 2
-    n1 = sum(t * (t - 1) // 2 for t in Counter(x.tolist()).values())
-    n2 = sum(t * (t - 1) // 2 for t in Counter(y.tolist()).values())
+    n1, n2 = (sum(t * (t - 1) // 2 for t in np.unique(a, return_counts=True)[1].tolist())
+              for a in (x, y))
     if n0 == n1 or n0 == n2:
         raise StatsError("kendall_tau_b: all values tied on one side")
     return (conc - disc) / math.sqrt((n0 - n1) * (n0 - n2))
@@ -84,12 +100,12 @@ def entropy(labels: Sequence) -> float:
     """Shannon entropy of the label distribution, in bits."""
     if len(labels) == 0:
         raise StatsError("entropy of empty input")
-    n = len(labels)
-    h = 0.0
-    for c in Counter(labels).values():
-        p = c / n
-        h -= p * math.log2(p)
-    return h
+    return _entropy_of_counts(np.unique(labels, return_counts=True)[1])
+
+
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    p = counts / counts.sum()
+    return float((-p * np.log2(p)).sum())
 
 
 def cig(x: Sequence[float], y: Sequence[float], x_width: float,
@@ -105,16 +121,14 @@ def cig(x: Sequence[float], y: Sequence[float], x_width: float,
         raise StatsError("cig: empty input")
     if x_width <= 0 or y_width <= 0:
         raise StatsError(f"cig: bin widths must be > 0, got {x_width} and {y_width}")
-    xb = [bin_index(v, x_width) for v in x]
-    yb = [bin_index(v, y_width) for v in y]
-    h_y = entropy(yb)
+    _, xi, x_counts = np.unique(bin_index(x, x_width), return_inverse=True, return_counts=True)
+    _, yi, y_counts = np.unique(bin_index(y, y_width), return_inverse=True, return_counts=True)
+    h_y = _entropy_of_counts(y_counts)
     if h_y == 0.0:
         return 0.0
-    n = len(x)
-    groups: dict[int, list[int]] = {}
-    for a, b in zip(xb, yb):
-        groups.setdefault(a, []).append(b)
-    h_y_given_x = sum(len(g) / n * entropy(g) for g in groups.values())
+    # H(Y|X) = H(X,Y) - H(X); each (x bin, y bin) pair is one int64 key.
+    xy_counts = np.unique(xi * len(y_counts) + yi, return_counts=True)[1]
+    h_y_given_x = _entropy_of_counts(xy_counts) - _entropy_of_counts(x_counts)
     val = (h_y - h_y_given_x) / h_y
     return min(1.0, max(0.0, val))
 
@@ -123,21 +137,12 @@ def cig(x: Sequence[float], y: Sequence[float], x_width: float,
 # Correlation table over the 10 attribute families
 # ---------------------------------------------------------------------------
 
-# attribute family -> list of (field name, interface priority it belongs to)
-ATTRIBUTE_FIELDS = {
-    "RSSI": [("rssi_wifi", WF), ("rssi_lte", LF)],
-    "SINR": [("sinr_wifi", WF), ("sinr_lte", LF)],
-    "RSRP": [("rsrp_lte", LF)],
-    "RSRQ": [("rsrq_lte", LF)],
-    "TD": [("td_wifi", WF)],
-    "RD": [("rd_wifi", WF)],
-    "RTT": [("rtt_wifi", WF), ("rtt_lte", LF)],
-    "CWND": [("cwnd_wifi", WF), ("cwnd_lte", LF)],
-    "PLR": [("plr_wifi", WF), ("plr_lte", LF)],
-    "PDR": [("pdr_wifi", WF), ("pdr_lte", LF)],
-}
+# Attribute columns: the trace columns of one interface, whose suffix gives its priority.
+_IFACE_PRIO = {"_wifi": WF, "_lte": LF}
+_ATTRIBUTE_COLUMNS = {c: prio for c in TRACE_COLUMNS
+                      for suffix, prio in _IFACE_PRIO.items() if c.endswith(suffix)}
 
-ATTRIBUTES = list(ATTRIBUTE_FIELDS)
+ATTRIBUTES = list(dict.fromkeys(map(family, _ATTRIBUTE_COLUMNS)))
 
 
 @dataclass(frozen=True)
@@ -149,21 +154,22 @@ class CorrelationRow:
     cig_ad: float
 
 
-def _binned_kendall(x: list[float], y: list[float], width: float, min_count: int) -> float:
+def _binned_kendall(x, y, width: float, min_count: int) -> float:
     """Kendall between bin index and the mean metric value in that bin.
 
     Binning first (with min_count filtering) matches the summary-then-correlate
     procedure; it also avoids the massive ties of raw binned data.
     """
-    bins: dict[int, list[float]] = {}
-    for xv, yv in zip(x, y):
-        bins.setdefault(bin_index(xv, width), []).append(yv)
-    bins = {k: v for k, v in bins.items() if len(v) >= min_count}
-    if len(bins) < 2:
+    keys, inverse, counts = np.unique(bin_index(x, width), return_inverse=True, return_counts=True)
+    sums = np.bincount(inverse, weights=y)   # adds each bin's values in input order
+    keep = counts >= min_count
+    if np.count_nonzero(keep) < 2:
         raise StatsError("binned kendall: fewer than two populated bins")
-    ks = sorted(bins)
-    means = [sum(bins[k]) / len(bins[k]) for k in ks]
-    return kendall_tau_b([float(k) for k in ks], means)
+    return kendall_tau_b(keys[keep].astype(float), sums[keep] / counts[keep])
+
+
+def _column(samples: Sequence[AttributeSample], name: str) -> np.ndarray:
+    return np.fromiter(map(operator.attrgetter(name), samples), float, len(samples))
 
 
 def correlation_table(samples: Sequence[AttributeSample],
@@ -181,27 +187,22 @@ def correlation_table(samples: Sequence[AttributeSample],
         raise StatsError("correlation_table: no samples")
     if min_count < 1:
         raise StatsError(f"min_count must be >= 1, got {min_count}")
-    rows = []
-    for attr in ATTRIBUTES:
-        width = BIN_WIDTHS[attr]
-        figures = []
-        for field_name, iface_prio in ATTRIBUTE_FIELDS[attr]:
-            use = [s for s in samples if (not grouped_by_prio or s.prio == iface_prio)]
-            if len(use) < 2:
-                continue
-            x = [getattr(s, field_name) for s in use]
-            ag = [s.ag for s in use]
-            ad = [s.ad for s in use]
-            try:
-                figures.append((_binned_kendall(x, ag, width, min_count),
-                                _binned_kendall(x, ad, width, min_count),
-                                cig(x, ag, width, AG_BIN_WIDTH),
-                                cig(x, ad, width, AD_BIN_WIDTH)))
-            except StatsError:
-                continue
-        medians = np.median(figures, axis=0).tolist() if figures else [math.nan] * 4
-        rows.append(CorrelationRow(attr, *medians))
-    return rows
+    ag, ad = _column(samples, "ag"), _column(samples, "ad")
+    prio = np.array([s.prio for s in samples])
+    figures: dict[str, list[tuple[float, ...]]] = {attr: [] for attr in ATTRIBUTES}
+    for column, iface_prio in _ATTRIBUTE_COLUMNS.items():
+        use = prio == iface_prio if grouped_by_prio else slice(None)
+        x, width = _column(samples, column)[use], BIN_WIDTHS[family(column)]
+        try:
+            figures[family(column)].append((
+                _binned_kendall(x, ag[use], width, min_count),
+                _binned_kendall(x, ad[use], width, min_count),
+                cig(x, ag[use], width, AG_BIN_WIDTH),
+                cig(x, ad[use], width, AD_BIN_WIDTH)))
+        except StatsError:
+            continue
+    return [CorrelationRow(attr, *(np.median(f, axis=0).tolist() if f else [math.nan] * 4))
+            for attr, f in figures.items()]
 
 
 def correlation_table_csv(rows: Sequence[CorrelationRow]) -> str:

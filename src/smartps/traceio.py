@@ -167,11 +167,8 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
             except (ValueError, ArithmeticError):
                 raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
             vals[col] = v
-        raw_prio = cells[header.index("prio")]
-        if raw_prio not in _PRIO_TAGS:
-            raise TraceError(f"row {rowno}, column prio: unknown tag {raw_prio!r}")
-        # One shared string per tag, not one per row.
-        sample = AttributeSample(prio_tag=sys.intern(raw_prio), **vals)
+        # One shared string per tag, not one per row; validate refuses an unknown tag.
+        sample = AttributeSample(prio_tag=sys.intern(cells[header.index("prio")]), **vals)
         sample.validate(f"row {rowno}")
         if sample.t < prev_t:
             raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")

@@ -5,10 +5,11 @@ information gain ratio (IGR = information gain / split information) over
 candidate thresholds derived from the same fixed-width binning used by the
 attribute analysis.  Each node sorts each feature once, reads every
 candidate's class counts off that order and screens their IGRs in one numpy
-pass; the exact scalar formula decides among the near-best.  Includes bootstrap forests with per-node feature
-subsampling, reduced-error post-pruning against a validation set, stratified
-k-fold evaluation with ROC-style metrics (WF is the positive class), and a
-line-oriented model serialization.
+pass; the exact scalar formula decides among the near-best.  Includes
+bootstrap forests with per-node feature subsampling, reduced-error
+post-pruning against a validation set, stratified k-fold evaluation with
+ROC-style metrics (WF is the positive class), and a line-oriented model
+serialization.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
-from .featstats import BIN_WIDTHS
+from .featstats import BIN_WIDTHS, bin_index, family
 from .traceio import WF, LF
 
 LABELS = (WF, LF)
@@ -29,7 +30,7 @@ _LABEL_INDEX = {WF: 0, LF: 1}
 
 # Candidate-threshold bin width per feature index: its family's width
 # ("plr_wifi" -> BIN_WIDTHS["PLR"]), in native units.
-FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[name.split("_")[0].upper()] for name in FEATURE_NAMES)
+FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[family(name)] for name in FEATURE_NAMES)
 
 # Below this many distinct values, thresholds fall back to midpoints between
 # consecutive distinct raw values instead of bin-edge midpoints.
@@ -138,7 +139,7 @@ def _thresholds(ordered: np.ndarray, width: float) -> np.ndarray:
     step = ordered[1:] != ordered[:-1]   # where one distinct value ends and the next starts
     if np.count_nonzero(step) < SMALL_VALUE_SET:
         return (ordered[:-1][step] + ordered[1:][step]) / 2.0
-    bins = np.floor(ordered / width).astype(np.int64)
+    bins = bin_index(ordered, width)
     step = bins[1:] != bins[:-1]
     return ((bins[:-1][step] + 1) * width + bins[1:][step] * width) / 2.0
 

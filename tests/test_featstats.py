@@ -1,18 +1,22 @@
 """Binning, percentiles, Kendall tau-b, entropy, CIG, and correlation tables."""
 
 import dataclasses
+import hashlib
 import math
 import random
+import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from smartps import featstats
+from smartps import featstats, scenarios
 from smartps.featstats import (
-    BIN_WIDTHS, StatsError, bin_index, cig, correlation_table, correlation_table_csv,
-    entropy, kendall_tau_b, percentile,
+    AG_BIN_WIDTH, BIN_WIDTHS, StatsError, bin_index, cig, correlation_table,
+    correlation_table_csv, entropy, family, kendall_tau_b, percentile,
 )
+from smartps.traceio import synthesize_trace
 
 
 # ---------------------------------------------------------------------------
@@ -21,15 +25,21 @@ from smartps.featstats import (
 
 class TestBinning:
     def test_rssi_example(self):
-        assert [bin_index(v, BIN_WIDTHS["RSSI"]) for v in (-39.0, -42.0)] == [-8, -9]
+        assert bin_index([-39.0, -42.0], BIN_WIDTHS["RSSI"]).tolist() == [-8, -9]
 
     def test_plr_width(self):
-        assert [bin_index(v, BIN_WIDTHS["PLR"]) for v in (0.0, 0.0003, 0.0004, 0.0012)] \
+        assert bin_index([0.0, 0.0003, 0.0004, 0.0012], BIN_WIDTHS["PLR"]).tolist() \
             == [0, 0, 0, 2]
 
     def test_boundary_value_goes_to_upper_bin(self):
-        assert bin_index(-40.0, 5.0) == -8
-        assert bin_index(-35.0, 5.0) == -7
+        assert bin_index([-40.0, -35.0], 5.0).tolist() == [-8, -7]
+
+    def test_family_of_a_column(self):
+        assert [family(c) for c in ("plr_wifi", "rsrq_lte", "td_wifi")] == ["PLR", "RSRQ", "TD"]
+
+    def test_attributes_in_trace_column_order(self):
+        assert featstats.ATTRIBUTES == ["RSSI", "SINR", "RSRP", "RSRQ", "TD", "RD",
+                                        "RTT", "CWND", "PLR", "PDR"]
 
     def test_min_count_drops_sparse_bins(self):
         # Bin -8 holds two rows and bin -9 one, so only one bin reaches
@@ -215,6 +225,134 @@ class TestCig:
 
 
 # ---------------------------------------------------------------------------
+# Non-finite input
+# ---------------------------------------------------------------------------
+
+class TestNonFinite:
+    def test_bin_index_names_the_value(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(StatsError, match=f"bin_index: non-finite value {bad!r}"):
+                bin_index([1.0, bad], 5.0)
+
+    def test_bin_index_refuses_a_quotient_past_int64(self):
+        # 2**63 and 1e300 / 5 do not fit an int64 bin; 1e308 / 0.0005 overflows to inf.
+        for v, width in ((2.0 ** 63 * 5.0, 5.0), (1e300, 5.0), (-1e308, BIN_WIDTHS["PLR"])):
+            with pytest.raises(StatsError, match=re.escape(f"{v!r} / {width} is outside")):
+                bin_index([0.0, v], width)
+
+    def test_kendall_names_the_side_and_value(self):
+        with pytest.raises(StatsError, match="non-finite x value nan"):
+            kendall_tau_b([math.nan, 1, 2], [1, 2, 3])
+        with pytest.raises(StatsError, match="non-finite y value -inf"):
+            kendall_tau_b([1, 2, 3], [1, -math.inf, 3])
+
+    def test_binned_kendall_refuses_a_nan_metric(self):
+        with pytest.raises(StatsError, match="non-finite y value nan"):
+            featstats._binned_kendall([1, 7, 12], [1, math.nan, 3], 5.0, 1)
+
+    def test_cig_refuses_non_finite_values(self):
+        for x, y in (([math.nan, 1.0], [1.0, 2.0]), ([math.inf, 1.0], [1.0, 2.0]),
+                     ([1.0, 2.0], [1.0, -math.inf])):
+            with pytest.raises(StatsError, match="non-finite value"):
+                cig(x, y, 5.0, 5.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the scalar, dict-of-lists forms of the statistics
+# ---------------------------------------------------------------------------
+
+def reference_bin_index(values, width):
+    return [math.floor(v / width) for v in values]
+
+
+def reference_binned_kendall(x, y, width, min_count):
+    bins = {}
+    for xv, yv in zip(x, y):
+        bins.setdefault(math.floor(xv / width), []).append(yv)
+    bins = {k: v for k, v in bins.items() if len(v) >= min_count}
+    if len(bins) < 2:
+        raise StatsError("binned kendall: fewer than two populated bins")
+    ks = sorted(bins)
+    return kendall_tau_b([float(k) for k in ks], [sum(bins[k]) / len(bins[k]) for k in ks])
+
+
+def reference_entropy(labels):
+    n = len(labels)
+    return -sum(c / n * math.log2(c / n) for c in Counter(labels).values())
+
+
+def reference_cig(x, y, x_width, y_width):
+    """(H(Y) - sum over x bins of p(x) * H(Y | x)) / H(Y), clamped to [0, 1]."""
+    xb, yb = reference_bin_index(x, x_width), reference_bin_index(y, y_width)
+    h_y = reference_entropy(yb)
+    if h_y == 0.0:
+        return 0.0
+    groups = {}
+    for a, b in zip(xb, yb):
+        groups.setdefault(a, []).append(b)
+    h_y_given_x = sum(len(g) / len(x) * reference_entropy(g) for g in groups.values())
+    return min(1.0, max(0.0, (h_y - h_y_given_x) / h_y))
+
+
+def oracle_columns(rng, width):
+    """Seeded (x, y): bin edges with negatives, heavy ties, a single bin or spread values."""
+    n = rng.randint(1, 60)
+    kind = rng.randrange(4)
+    if kind == 0:
+        x = [rng.randint(-6, 6) * width for _ in range(n)]
+    elif kind == 1:
+        alphabet = [rng.uniform(-4.0, 4.0) * width for _ in range(3)]
+        x = [rng.choice(alphabet) for _ in range(n)]
+    elif kind == 2:
+        x = [rng.uniform(-4.0, 4.0) * width] * n
+    else:
+        x = [rng.uniform(-30.0, 30.0) * width for _ in range(n)]
+    if rng.random() < 0.5:
+        y = [rng.randint(-2, 4) * AG_BIN_WIDTH for _ in range(n)]
+    else:
+        y = [rng.uniform(0.0, 40.0) for _ in range(n)]
+    return x, y
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StatsError:
+        return StatsError
+
+
+ORACLE_WIDTHS = sorted(set(BIN_WIDTHS.values()))   # 0.0005 (PLR) and 5.0
+
+
+class TestReferenceOracles:
+    @pytest.mark.parametrize("width", ORACLE_WIDTHS)
+    def test_bin_index(self, width):
+        rng = random.Random(31)
+        for _ in range(200):
+            x, _ = oracle_columns(rng, width)
+            got = bin_index(x, width)
+            assert got.dtype == np.int64
+            assert got.tolist() == reference_bin_index(x, width)
+
+    @pytest.mark.parametrize("width", ORACLE_WIDTHS)
+    def test_binned_kendall_matches_exactly(self, width):
+        rng = random.Random(37)
+        for _ in range(300):
+            x, y = oracle_columns(rng, width)
+            min_count = rng.choice((1, 2, 3, 5))
+            assert outcome(featstats._binned_kendall, x, y, width, min_count) \
+                == outcome(reference_binned_kendall, x, y, width, min_count)
+
+    @pytest.mark.parametrize("width", ORACLE_WIDTHS)
+    def test_cig_matches_group_wise_form(self, width):
+        rng = random.Random(41)
+        for _ in range(300):
+            x, y = oracle_columns(rng, width)
+            assert abs(cig(x, y, width, AG_BIN_WIDTH)
+                       - reference_cig(x, y, width, AG_BIN_WIDTH)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # Correlation table
 # ---------------------------------------------------------------------------
 
@@ -281,3 +419,25 @@ class TestCorrelationTable:
             rows = correlation_table(samples, min_count=5)
         lines = correlation_table_csv(rows).strip().splitlines()[1:]
         assert lines == [f"{attr},NA,NA,NA,NA" for attr in featstats.ATTRIBUTES]
+
+
+@pytest.fixture(scope="module")
+def four_scenario_trace():
+    """The four scenarios of test_traceio's pinned trace digest, at 0.1 s."""
+    samples = []
+    for scn in (scenarios.walkaway(3, 60.0), scenarios.interference_burst(5, 60.0),
+                scenarios.oscillating(6, 33.0, period=7.0), scenarios.stable(9, 20.0)):
+        samples.extend(synthesize_trace(scn, 0.1))
+    return samples
+
+
+@pytest.mark.parametrize("grouped,min_count,digest", [
+    (False, 10, "3214601a860a4f44e234978109d0180c5174bd8d46b31388fbcfac43b4f81c12"),
+    (False, 1, "1c04190033d04aec21a018e1b66cd4128ce0ec3d54a9bda3e37b91b74a6b4634"),
+    (True, 10, "73085e1775daf6f91127d30e6966b3e6b36101e3cadf6bca8c4e887a5c9c03f2"),
+    (True, 1, "ee29d25805a9c3fa325111e3f12f9a8194672c6616d4c2557f64c9a970e88a30"),
+])
+def test_pinned_corr_csv(four_scenario_trace, grouped, min_count, digest):
+    # A change that moves these digests changes what the analyze verb writes.
+    rows = correlation_table(four_scenario_trace, grouped_by_prio=grouped, min_count=min_count)
+    assert hashlib.sha256(correlation_table_csv(rows).encode()).hexdigest() == digest

@@ -98,7 +98,7 @@ class TestParseTrace:
 
     def test_unknown_prio_tag_rejected(self, reference_trace_text):
         bad = reference_trace_text.replace("LF(4G)", "LF(6G)")
-        with pytest.raises(TraceError, match="prio"):
+        with pytest.raises(TraceError, match=r"row 2: unknown prio tag 'LF\(6G\)'"):
             parse_trace(bad)
 
     def test_time_going_backwards_rejected(self, reference_trace_text):
