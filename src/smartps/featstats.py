@@ -172,6 +172,21 @@ def _column(samples: Sequence[AttributeSample], name: str) -> np.ndarray:
     return np.fromiter(map(operator.attrgetter(name), samples), float, len(samples))
 
 
+def _binnable_column(samples: Sequence[AttributeSample], name: str,
+                     width: float) -> np.ndarray:
+    """A column whose every value has an int64 bin.
+
+    A value past that range is bad input, not a degenerate variant, so it is
+    refused here rather than caught with the variant's StatsErrors.
+    """
+    x = _column(samples, name)
+    try:
+        bin_index(x, width)
+    except StatsError as exc:
+        raise StatsError(f"correlation_table: column {name}: {exc}") from None
+    return x
+
+
 def correlation_table(samples: Sequence[AttributeSample],
                       grouped_by_prio: bool = False,
                       min_count: int = 10) -> list[CorrelationRow]:
@@ -181,18 +196,21 @@ def correlation_table(samples: Sequence[AttributeSample],
     attribute.  Grouped: each variant only sees rows whose priority matches
     its interface (WiFi attributes under WF, LTE attributes under LF).  A
     variant contributes all four figures or none; each reported figure is the
-    median across contributing variants, and NaN when there are none.
+    median across contributing variants, and NaN when there are none.  A
+    value whose bin does not fit an int64 is refused, naming its column.
     """
     if len(samples) == 0:
         raise StatsError("correlation_table: no samples")
     if min_count < 1:
         raise StatsError(f"min_count must be >= 1, got {min_count}")
-    ag, ad = _column(samples, "ag"), _column(samples, "ad")
+    ag = _binnable_column(samples, "ag", AG_BIN_WIDTH)
+    ad = _binnable_column(samples, "ad", AD_BIN_WIDTH)
     prio = np.array([s.prio for s in samples])
     figures: dict[str, list[tuple[float, ...]]] = {attr: [] for attr in ATTRIBUTES}
     for column, iface_prio in _ATTRIBUTE_COLUMNS.items():
         use = prio == iface_prio if grouped_by_prio else slice(None)
-        x, width = _column(samples, column)[use], BIN_WIDTHS[family(column)]
+        width = BIN_WIDTHS[family(column)]
+        x = _binnable_column(samples, column, width)[use]
         try:
             figures[family(column)].append((
                 _binned_kendall(x, ag[use], width, min_count),

@@ -12,6 +12,16 @@ three, and `run_case` builds the last two from a policy name and a seed.
 Packet deliveries and acks wait on a timing wheel with one bucket per tick,
 sized from the run's own largest round trip, and the channel state each tick
 reads comes from compact per-run tables (`array`/`bytes`, not lists).
+
+A tick does work only where something can change.  The RTO scan sleeps
+until `rto_wake`, the earliest tick at which any packet can be MIN_RTO old.
+A path's oldest in-flight send tick never decreases: entries leave from
+anywhere, but a new one is stamped with the current tick.  So
+min over paths of (oldest send tick + MIN_RTO), with the current tick
+standing in for an empty path's oldest, bounds every expiry from below;
+a scan can come early and find nothing, but never late.  A path that can
+send nothing (no reinjections, and new data barred or window-limited)
+skips the rest of its send body.
 """
 
 from __future__ import annotations
@@ -196,12 +206,16 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     ack_wheel: list[list[tuple[int, int, float]]] = [[] for _ in range(size)]
 
     rng = seeded_stream(p.seed, 0x10c5)
-    draws = rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, consumed in send order
+    draw_chunk = _DRAW_CHUNK
+    draws = rng.random(draw_chunk).tolist()   # uniform loss draws, consumed in send order
     di = 0
 
-    block_packets, recv_window = BLOCK_PACKETS, RECV_WINDOW
-    min_rto, rto_mult, cwnd_max = MIN_RTO, RTO_MULT, CWND_MAX
-    credit_max = 4.0 * PKT_BYTES
+    pkt_bytes, block_packets, recv_window = PKT_BYTES, BLOCK_PACKETS, RECV_WINDOW
+    rto_mult, cwnd_max = RTO_MULT, CWND_MAX
+    # An int tick is younger than MIN_RTO exactly when it is younger than
+    # ceil(MIN_RTO), so every RTO test below compares ints.
+    min_rto = math.ceil(MIN_RTO)
+    credit_max = 4.0 * pkt_bytes
     next_seq = 0
     delivered_upto = 0   # every seq below it has been released in order
     recv_buffer: set[int] = set()
@@ -221,6 +235,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     released_win_bytes = 0
 
     current_prio = WF
+    send_order = (wifi, lte)
     online_prio_votes = {WF: 0, LF: 0}
     online_released = 0
     online_ad: list[float] = []
@@ -240,8 +255,20 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             space_lte=lte.cwnd - len(lte.in_flight),
         )
 
+    # Running counters instead of a modulo per tick: the wheel slot, and the
+    # ticks of the next decision, metrics-window end and online-window end
+    # (-1, never reached, when the selector learns nothing online).
+    slot = -1
+    next_decision = 0
+    window_end = window_ticks - 1
+    online_end = online_ticks - 1 if online else -1
+    # No packet can time out before this tick (see the module docstring).
+    rto_wake = min_rto
+
     for tick in range(n_ticks):
-        slot = tick % size
+        slot += 1
+        if slot == size:
+            slot = 0
 
         # --- arrivals, then acks ---
         due = dlv_wheel[slot]
@@ -253,11 +280,11 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                 if seq >= delivered_upto and seq not in recv_buffer:
                     recv_buffer.add(seq)
                     n_transit -= 1
-                    paths[key & 1].dlv_bytes_win += PKT_BYTES
+                    paths[key & 1].dlv_bytes_win += pkt_bytes
                     while delivered_upto in recv_buffer:
                         recv_buffer.remove(delivered_upto)
                         delivered_upto += 1
-                        released_win_bytes += PKT_BYTES
+                        released_win_bytes += pkt_bytes
                         online_released += 1
                         if delivered_upto % block_packets == 0:
                             block = delivered_upto // block_packets - 1
@@ -274,49 +301,64 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                 path = paths[pid]
                 if path.in_flight.pop(seq, None) is not None:
                     if path.cwnd < path.ssthresh:
-                        path.cwnd = min(cwnd_max, path.cwnd + 1.0)
+                        cwnd = path.cwnd + 1.0
                     else:
-                        path.cwnd = min(cwnd_max, path.cwnd + 1.0 / path.cwnd)
+                        cwnd = path.cwnd + 1.0 / path.cwnd
+                    path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
                     path.srtt = 0.875 * path.srtt + 0.125 * rtt_sample
             due.clear()
 
         # --- RTO: stranded packets reinject on the other path ---
-        for path, other in rto_pairs:
-            in_flight = path.in_flight
-            # in_flight is in send order and rto >= min_rto, so once its
-            # oldest entry is younger than min_rto nothing can time out.
-            if not in_flight or tick - next(iter(in_flight.values())) < min_rto:
-                continue
-            rto = max(min_rto, rto_mult * path.srtt)
-            expired = []
-            for seq, send_tick in in_flight.items():
-                if tick - send_tick < rto:
-                    break
-                expired.append(seq)
-            if expired:
-                for seq in expired:
-                    del in_flight[seq]
-                other.reinject.extend(expired)
-                lost = len(expired)
-                n_transit -= lost
-                path.lost_win += lost
-                path.ssthresh = max(2.0, path.cwnd / 2.0)
-                path.cwnd = max(1.0, path.cwnd / 2.0)
+        if tick >= rto_wake:
+            rto_wake = tick + min_rto   # an empty path sends its next packet now at the earliest
+            for path, other in rto_pairs:
+                in_flight = path.in_flight
+                if not in_flight:
+                    continue
+                # in_flight is in send order and rto >= min_rto, so once its
+                # oldest entry is younger than min_rto nothing can time out.
+                oldest = next(iter(in_flight.values()))
+                if tick - oldest >= min_rto:
+                    rto = max(MIN_RTO, rto_mult * path.srtt)
+                    expired = []
+                    for seq, send_tick in in_flight.items():
+                        if tick - send_tick < rto:
+                            break
+                        expired.append(seq)
+                    if expired:
+                        for seq in expired:
+                            del in_flight[seq]
+                        other.reinject.extend(expired)
+                        lost = len(expired)
+                        n_transit -= lost
+                        path.lost_win += lost
+                        path.ssthresh = max(2.0, path.cwnd / 2.0)
+                        path.cwnd = max(1.0, path.cwnd / 2.0)
+                        if not in_flight:
+                            continue
+                        oldest = next(iter(in_flight.values()))
+                if oldest + min_rto < rto_wake:
+                    rto_wake = oldest + min_rto
 
         # --- path selection ---
-        if tick % decision_ticks == 0:
+        if tick == next_decision:
+            next_decision += decision_ticks
             d = selmod.decide(state, observation(tick))
             decisions.append(d)
             current_prio = d.priority
-        online_prio_votes[current_prio] += 1
+            send_order = (wifi, lte) if current_prio == WF else (lte, wifi)
+        if online:
+            online_prio_votes[current_prio] += 1
 
         # --- send: priority path first, spill to the other ---
-        first, second = (wifi, lte) if current_prio == WF else (lte, wifi)
-        for path in (first, second):
-            credit = min(path.credit + path.credit_tick[tick], credit_max)
+        first = send_order[0]
+        for path in send_order:
+            credit = path.credit + path.credit_tick[tick]
+            if credit_max < credit:
+                credit = credit_max
             in_flight = path.in_flight
             cwnd = path.cwnd
-            if credit < PKT_BYTES or len(in_flight) >= cwnd:
+            if credit < pkt_bytes or len(in_flight) >= cwnd:
                 path.credit = credit
                 continue
             # New data spills to the secondary path only when the priority
@@ -327,13 +369,16 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                          or len(first.in_flight) >= first.cwnd
                          or first.dead[tick])
             reinject = path.reinject
+            if not reinject and not (allow_new and next_seq - delivered_upto < recv_window):
+                path.credit = credit   # nothing to reinject and no new data it may send
+                continue
             loss = path.loss[tick]
             rtt = path.rtt[tick]
             pid = path.pid
             dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
             ack_due = ack_wheel[(tick + path.full[tick]) % size]
             sent = 0
-            while credit >= PKT_BYTES and len(in_flight) < cwnd:
+            while credit >= pkt_bytes and len(in_flight) < cwnd:
                 if reinject:
                     seq = reinject.popleft()
                 elif allow_new and next_seq - delivered_upto < recv_window:
@@ -343,11 +388,11 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                         block_first_send[seq // block_packets] = tick
                 else:
                     break
-                credit -= PKT_BYTES
+                credit -= pkt_bytes
                 in_flight[seq] = tick
                 sent += 1
-                if di == _DRAW_CHUNK:
-                    draws = rng.random(_DRAW_CHUNK).tolist()
+                if di == draw_chunk:
+                    draws = rng.random(draw_chunk).tolist()
                     di = 0
                 di += 1
                 if draws[di - 1] >= loss:
@@ -359,20 +404,22 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             n_transit += sent
 
         # --- metrics window ---
-        if (tick + 1) % window_ticks == 0:
+        if tick == window_end:
+            window_end += window_ticks
             window_t.append((tick + 1 - window_ticks) * p.tick)
             ag_series.append(released_win_bytes * 8.0 / (window_ticks * p.tick) / 1e6)
             released_win_bytes = 0
             for path in paths:
-                accumulation[path.name].append(len(path.in_flight) * PKT_BYTES)
+                accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
                 path.plr_est = path.lost_win / path.sent_win if path.sent_win else 0.0
                 path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * p.tick) / 1e6
                 path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 
         # --- online learning window (SMARTPS) ---
-        if online and (tick + 1) % online_ticks == 0:
+        if tick == online_end:
+            online_end += online_ticks
             prio = WF if online_prio_votes[WF] >= online_prio_votes[LF] else LF
-            ag = online_released * PKT_BYTES * 8.0 / (online_ticks * p.tick) / 1e6
+            ag = online_released * pkt_bytes * 8.0 / (online_ticks * p.tick) / 1e6
             ad = (sum(online_ad) / len(online_ad)) if online_ad else 1000.0
             selmod.observe_outcome(state, WindowStats(
                 t=(tick + 1) * p.tick, priority=prio, ag=ag, ad=max(ad, 1e-3),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -99,6 +100,17 @@ class TestAnalyze:
     def test_missing_input_errors(self, tmp_path):
         assert run_cli("analyze", "--input", str(tmp_path / "nope.csv"),
                        "--output", str(tmp_path / "out.csv")) == 1
+
+    def test_value_past_the_int64_bins_errors(self, tmp_path, capsys):
+        # One such value used to drop the cwnd_wifi variant without a word.
+        samples = traceio.synthesize_trace(scenarios.stable(3, 20.0), 0.1)
+        samples[50] = replace(samples[50], cwnd_wifi=1e300)
+        trace = tmp_path / "trace.csv"
+        trace.write_text(traceio.write_trace(samples))
+        out = tmp_path / "corr.csv"
+        assert run_cli("analyze", "--input", str(trace), "--output", str(out)) == 1
+        assert "error: correlation_table: column cwnd_wifi:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBuildDataset:

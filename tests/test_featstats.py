@@ -410,6 +410,15 @@ class TestCorrelationTable:
         assert len(lines) == 11
         assert any(",NA,NA,NA,NA" in ln for ln in lines)
 
+    @pytest.mark.parametrize("column", ["cwnd_wifi", "rtt_lte", "ag"])
+    def test_value_past_the_int64_bins_names_its_column(self, column):
+        # Such a value is bad input: it must not drop the variant as degenerate.
+        samples = synthetic_samples(60)
+        samples[7] = dataclasses.replace(samples[7], **{column: 1e300})
+        with pytest.raises(StatsError, match=f"column {column}: bin_index: "
+                                             "1e\\+300 / 5.0 is outside the int64 bins"):
+            correlation_table(samples, min_count=5)
+
     def test_variant_gives_all_four_figures_or_none(self):
         # With AD constant, every variant's kendall_ad fails after its
         # kendall_ag succeeded; no figure of that variant may survive.

@@ -84,6 +84,13 @@ def channels(**overrides):
     return mock.patch.dict(DEFAULT_CHANNELS, overrides)
 
 
+def bundle_digest(report):
+    h = hashlib.sha256()
+    for name, text in sorted(report.to_csv_bundle().items()):
+        h.update(name.encode() + b"\n" + text.encode())
+    return h.hexdigest()
+
+
 class TestRun:
     def test_zero_duration_rejected(self):
         with pytest.raises(SimError):
@@ -175,11 +182,8 @@ class TestRun:
         # fixed 128-bucket timing wheel, and 26 RTO reinjections in 10 s.
         with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=150.0)):
             rep = run_case(scenarios.walkaway(seed=5, duration=10.0), "MINRTT", 7)
-        h = hashlib.sha256()
-        for name, text in sorted(rep.to_csv_bundle().items()):
-            h.update(name.encode() + b"\n" + text.encode())
         assert rep.total_goodput == pytest.approx(11.0904, abs=1e-4)
-        assert h.hexdigest() == (
+        assert bundle_digest(rep) == (
             "f8837ae2272bb25ef7e49d3bc4fbd30b1ff5dc4d9d87d36a85d0b20271405880")
 
     def test_one_ms_forest_decisions_pinned(self):
@@ -190,11 +194,8 @@ class TestRun:
         state = SelectorState(policy="SMARTPS", offline_model=forest, seed=7)
         rep = run(scenarios.walkaway(seed=5, duration=3.0), state,
                   SimParams(duration=3.0, seed=7, decision_interval=0.001))
-        h = hashlib.sha256()
-        for name, text in sorted(rep.to_csv_bundle().items()):
-            h.update(name.encode() + b"\n" + text.encode())
         assert rep.total_goodput == pytest.approx(13.048, abs=1e-4)
-        assert h.hexdigest() == (
+        assert bundle_digest(rep) == (
             "cb2573b8160af4ca3869156d27f499c8812e14faf9a32ad4a73214f04b8f96b6")
 
     @settings(max_examples=25, deadline=None)
@@ -222,6 +223,38 @@ class TestRun:
     def test_suite_needs_a_seed(self, seeds):
         with pytest.raises(SimError, match=f"at least 1 seed per scenario, got {seeds}"):
             netsim.run_suite([scenarios.stable(seed=0, duration=1.0)], ["RR"], 0, seeds)
+
+
+# 30-s runs of one suite scenario per family (walkaway, interference,
+# oscillating, stable) with run_suite's seed 1 + 100 * index.  The 2-3 s pins
+# barely reach an RTO; across their three policies scenarios 0, 5 and 12 time
+# out 143, 245 and 614 packets, so these pin when the RTO scan runs.
+LONG_RUN_DIGESTS = {
+    (0, "SMARTPS"): "d05669b4ef7de39d0fcc963ce221ef89236fececfa912a71eae9f5af848291a3",
+    (0, "MINRTT"): "ed6246abdfd1ef017085af8db2529bf3bc9244cb3d18e2e738f858ed70771dc6",
+    (0, "RR"): "eafff22f58b02fe91a7d47e458dc579875b99d8b8ec6ca62ada40805a4624c71",
+    (5, "SMARTPS"): "c18b8ff40dcee9cfd006f80bdda78e9a2b8a38f2744abe9b224e723e887cac62",
+    (5, "MINRTT"): "89283f116468fd6f1c93afaa94da121fe663f8f77e31ce49e5fc766c12e0ccef",
+    (5, "RR"): "5595a9b6e960cff59099fbd3c2760f450821b5a83169a8197896d485705aba4c",
+    (12, "SMARTPS"): "8cd81016c8bfaa667a41a260f71986bcd8e4f4ebf5ba19e28181155e66c8343d",
+    (12, "MINRTT"): "0a3e7c1b25a5bef6429196399f04ad1d6088a03d3ed961659d58ad39e1eecc7b",
+    (12, "RR"): "4aff4ba8cbdbc11d8e5b593236aae4d97fd44703f0cac0e9b28178fafe65f8aa",
+    (18, "SMARTPS"): "f7eaf254312cd7b024249db36c089a9c61b829de5fc429675cf962097e9ced40",
+    (18, "MINRTT"): "df9712034d79df8ba5c35b41f6aafefe6381f9923819cef7c09d3239e15b0f0c",
+    (18, "RR"): "e45689b30d48a38a23737e6b09dcef8c9441907d45058433b51ebe48a1b78a89",
+}
+
+
+@pytest.fixture(scope="module")
+def suite_scenarios():
+    return scenarios.evaluation_suite()
+
+
+@pytest.mark.parametrize("index,policy", sorted(LONG_RUN_DIGESTS))
+def test_long_run_pinned(suite_scenarios, index, policy):
+    rep = run_case(suite_scenarios[index], policy, 1 + 100 * index,
+                   scenarios.pretrained_model())
+    assert bundle_digest(rep) == LONG_RUN_DIGESTS[index, policy]
 
 
 # ---------------------------------------------------------------------------
