@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import featstats, scenarios, selector as selmod
-from .selector import Decision, Observation, SelectorState, WindowStats
+from .selector import Decision, Observation, SelectorState
 from .traceio import (
     DEFAULT_CHANNELS, LF, LTE, WF, WIFI, Scenario, channel_map_arrays, scenario_mac_series,
     seeded_stream,
@@ -62,12 +62,11 @@ class SimError(ValueError):
 
 @dataclass
 class SimParams:
-    duration: float = 60.0
+    duration: float = 60.0          # must equal scenario.duration; benchmark Serve.check reads it
     seed: int = 0
-    tick: float = MS                # run() rejects any other step
-    decision_interval: float = 0.1  # seconds
-    online_window: float = 1.0      # selector A/B measurement window, seconds
-    check_conservation: bool = True
+    tick: float = MS                # run() rejects any other step; benchmark _after_run reads it
+    decision_interval: float = 0.1  # seconds, a whole number of ticks
+    check_conservation: bool = True  # True at every caller; benchmark Serve.run passes it
 
 
 @dataclass
@@ -167,6 +166,18 @@ class _Path:
         self.pdr_est = 0.0
 
 
+def _whole(length: float, unit: float) -> int:
+    """length / unit if that is a positive whole number, else 0.
+
+    The relative slack of 1e-9 absorbs float division: 0.7 / 0.001 is
+    699.999..., yet 0.7 s is 700 ticks.
+    """
+    if not math.isfinite(length):
+        return 0
+    n = round(length / unit)
+    return n if n >= 1 and abs(length / unit - n) <= 1e-9 * n else 0
+
+
 def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsReport:
     """Simulate one connection over the scenario under the given selector."""
     p = params
@@ -175,18 +186,18 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                        f"duration {scenario.duration} s")
     if p.tick != MS:
         raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
-    for name in ("decision_interval", "online_window"):
-        length = getattr(p, name)
-        if not (math.isfinite(length) and length >= p.tick):
-            raise SimError(f"{name} must be a finite length of at least one tick "
-                           f"({p.tick} s); got {length}")
-
-    n_ticks = int(round(scenario.duration / p.tick))
-    window_ticks = int(round(METRICS_WINDOW / p.tick))
-    if n_ticks < window_ticks or n_ticks % window_ticks:
+    decision_ticks = _whole(p.decision_interval, MS)
+    if not decision_ticks:
+        raise SimError(f"decision_interval must be a positive whole number of {MS} s "
+                       f"ticks; got {p.decision_interval}")
+    n_windows = _whole(scenario.duration, METRICS_WINDOW)
+    if not n_windows:
         raise SimError(f"scenario duration {scenario.duration} s is not a positive whole "
                        f"number of {METRICS_WINDOW} s metrics windows")
-    mac = scenario_mac_series(scenario, np.arange(n_ticks) * p.tick)
+
+    window_ticks = round(METRICS_WINDOW / MS)
+    n_ticks = n_windows * window_ticks
+    mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS)
     paths = []
     for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
                                           (1, LTE, "rssi_lte", "sinr_lte")):
@@ -223,10 +234,6 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     block_first_send: dict[int, int] = {}
     seq_state_guard = p.check_conservation
 
-    decision_ticks = int(round(p.decision_interval / p.tick))
-    online_ticks = int(round(p.online_window / p.tick))
-    online = state.policy == selmod.SMARTPS
-
     decisions: list[Decision] = []
     window_t: list[float] = []
     ag_series: list[float] = []
@@ -234,11 +241,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
     released_win_bytes = 0
 
-    current_prio = WF
     send_order = (wifi, lte)
-    online_prio_votes = {WF: 0, LF: 0}
-    online_released = 0
-    online_ad: list[float] = []
 
     def observation(tick: int) -> Observation:
         feats = (
@@ -250,18 +253,16 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             wifi.pdr_est, lte.pdr_est,
         )
         return Observation(
-            t=tick * p.tick, features=feats,
+            t=tick * MS, features=feats,
             space_wifi=wifi.cwnd - len(wifi.in_flight),
             space_lte=lte.cwnd - len(lte.in_flight),
         )
 
     # Running counters instead of a modulo per tick: the wheel slot, and the
-    # ticks of the next decision, metrics-window end and online-window end
-    # (-1, never reached, when the selector learns nothing online).
+    # ticks of the next decision and of the metrics-window end.
     slot = -1
     next_decision = 0
     window_end = window_ticks - 1
-    online_end = online_ticks - 1 if online else -1
     # No packet can time out before this tick (see the module docstring).
     rto_wake = min_rto
 
@@ -285,13 +286,11 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                         recv_buffer.remove(delivered_upto)
                         delivered_upto += 1
                         released_win_bytes += pkt_bytes
-                        online_released += 1
                         if delivered_upto % block_packets == 0:
                             block = delivered_upto // block_packets - 1
                             start = block_first_send.pop(block, None)
                             if start is not None:
-                                ad_samples.append((tick * p.tick, float(tick - start)))
-                                online_ad.append(float(tick - start))
+                                ad_samples.append((tick * MS, float(tick - start)))
             due.clear()
         due = ack_wheel[slot]
         if due:
@@ -345,10 +344,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             next_decision += decision_ticks
             d = selmod.decide(state, observation(tick))
             decisions.append(d)
-            current_prio = d.priority
-            send_order = (wifi, lte) if current_prio == WF else (lte, wifi)
-        if online:
-            online_prio_votes[current_prio] += 1
+            send_order = (wifi, lte) if d.priority == WF else (lte, wifi)
 
         # --- send: priority path first, spill to the other ---
         first = send_order[0]
@@ -406,28 +402,14 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
         # --- metrics window ---
         if tick == window_end:
             window_end += window_ticks
-            window_t.append((tick + 1 - window_ticks) * p.tick)
-            ag_series.append(released_win_bytes * 8.0 / (window_ticks * p.tick) / 1e6)
+            window_t.append((tick + 1 - window_ticks) * MS)
+            ag_series.append(released_win_bytes * 8.0 / (window_ticks * MS) / 1e6)
             released_win_bytes = 0
             for path in paths:
                 accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
                 path.plr_est = path.lost_win / path.sent_win if path.sent_win else 0.0
-                path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * p.tick) / 1e6
+                path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * MS) / 1e6
                 path.sent_win = path.lost_win = path.dlv_bytes_win = 0
-
-        # --- online learning window (SMARTPS) ---
-        if tick == online_end:
-            online_end += online_ticks
-            prio = WF if online_prio_votes[WF] >= online_prio_votes[LF] else LF
-            ag = online_released * pkt_bytes * 8.0 / (online_ticks * p.tick) / 1e6
-            ad = (sum(online_ad) / len(online_ad)) if online_ad else 1000.0
-            selmod.observe_outcome(state, WindowStats(
-                t=(tick + 1) * p.tick, priority=prio, ag=ag, ad=max(ad, 1e-3),
-                features=observation(tick).features))
-            selmod.maybe_refresh(state, (tick + 1) * p.tick)
-            online_prio_votes = {WF: 0, LF: 0}
-            online_released = 0
-            online_ad = []
 
         # --- conservation: every distinct packet is in exactly one place ---
         if seq_state_guard:
@@ -438,7 +420,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                     f"buffered={len(recv_buffer)} released={delivered_upto} "
                     f"pending={pending} sent={next_seq}")
 
-    total_goodput = delivered_upto * PKT_BYTES * 8.0 / (n_ticks * p.tick) / 1e6
+    total_goodput = delivered_upto * PKT_BYTES * 8.0 / (n_ticks * MS) / 1e6
     return MetricsReport(
         policy=state.policy, scenario=scenario.name, seed=p.seed,
         window_t=window_t, ag_series=ag_series, ad_samples=ad_samples,
@@ -451,7 +433,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
 
 def run_case(scenario: Scenario, policy: str, seed: int, model=None) -> MetricsReport:
     """Run one (scenario, policy, seed) case; MINRTT and RR ignore the model."""
-    state = SelectorState(policy=policy, offline_model=model, seed=seed)
+    state = SelectorState(policy=policy, offline_model=model)
     return run(scenario, state, SimParams(duration=scenario.duration, seed=seed))
 
 

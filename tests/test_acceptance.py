@@ -318,7 +318,7 @@ def test_criterion_7_conservation_and_determinism(capsys):
         scn = scenarios.walkaway(seed=13, duration=20.0)
 
         def state(policy):
-            return selector.SelectorState(policy=policy, offline_model=model, seed=13)
+            return selector.SelectorState(policy=policy, offline_model=model)
 
         # check_conservation=True raises mid-run on any tick where a packet
         # is not in exactly one of {transit, reorder buffer, released, pending}.

@@ -363,6 +363,8 @@ class TestRejectsImpossibleValues:
          "0.25 s is not a positive whole number of 0.1 s metrics windows"),
         (("--seeds", "1", "--duration", "0.05"),
          "0.05 s is not a positive whole number of 0.1 s metrics windows"),
+        (("--seeds", "1", "--duration", "0.1004"),
+         "0.1004 s is not a positive whole number of 0.1 s metrics windows"),
     ])
     def test_experiment(self, tmp_path, capsys, flags, message):
         out = tmp_path / "exp"

@@ -101,6 +101,23 @@ class TestRun:
                                            r"of 0\.1 s metrics windows"):
             run_case(scenarios.stable(seed=0, duration=0.0004), WF, 0)
 
+    @pytest.mark.parametrize("duration", [0.0999, 0.1004, 2.0004])
+    def test_duration_off_the_tick_grid_rejected(self, duration):
+        # Each of these once ran as the nearest whole number of ticks.
+        with pytest.raises(SimError, match=rf"duration {duration} s is not a positive whole"):
+            run_case(scenarios.stable(seed=0, duration=duration), WF, 0)
+
+    def test_float_division_slack_accepted(self):
+        # 0.7 / 0.001 is 699.999...; 0.7 s is still seven whole metrics windows.
+        rep = run_case(scenarios.stable(seed=0, duration=0.7), WF, 0)
+        assert len(rep.window_t) == 7 and len(rep.decisions) == 7
+
+    @pytest.mark.parametrize("interval,n_decisions", [(0.3, 4), (1.0, 1)])
+    def test_whole_tick_decision_intervals_run(self, interval, n_decisions):
+        rep = run(scenarios.stable(seed=0, duration=1.0), SelectorState(policy=WF),
+                  SimParams(duration=1.0, decision_interval=interval))
+        assert len(rep.decisions) == n_decisions
+
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_non_finite_rtt_rejected(self, floor):
         with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)), \
@@ -111,8 +128,7 @@ class TestRun:
         ("tick", 0.01), ("tick", 0.0005),
         ("decision_interval", 0), ("decision_interval", -1), ("decision_interval", 0.0004),
         ("decision_interval", math.nan), ("decision_interval", math.inf),
-        ("online_window", 0), ("online_window", -1), ("online_window", 0.0004),
-        ("online_window", math.nan), ("online_window", math.inf)])
+        ("decision_interval", 0.0025)])
     def test_params_the_loop_cannot_honour_rejected(self, field, value):
         params = SimParams(duration=1.0, **{field: value})
         with pytest.raises(SimError, match=field):
@@ -191,7 +207,7 @@ class TestRun:
         # tightly than the suite digests' 100-ms decisions of the 20-tree forest.
         forest = train_forest(scenarios.training_corpus(7), n_trees=25,
                               params=TreeParams(max_depth=6, min_leaf=20), seed=7)
-        state = SelectorState(policy="SMARTPS", offline_model=forest, seed=7)
+        state = SelectorState(policy="SMARTPS", offline_model=forest)
         rep = run(scenarios.walkaway(seed=5, duration=3.0), state,
                   SimParams(duration=3.0, seed=7, decision_interval=0.001))
         assert rep.total_goodput == pytest.approx(13.048, abs=1e-4)

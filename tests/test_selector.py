@@ -1,17 +1,14 @@
-"""Decision policies, fallback, online memory, and model refresh."""
+"""Decision policies, fallback, and the decisions CSV."""
 
 import pytest
 
 from smartps.dataset import FEATURE_NAMES, N_FEATURES
 from smartps.selector import (
     FALLBACK, MINRTT, MODEL, RR, SMARTPS,
-    Decision, Observation, SelectorState, WindowStats,
-    decide, decisions_csv, maybe_refresh, observe_outcome,
+    Decision, Observation, SelectorState, decide, decisions_csv,
 )
 from smartps.traceio import WF, LF
 from smartps.treelearn import Internal, Leaf
-
-from tests.test_treelearn import planted_records
 
 # Model that prefers WiFi when its RSSI is above the -60 dBm line.
 RSSI_WIFI = FEATURE_NAMES.index("rssi_wifi")
@@ -120,86 +117,6 @@ class TestRoundRobinAndStatic:
     def test_static_falls_back_when_blocked(self):
         d = decide(SelectorState(policy=WF), obs(space_wifi=0.0))
         assert d == Decision(0.0, LF, FALLBACK)
-
-
-# ---------------------------------------------------------------------------
-# Online memory and refresh
-# ---------------------------------------------------------------------------
-
-def window(t, prio, ag, ad, rssi_wifi=-40.0):
-    features = [0.0] * N_FEATURES
-    features[RSSI_WIFI] = rssi_wifi
-    return WindowStats(t=t, priority=prio, ag=ag, ad=ad,
-                       features=tuple(features))
-
-
-class TestObserveOutcome:
-    def test_opposite_priority_pair_merges(self):
-        state = smartps_state()
-        observe_outcome(state, window(0.0, WF, ag=20.0, ad=30.0))
-        observe_outcome(state, window(1.0, LF, ag=10.0, ad=50.0))
-        assert len(state.feature_memory) == 1
-        assert state.feature_memory[0].label == WF
-
-    def test_same_priority_neighbors_ignored(self):
-        state = smartps_state()
-        observe_outcome(state, window(0.0, WF, 20.0, 30.0))
-        observe_outcome(state, window(1.0, WF, 21.0, 29.0))
-        assert len(state.feature_memory) == 0
-
-    def test_first_window_alone_yields_nothing(self):
-        state = smartps_state()
-        observe_outcome(state, window(0.0, LF, 20.0, 30.0))
-        assert len(state.feature_memory) == 0
-
-    def test_fifo_eviction_at_capacity(self):
-        state = smartps_state(memory_capacity=3)
-        for i in range(10):
-            prio = WF if i % 2 == 0 else LF
-            observe_outcome(state, window(float(i), prio, 20.0 + i, 30.0,
-                                          rssi_wifi=-40.0 - i))
-        assert len(state.feature_memory) == 3
-
-
-class TestMaybeRefresh:
-    def fed_state(self, n_records, **kw):
-        state = smartps_state(min_train=10, refresh_interval=30.0, **kw)
-        records = planted_records(n_records, seed=0, noise=0.05)
-        state.feature_memory.extend(records)
-        return state
-
-    def test_noop_before_interval(self):
-        state = self.fed_state(100)
-        assert maybe_refresh(state, now=29.9) is False
-        assert state.offline_model is RSSI_MODEL
-
-    def test_noop_with_thin_memory(self):
-        state = smartps_state(min_train=10)
-        state.feature_memory.extend(planted_records(5, seed=0))
-        assert maybe_refresh(state, now=100.0) is False
-
-    def test_refresh_swaps_model_and_resets_clock(self):
-        state = self.fed_state(100)
-        assert maybe_refresh(state, now=31.0) is True
-        assert state.offline_model is not RSSI_MODEL
-        assert state.last_refresh == 31.0
-        # Immediately after, the interval gate holds again.
-        assert maybe_refresh(state, now=32.0) is False
-
-    def test_trainer_failure_keeps_previous_model(self):
-        def broken(records, seed):
-            raise RuntimeError("boom")
-        state = self.fed_state(100, trainer=broken)
-        assert maybe_refresh(state, now=100.0) is False
-        assert state.offline_model is RSSI_MODEL
-        assert state.last_refresh == 0.0
-
-    def test_refreshed_model_learns_memory(self):
-        state = self.fed_state(400)
-        assert maybe_refresh(state, now=31.0)
-        from smartps.treelearn import evaluate
-        m = evaluate(state.offline_model, planted_records(200, seed=99, noise=0.0))
-        assert m.accuracy > 0.85
 
 
 class TestDecisionsCsv:
