@@ -197,7 +197,8 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
 
     window_ticks = round(METRICS_WINDOW / MS)
     n_ticks = n_windows * window_ticks
-    mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS)
+    mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
+                              ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
     paths = []
     for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
                                           (1, LTE, "rssi_lte", "sinr_lte")):

@@ -14,12 +14,11 @@ TCP-layer attributes are derived through the channel model below.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Sequence, TextIO, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -89,26 +88,54 @@ class AttributeSample:
             raise TraceError(f"unknown prio tag {self.prio_tag!r}") from None
 
     def validate(self, where: str = "sample") -> None:
-        def bad(cond, msg):
-            if cond:
-                raise TraceError(f"{where}: {msg}")
+        """Apply the row invariants to this sample; the first one broken raises."""
+        for names, holds, message in _ROW_INVARIANTS:
+            for name in names:
+                v = getattr(self, name)
+                if not holds(_column(name, [v]))[0]:
+                    raise TraceError(where + message.format(name=name, v=v))
 
-        bad(self.prio_tag not in _PRIO_TAGS, f"unknown prio tag {self.prio_tag!r}")
-        for name in _NUMERIC_COLUMNS:   # parse_trace refuses a non-finite cell
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise TraceError(f"{where}, column {name}: non-finite value {v!r}")
-        for name in ("plr_lte", "plr_wifi"):
-            v = getattr(self, name)
-            bad(not (0.0 <= v <= 1.0), f"{name}={v} outside [0,1]")
-        for name in ("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"):
-            bad(getattr(self, name) < 0.0, f"{name} must be >= 0")
-        for name in ("rtt_lte", "rtt_wifi", "ad"):
-            bad(getattr(self, name) <= 0.0, f"{name} must be > 0")
-        for name in ("cwnd_lte", "cwnd_wifi"):
-            bad(getattr(self, name) < 1.0, f"{name} must be >= 1")
-        for name in ("rssi_lte", "rssi_wifi", "rsrp_lte"):
-            bad(getattr(self, name) > 0.0, f"{name} is received power and must be <= 0 dBm")
+
+# AttributeSample's fields in order: the CSV columns with prio_tag for prio.
+# parse_trace builds samples positionally from its columns in this order.
+_FIELDS = ["prio_tag" if c == "prio" else c for c in TRACE_COLUMNS]
+
+# The row invariants, in the order a row is checked: (fields, holds, message).
+# `holds` maps an array of one field's values (see _column) to booleans, so the
+# one table checks a single sample (validate) and screens whole columns
+# (parse_trace, write_trace).  A message follows "row N" or "sample N"; it is
+# formatted with the field name and the sample's own value.
+_ROW_INVARIANTS = (
+    (("prio_tag",), lambda v: np.array([tag in _PRIO_TAGS for tag in v], dtype=bool),
+     ": unknown prio tag {v!r}"),
+    (_NUMERIC_COLUMNS, np.isfinite, ", column {name}: non-finite value {v!r}"),
+    (("t",), lambda v: v >= 0.0, ", column t: negative time {v} (seconds since trace start)"),
+    (("plr_lte", "plr_wifi"), lambda v: (0.0 <= v) & (v <= 1.0), ": {name}={v} outside [0,1]"),
+    (("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"), lambda v: v >= 0.0,
+     ": {name} must be >= 0"),
+    (("rtt_lte", "rtt_wifi", "ad"), lambda v: v > 0.0, ": {name} must be > 0"),
+    (("cwnd_lte", "cwnd_wifi"), lambda v: v >= 1.0, ": {name} must be >= 1"),
+    (("rssi_lte", "rssi_wifi", "rsrp_lte"), lambda v: v <= 0.0,
+     ": {name} is received power and must be <= 0 dBm"),
+)
+
+
+def _column(name: str, values) -> np.ndarray:
+    # Tags stay Python strings: a numpy string array would drop trailing NULs.
+    return np.array(values, dtype=object if name == "prio_tag" else float)
+
+
+def _good_rows(columns: dict[str, np.ndarray], prev_t: float) -> np.ndarray:
+    """Per row, whether it holds every invariant and its t is not below the t
+    of the row before it (prev_t for the first row)."""
+    t = columns["t"]
+    good = np.ones(len(t), dtype=bool)
+    for names, holds, _ in _ROW_INVARIANTS:
+        for name in names:
+            good &= holds(columns[name])
+    good[:1] &= t[:1] >= prev_t
+    good[1:] &= t[1:] >= t[:-1]
+    return good
 
 
 def _fmt_num(x: float) -> str:
@@ -132,6 +159,11 @@ def _parse_plr(cell: str) -> float:
     return float(s)
 
 
+# Rows that parse_trace converts and screens together: few enough that the
+# block's cell strings add little to peak memory.
+_BLOCK_ROWS = 1024
+
+
 def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
     """Parse a trace CSV (header required) into a list of samples.
 
@@ -140,8 +172,8 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
     Raises :class:`TraceError` naming the offending row and column on any
     malformed cell or invariant violation.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
+    if isinstance(stream, str):   # the lines a StringIO would give, without its copy
+        stream = stream.split("\n")
     lines = [ln.rstrip("\n") for ln in stream if ln.strip() != ""]
     if not lines:
         raise TraceError("empty input: header row required")
@@ -154,38 +186,69 @@ def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
 
     samples: list[AttributeSample] = []
     prev_t = -math.inf
-    for rowno, line in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(header):
-            raise TraceError(f"row {rowno}: expected {len(header)} cells, got {len(cells)}")
-        vals = {}
-        for col, cell in zip(header, cells):
-            if col == "prio":
-                continue
-            try:
-                v = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
-            except (ValueError, ArithmeticError):
-                raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
-            vals[col] = v
-        # One shared string per tag, not one per row; validate refuses an unknown tag.
-        sample = AttributeSample(prio_tag=sys.intern(cells[header.index("prio")]), **vals)
-        sample.validate(f"row {rowno}")
-        if sample.t < prev_t:
-            raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
-        prev_t = sample.t
-        samples.append(sample)
+    for start in range(1, len(lines), _BLOCK_ROWS):
+        block = lines[start:start + _BLOCK_ROWS]
+        columns = _parse_block(block, prev_t)
+        if columns is not None:
+            samples.extend(map(AttributeSample, *columns))
+        else:   # the screen flagged the block: find and name its first fault
+            for rowno, line in enumerate(block, start=start + 1):
+                samples.append(_parse_row(line, rowno, prev_t))
+                prev_t = samples[-1].t
+        prev_t = samples[-1].t
     return samples
+
+
+def _parse_block(block: list[str], prev_t: float) -> Optional[list[list]]:
+    """The block's values, one list per AttributeSample field; None if any row is bad."""
+    rows = [line.split(",") for line in block]
+    if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
+        return None
+    columns = []
+    try:
+        for col, cells in zip(TRACE_COLUMNS, zip(*rows)):
+            if col == "prio":   # one shared string per tag, not one per row
+                columns.append([sys.intern(c.strip()) for c in cells])
+            else:
+                columns.append(list(map(_parse_plr if col in _PLR_COLUMNS else float, cells)))
+    except (ValueError, ArithmeticError):
+        return None
+    arrays = {name: _column(name, values) for name, values in zip(_FIELDS, columns)}
+    return columns if _good_rows(arrays, prev_t).all() else None
+
+
+def _parse_row(line: str, rowno: int, prev_t: float) -> AttributeSample:
+    """One row checked cell by cell; raises TraceError naming its first fault."""
+    cells = [c.strip() for c in line.split(",")]
+    if len(cells) != len(TRACE_COLUMNS):
+        raise TraceError(f"row {rowno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}")
+    vals = {}
+    for col, cell in zip(TRACE_COLUMNS, cells):
+        if col == "prio":
+            continue
+        try:
+            v = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
+        except (ValueError, ArithmeticError):
+            raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
+        vals[col] = v
+    sample = AttributeSample(prio_tag=sys.intern(cells[TRACE_COLUMNS.index("prio")]), **vals)
+    sample.validate(f"row {rowno}")
+    if sample.t < prev_t:
+        raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
+    return sample
 
 
 def write_trace(samples: Sequence[AttributeSample]) -> str:
     """Canonical CSV text; inverts parse_trace."""
+    # The columns are screened and dropped before the text is built, to keep the peak low.
+    bad = np.flatnonzero(~_good_rows({name: _column(name, [getattr(s, name) for s in samples])
+                                      for name in _FIELDS}, -math.inf))
+    if len(bad):   # name the first bad sample's broken invariant, else its time
+        i = int(bad[0])
+        samples[i].validate(f"sample {i}")
+        raise TraceError(f"sample {i}: time goes backwards")
     out = [",".join(TRACE_COLUMNS)]
-    prev_t = -math.inf
-    for i, s in enumerate(samples):
-        s.validate(f"sample {i}")
-        if s.t < prev_t:
-            raise TraceError(f"sample {i}: time goes backwards")
-        prev_t = s.t
+    for s in samples:
         cells = []
         for col in TRACE_COLUMNS:
             if col == "prio":
@@ -356,12 +419,14 @@ def seeded_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
 
 
-def scenario_mac_series(scenario: Scenario, times: np.ndarray) -> dict[str, np.ndarray]:
-    """All MAC attribute series at the given times, with seeded noise."""
-    series = {}
-    for i, attr in enumerate(SCENARIO_ATTRS):
-        series[attr] = scenario.attribute_series(attr, times, rng=seeded_stream(scenario.seed, i))
-    return series
+def scenario_mac_series(scenario: Scenario, times: np.ndarray,
+                        attrs: Sequence[str] = SCENARIO_ATTRS) -> dict[str, np.ndarray]:
+    """The MAC attribute series named in attrs (default all) at the given times, with
+    seeded noise.  Each attribute draws from its own stream, its SCENARIO_ATTRS index,
+    so a series does not depend on which others are built."""
+    return {attr: scenario.attribute_series(
+                attr, times, rng=seeded_stream(scenario.seed, SCENARIO_ATTRS.index(attr)))
+            for attr in attrs}
 
 
 def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list[AttributeSample]:

@@ -124,11 +124,6 @@ def to_arrays(records: Sequence[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]
 # Split machinery
 # ---------------------------------------------------------------------------
 
-def candidate_thresholds(values: Sequence[float], width: float) -> list[float]:
-    """Candidate split thresholds for one feature, ascending; see _thresholds."""
-    return _thresholds(np.unique(np.asarray(values, dtype=float)), width).tolist()
-
-
 def _thresholds(ordered: np.ndarray, width: float) -> np.ndarray:
     """Candidate thresholds from a feature's values sorted ascending (repeats allowed).
 
@@ -228,10 +223,9 @@ def _majority(wf: int, lf: int, tie: str) -> str:
     return WF if wf > lf else LF if lf > wf else tie
 
 
-def _leaf(y_node: np.ndarray, global_majority: str) -> Leaf:
-    wf = int(np.count_nonzero(y_node == 0))
-    lf = len(y_node) - wf
-    return Leaf(label=_majority(wf, lf, global_majority), counts=(wf, lf))
+def _leaf(wf: int, n: int, global_majority: str) -> Leaf:
+    """A leaf over n records, wf of them labelled WF."""
+    return Leaf(label=_majority(wf, n - wf, global_majority), counts=(wf, n - wf))
 
 
 def build_tree(records: Sequence[LabeledRecord],
@@ -250,17 +244,16 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
     gm = global_majority(y)
 
     def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        y_node = y[idx]
-        if depth >= params.max_depth or len(np.unique(y_node)) < 2 \
-                or len(idx) < 2 * params.min_leaf:
-            return _leaf(y_node, gm)
+        n, wf = len(idx), int(np.count_nonzero(y[idx] == 0))
+        if depth >= params.max_depth or wf in (0, n) or n < 2 * params.min_leaf:
+            return _leaf(wf, n, gm)
         if rng is None:
             feats = range(N_FEATURES)
         else:
             feats = sorted(rng.choice(N_FEATURES, size=FOREST_FEATURES, replace=False).tolist())
         best = _best_split(X, y, idx, feats, params.min_leaf)
         if best is None or best[0] < params.min_igr:
-            return _leaf(y_node, gm)
+            return _leaf(wf, n, gm)
         _, f, thr = best
         mask = X[idx, f] <= thr
         return Internal(feature=f, threshold=float(thr),
@@ -271,7 +264,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, params: TreeParams,
 
 
 def global_majority(y: np.ndarray) -> str:
-    return _leaf(y, WF).label
+    return _leaf(int(np.count_nonzero(y == 0)), len(y), WF).label
 
 
 # ---------------------------------------------------------------------------

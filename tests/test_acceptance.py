@@ -191,7 +191,8 @@ def test_criterion_3_tree_and_forest(capsys):
             for fname in ("rssi_wifi", "rtt_lte"):
                 fi = FEATURE_NAMES.index(fname)
                 xs = [r.features[fi] for r in recs]
-                for thr in treelearn.candidate_thresholds(xs, treelearn.FEATURE_BIN_WIDTHS[fi]):
+                for thr in treelearn._thresholds(
+                        np.unique(xs), treelearn.FEATURE_BIN_WIDTHS[fi]).tolist():
                     score = oracle_igr(recs, fi, thr)
                     if score is not None and (best is None or score > best):
                         best = score

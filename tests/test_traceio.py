@@ -1,7 +1,10 @@
 """Trace schema, CSV round-tripping, and synthetic scenario generation."""
 
+import dataclasses
 import hashlib
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +110,12 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="time goes backwards"):
             parse_trace("\n".join(lines) + "\n")
 
+    def test_negative_time_rejected(self, reference_trace_text):
+        # t counts seconds since trace start.
+        bad = reference_trace_text.replace("\n0,-39,", "\n-1,-39,", 1)
+        with pytest.raises(TraceError, match="row 2, column t: negative time -1.0"):
+            parse_trace(bad)
+
     def test_invariant_violation_rejected(self, reference_trace_text):
         bad = reference_trace_text.replace("0.03%", "130%")
         with pytest.raises(TraceError, match="plr_wifi"):
@@ -128,6 +137,20 @@ class TestWriteTrace:
     def test_unknown_prio_tag_refused(self):
         with pytest.raises(TraceError, match=r"sample 0: unknown prio tag 'LF\(6G\)'"):
             write_trace([make_sample(prio_tag="LF(6G)")])
+
+    def test_negative_time_refused(self):
+        with pytest.raises(TraceError, match="sample 0, column t: negative time -1.0"):
+            write_trace([make_sample(t=-1.0), make_sample(t=0.0)])
+
+    @pytest.mark.parametrize("faults,message", [
+        ({1500: dict(t=0.5)}, "sample 1500: time goes backwards"),
+        ({1200: dict(ad=0.0), 1500: dict(t=0.5)}, "sample 1200: ad must be > 0"),
+        ({0: dict(cwnd_lte=0.5, t=math.nan)}, "sample 0, column t: non-finite value nan"),
+    ])
+    def test_first_bad_sample_named(self, faults, message):
+        samples = [make_sample(**{"t": float(i), **faults.get(i, {})}) for i in range(2000)]
+        with pytest.raises(TraceError, match=f"^{re.escape(message)}$"):
+            write_trace(samples)
 
     def test_empty_list_gives_header_only(self):
         assert write_trace([]) == ",".join(traceio.TRACE_COLUMNS) + "\n"
@@ -153,7 +176,7 @@ class TestWriteTrace:
 # ---------------------------------------------------------------------------
 
 # The numeric bounds AttributeSample.validate enforces, per column.
-BOUNDS = {"plr_lte": (0.0, 1.0), "plr_wifi": (0.0, 1.0),
+BOUNDS = {"t": (0.0, None), "plr_lte": (0.0, 1.0), "plr_wifi": (0.0, 1.0),
           **dict.fromkeys(("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"), (0.0, None)),
           **dict.fromkeys(("rtt_lte", "rtt_wifi", "ad"), (math.ulp(0.0), None)),
           **dict.fromkeys(("cwnd_lte", "cwnd_wifi"), (1.0, None)),
@@ -168,7 +191,7 @@ def numbers(lo=None, hi=None):
 def traces(draw):
     """Time-ordered valid samples; a raw prio tag is drawn the way a file carries it."""
     n = draw(st.integers(0, 6))
-    times = sorted(draw(st.lists(numbers(), min_size=n, max_size=n)))
+    times = sorted(draw(st.lists(numbers(*BOUNDS["t"]), min_size=n, max_size=n)))
     samples = []
     for t in times:
         tag = draw(st.sampled_from(sorted(traceio._PRIO_TAGS)))
@@ -232,6 +255,166 @@ class TestRoundTripProperties:
             noisy(-60.0, value)
         with pytest.raises(TraceError, match="segment start must be finite"):
             Scenario(name="x", duration=0.0, seed=0, segments=(Segment(value, {}),))
+
+
+# ---------------------------------------------------------------------------
+# Block-wise parsing against a row-by-row oracle
+# ---------------------------------------------------------------------------
+
+PLR_COLUMNS = ("plr_lte", "plr_wifi")
+NUMERIC_COLUMNS = [c for c in traceio.TRACE_COLUMNS if c != "prio"]
+
+
+def oracle_validate(s, where):
+    """The per-sample checks in the order parse_trace applies them."""
+    def bad(cond, msg):
+        if cond:
+            raise TraceError(f"{where}: {msg}")
+
+    bad(s.prio_tag not in traceio._PRIO_TAGS, f"unknown prio tag {s.prio_tag!r}")
+    for name in NUMERIC_COLUMNS:
+        v = getattr(s, name)
+        if not math.isfinite(v):
+            raise TraceError(f"{where}, column {name}: non-finite value {v!r}")
+    if s.t < 0.0:
+        raise TraceError(f"{where}, column t: negative time {s.t} (seconds since trace start)")
+    for name in PLR_COLUMNS:
+        v = getattr(s, name)
+        bad(not (0.0 <= v <= 1.0), f"{name}={v} outside [0,1]")
+    for name in ("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"):
+        bad(getattr(s, name) < 0.0, f"{name} must be >= 0")
+    for name in ("rtt_lte", "rtt_wifi", "ad"):
+        bad(getattr(s, name) <= 0.0, f"{name} must be > 0")
+    for name in ("cwnd_lte", "cwnd_wifi"):
+        bad(getattr(s, name) < 1.0, f"{name} must be >= 1")
+    for name in ("rssi_lte", "rssi_wifi", "rsrp_lte"):
+        bad(getattr(s, name) > 0.0, f"{name} is received power and must be <= 0 dBm")
+
+
+def oracle_parse(text):
+    """The reference parse: one row at a time, each cell converted, then checked."""
+    lines = [ln.rstrip("\n") for ln in io.StringIO(text) if ln.strip() != ""]
+    samples = []
+    prev_t = -math.inf
+    for rowno, line in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in line.split(",")]
+        if len(cells) != len(traceio.TRACE_COLUMNS):
+            raise TraceError(f"row {rowno}: expected {len(traceio.TRACE_COLUMNS)} cells, "
+                             f"got {len(cells)}")
+        vals = {}
+        for col, cell in zip(traceio.TRACE_COLUMNS, cells):
+            if col == "prio":
+                continue
+            try:
+                vals[col] = traceio._parse_plr(cell) if col in PLR_COLUMNS else float(cell)
+            except (ValueError, ArithmeticError):
+                raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
+        sample = AttributeSample(prio_tag=cells[traceio.TRACE_COLUMNS.index("prio")], **vals)
+        oracle_validate(sample, f"row {rowno}")
+        if sample.t < prev_t:
+            raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
+        prev_t = sample.t
+        samples.append(sample)
+    return samples
+
+
+def valid_cells(rng, n):
+    """n rows of cell strings that parse: boundary values, ints, padding, both PLR forms."""
+    def pick(*choices):   # per row, one of several arrays of candidate values
+        return np.choose(rng.integers(len(choices), size=n), choices)
+
+    def u(lo, hi):
+        return rng.uniform(lo, hi, n)
+
+    zeros, ones = np.zeros(n), np.ones(n)
+    steps = pick(zeros, u(0.0, 0.5), np.round(u(0.0, 3.0)))
+    values = {
+        "t": rng.choice([0.0, 7.25]) + np.cumsum(steps),
+        "sinr_lte": u(-20.0, 50.0), "sinr_wifi": pick(u(-20.0, 50.0), np.round(u(-5, 30))),
+        "rsrq_lte": u(-30.0, 0.0),
+        **{c: pick(-u(0.0, 120.0), zeros, -np.round(u(30, 120)))
+           for c in ("rssi_lte", "rssi_wifi", "rsrp_lte")},
+        **{c: pick(u(0.0, 50.0), zeros) for c in ("td_wifi", "rd_wifi", "pdr_lte", "pdr_wifi",
+                                                   "ag")},
+        **{c: pick(u(1e-3, 500.0), np.full(n, 5e-324)) for c in ("rtt_lte", "rtt_wifi", "ad")},
+        **{c: pick(np.round(u(1, 100)), ones, u(1.0, 9.0)) for c in ("cwnd_lte", "cwnd_wifi")},
+        **{c: pick(u(0.0, 1.0), zeros, ones, np.round(u(0, 1e4)) / 1e6) for c in PLR_COLUMNS},
+    }
+    percent = rng.random((2, n)) < 0.7
+    columns = []
+    for col in traceio.TRACE_COLUMNS:
+        if col == "prio":
+            columns.append(rng.choice(sorted(traceio._PRIO_TAGS), n).tolist())
+        elif col in PLR_COLUMNS:
+            columns.append([traceio._fmt_plr(v) if pct else repr(v) for v, pct in
+                            zip(values[col].tolist(), percent[PLR_COLUMNS.index(col)])])
+        else:
+            columns.append([traceio._fmt_num(v) for v in values[col].tolist()])
+    rows = [list(row) for row in zip(*columns)]
+    for i, j in zip(rng.integers(n, size=n // 50 + 1), rng.integers(len(columns), size=n // 50 + 1)):
+        rows[i][j] = f" {rows[i][j]}\t\r"   # parse_trace strips each cell
+    return rows
+
+
+FAULTS = {
+    "non_numeric": (NUMERIC_COLUMNS, ["oops", "", "1.2.3", "--1", "5%%"]),
+    "non_finite": (NUMERIC_COLUMNS, ["nan", "inf", "-inf", "NaN", "nan%", "-inf%"]),
+    "negative_t": (["t"], ["-1", "-0.5", "-1e-300"]),
+    "plr_range": (list(PLR_COLUMNS), ["130%", "1.0000001", "-0.5%", "-1e-9"]),
+    "non_negative": (["pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"], ["-0.5", "-1e-300"]),
+    "positive": (["rtt_lte", "rtt_wifi", "ad"], ["0", "-0", "-3"]),
+    "cwnd": (["cwnd_lte", "cwnd_wifi"], ["0.5", "0", "0.9999999999999999"]),
+    "power": (["rssi_lte", "rssi_wifi", "rsrp_lte"], ["3", "5e-324"]),
+    "tag": (["prio"], ["LF(6G)", "wf", "WF\x00", ""]),
+}
+
+
+@st.composite
+def faulty_traces(draw, kind):
+    """A trace of 1-3,000 rows, so that it spans up to three blocks, with one fault
+    of the given kind (None: no fault); rows near block edges are drawn often."""
+    block = traceio._BLOCK_ROWS
+    n = draw(st.one_of(st.integers(1, 3 * block - 72),
+                       st.sampled_from([block - 1, block, block + 1, 2 * block + 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = valid_cells(rng, n)
+    at = draw(st.one_of(st.integers(0, n - 1), st.sampled_from(
+        [i for i in (0, block - 1, block, 2 * block - 1, 2 * block, n - 1) if i < n])))
+    if kind in FAULTS:
+        cols, cells = FAULTS[kind]
+        col = draw(st.sampled_from(cols))
+        rows[at][traceio.TRACE_COLUMNS.index(col)] = draw(st.sampled_from(cells))
+    elif kind == "backwards" and n > 1:
+        at = max(at, 1)
+        rows[at][0] = traceio._fmt_num(float(rows[at - 1][0]) - draw(
+            st.sampled_from([1e-6, 0.5, 3.0])))
+    elif kind == "cell_count":
+        rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["1"]
+    lines = [",".join(traceio.TRACE_COLUMNS)] + [",".join(row) for row in rows]
+    if draw(st.booleans()):   # blank lines are skipped and do not count as rows
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def outcome(parse, text):
+    try:
+        return [repr(s) for s in parse(text)]
+    except TraceError as exc:
+        return str(exc)
+
+
+class TestBlockParse:
+    @pytest.mark.parametrize("kind", [None, "backwards", "cell_count", *FAULTS])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_row_by_row_oracle(self, kind, data):
+        text = data.draw(faulty_traces(kind))
+        assert outcome(parse_trace, text) == outcome(oracle_parse, text)
+
+    def test_sample_fields_follow_trace_columns(self):
+        # parse_trace builds samples positionally, one column per field.
+        fields = [f.name for f in dataclasses.fields(AttributeSample)]
+        assert fields == ["prio_tag" if c == "prio" else c for c in traceio.TRACE_COLUMNS]
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +522,16 @@ class TestSynthesize:
     def test_priorities_alternate(self):
         samples = synthesize_trace(walkaway_scenario(), 0.1)
         assert [s.prio for s in samples[:4]] == [WF, LF, WF, LF]
+
+    def test_mac_series_subset_matches_full_build(self):
+        # Each attribute keeps its own noise stream, whichever others are built.
+        times = np.arange(2000) * 0.001
+        names = ("sinr_lte", "rssi_wifi")
+        for scn in scenarios.evaluation_suite(duration=2.0):
+            full = traceio.scenario_mac_series(scn, times)
+            part = traceio.scenario_mac_series(scn, times, names)
+            assert list(part) == list(names)
+            assert all(np.array_equal(part[k], full[k]) for k in names)
 
     def test_bad_sampling_interval_rejected(self):
         with pytest.raises(TraceError):

@@ -15,8 +15,8 @@ from smartps.dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
 from smartps.traceio import WF, LF
 from smartps.treelearn import (
     FEATURE_BIN_WIDTHS, FOREST_FEATURES, SMALL_VALUE_SET, ForestModel, Internal, Leaf,
-    ModelFormatError, TreeParams, _best_split, _grow_tree, _igr_from_counts,
-    aggregate_counts, build_tree, candidate_thresholds, deserialize_model, evaluate,
+    ModelFormatError, TreeParams, _best_split, _grow_tree, _igr_from_counts, _thresholds,
+    aggregate_counts, build_tree, deserialize_model, evaluate,
     kfold_evaluate, metrics_from_confusion, node_count, predict, predict_batch, prune_model,
     prune_tree, serialize_model, to_arrays, train_forest,
 )
@@ -58,22 +58,22 @@ def planted_records(n, seed, noise=0.0):
 
 class TestCandidateThresholds:
     def test_small_value_set_raw_midpoints(self):
-        assert candidate_thresholds([1.0, 2.0, 4.0], 5.0) == [1.5, 3.0]
+        assert _thresholds(np.unique([1.0, 2.0, 4.0]), 5.0).tolist() == [1.5, 3.0]
 
     def test_duplicates_collapse(self):
-        assert candidate_thresholds([1.0, 1.0, 2.0, 2.0], 5.0) == [1.5]
+        assert _thresholds(np.unique([1.0, 1.0, 2.0, 2.0]), 5.0).tolist() == [1.5]
 
     def test_single_value_no_candidates(self):
-        assert candidate_thresholds([3.0, 3.0], 5.0) == []
+        assert _thresholds(np.unique([3.0, 3.0]), 5.0).tolist() == []
 
     def test_large_value_set_uses_bin_edges(self):
         vals = [float(v) for v in range(-50, -9)]  # 41 distinct, bins -10..-2
-        out = candidate_thresholds(vals, 5.0)
+        out = _thresholds(np.unique(vals), 5.0).tolist()
         assert out == [-45.0, -40.0, -35.0, -30.0, -25.0, -20.0, -15.0, -10.0]
 
     def test_bin_gap_threshold_is_edge_midpoint(self):
         vals = [float(v) for v in range(33)] + [100.0]  # bins 0..6 plus bin 20
-        out = candidate_thresholds(vals, 5.0)
+        out = _thresholds(np.unique(vals), 5.0).tolist()
         assert out[-1] == (7 * 5.0 + 20 * 5.0) / 2.0  # 67.5
         assert out[:-1] == [5.0, 10.0, 15.0, 20.0, 25.0, 30.0]
 
@@ -183,7 +183,7 @@ class TestBuildTree:
             for fname in ("rssi_wifi", "rtt_lte"):
                 fi = FEATURE_NAMES.index(fname)
                 xs = [r.features[fi] for r in recs]
-                for thr in candidate_thresholds(xs, FEATURE_BIN_WIDTHS[fi]):
+                for thr in _thresholds(np.unique(xs), FEATURE_BIN_WIDTHS[fi]).tolist():
                     score = oracle_igr(xs, labels, thr)
                     if score is not None and (best is None or score > best):
                         best = score
