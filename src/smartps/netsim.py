@@ -11,7 +11,17 @@ three, and `run_case` builds the last two from a policy name and a seed.
 
 Packet deliveries and acks wait on a timing wheel with one bucket per tick,
 sized from the run's own largest round trip, and the channel state each tick
-reads comes from compact per-run tables (`array`/`bytes`, not lists).
+reads and the MAC features each decision reads come from compact per-run
+tables (`array`/`bytes`, not lists or numpy scalars).  A delivery and an ack
+are both the int seq*2 + path id.  An ack's RTT sample is the path's base RTT
+at the send tick its in-flight entry holds.  That is the acked copy's own
+send: a base RTT is at most (1 + rtt_loss_factor) * rtt_floor, which is at most
+4 * srtt <= rto while rtt_loss_factor <= 3 (the DEFAULT_CHANNELS values are 1
+and 2), so a copy's ack lands no later than the tick its RTO could fire, and
+acks run first.  Past that bound a seq could time out, come back to the same
+path and take the later send's sample: the ambiguity Karn's rule resolves.
+A delivery of the next in-order seq is released at once; the reorder buffer
+holds only seqs above it.
 
 A tick does work only where something can change.  The RTO scan sleeps
 until `rto_wake`, the earliest tick at which any packet can be MIN_RTO old.
@@ -122,7 +132,11 @@ _DRAW_CHUNK = 4096   # uniform loss draws fetched from the generator at a time
 
 
 def _doubles(x: np.ndarray) -> array:
-    return array("d", np.asarray(x, dtype=np.float64).tobytes())
+    # Straight from the numpy buffer: an intermediate bytes copy would add a
+    # whole series to the run's peak memory.
+    out = array("d")
+    out.frombytes(memoryview(np.ascontiguousarray(x, dtype=np.float64)).cast("B"))
+    return out
 
 
 def _delays(ms: np.ndarray, floor: int, n_ticks: int) -> array:
@@ -199,23 +213,26 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     n_ticks = n_windows * window_ticks
     mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
                               ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
-    paths = []
-    for pid, name, rssi_key, sinr_key in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
-                                          (1, LTE, "rssi_lte", "sinr_lte")):
-        cap, rtt, loss = channel_map_arrays(mac[rssi_key], mac[sinr_key], name)
-        paths.append(_Path(name, pid, cap, rtt, loss, n_ticks))
+    # A comprehension, so no channel series outlives its path's tables.
+    paths = [_Path(name, pid, *channel_map_arrays(mac[rssi], mac[sinr], name), n_ticks)
+             for pid, name, rssi, sinr in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
+                                           (1, LTE, "rssi_lte", "sinr_lte"))]
     wifi, lte = paths
     rto_pairs = ((wifi, lte), (lte, wifi))
+    wifi_first, lte_first = (wifi, lte), (lte, wifi)
+    # The MAC features of each decision as plain floats.  Each numpy series is
+    # dropped as its table is made, so no more than one extra series is alive.
+    rssi_wifi, rssi_lte, sinr_wifi, sinr_lte = (
+        _doubles(mac.pop(key)) for key in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte"))
 
     # Timing wheel (Varghese & Lauck, SOSP 1987): one bucket per tick of
     # delay, so a ring one longer than the largest delay never wraps onto a
     # pending bucket.  Every delivery of a tick runs before any ack, and a
     # bucket sorted by (seq, path) replays the order a (tick, kind, seq, path)
-    # heap would pop.  A delivery is the int seq*2 + path id; an ack is
-    # (seq, path id, rtt sample).
+    # heap would pop.  A delivery and an ack are both the int seq*2 + path id.
     size = max(max(wifi.full), max(lte.full)) + 1
     dlv_wheel: list[list[int]] = [[] for _ in range(size)]
-    ack_wheel: list[list[tuple[int, int, float]]] = [[] for _ in range(size)]
+    ack_wheel: list[list[int]] = [[] for _ in range(size)]
 
     rng = seeded_stream(p.seed, 0x10c5)
     draw_chunk = _DRAW_CHUNK
@@ -242,22 +259,18 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
     released_win_bytes = 0
 
-    send_order = (wifi, lte)
+    send_order = wifi_first
 
     def observation(tick: int) -> Observation:
         feats = (
-            float(mac["rssi_wifi"][tick]), float(mac["rssi_lte"][tick]),
-            float(mac["sinr_wifi"][tick]), float(mac["sinr_lte"][tick]),
+            rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
             wifi.srtt, lte.srtt,
             max(1.0, wifi.cwnd), max(1.0, lte.cwnd),
             wifi.plr_est, lte.plr_est,
             wifi.pdr_est, lte.pdr_est,
         )
-        return Observation(
-            t=tick * MS, features=feats,
-            space_wifi=wifi.cwnd - len(wifi.in_flight),
-            space_lte=lte.cwnd - len(lte.in_flight),
-        )
+        return Observation(tick * MS, feats, wifi.cwnd - len(wifi.in_flight),
+                           lte.cwnd - len(lte.in_flight))
 
     # Running counters instead of a modulo per tick: the wheel slot, and the
     # ticks of the next decision and of the metrics-window end.
@@ -279,12 +292,17 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                 due.sort()
             for key in due:
                 seq = key >> 1
-                if seq >= delivered_upto and seq not in recv_buffer:
+                if seq > delivered_upto:
+                    if seq in recv_buffer:
+                        continue   # a copy of a buffered seq
                     recv_buffer.add(seq)
-                    n_transit -= 1
-                    paths[key & 1].dlv_bytes_win += pkt_bytes
-                    while delivered_upto in recv_buffer:
-                        recv_buffer.remove(delivered_upto)
+                elif seq < delivered_upto:
+                    continue       # a copy of a released seq
+                n_transit -= 1
+                paths[key & 1].dlv_bytes_win += pkt_bytes
+                if seq == delivered_upto:
+                    # Release it, then each buffered seq that follows in order.
+                    while True:
                         delivered_upto += 1
                         released_win_bytes += pkt_bytes
                         if delivered_upto % block_packets == 0:
@@ -292,20 +310,24 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                             start = block_first_send.pop(block, None)
                             if start is not None:
                                 ad_samples.append((tick * MS, float(tick - start)))
+                        if delivered_upto not in recv_buffer:
+                            break
+                        recv_buffer.remove(delivered_upto)
             due.clear()
         due = ack_wheel[slot]
         if due:
             if len(due) > 1:
                 due.sort()
-            for seq, pid, rtt_sample in due:
-                path = paths[pid]
-                if path.in_flight.pop(seq, None) is not None:
+            for key in due:
+                path = paths[key & 1]
+                sent_at = path.in_flight.pop(key >> 1, None)
+                if sent_at is not None:
                     if path.cwnd < path.ssthresh:
                         cwnd = path.cwnd + 1.0
                     else:
                         cwnd = path.cwnd + 1.0 / path.cwnd
                     path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
-                    path.srtt = 0.875 * path.srtt + 0.125 * rtt_sample
+                    path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
             due.clear()
 
         # --- RTO: stranded packets reinject on the other path ---
@@ -345,7 +367,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             next_decision += decision_ticks
             d = selmod.decide(state, observation(tick))
             decisions.append(d)
-            send_order = (wifi, lte) if d.priority == WF else (lte, wifi)
+            send_order = wifi_first if d.priority == WF else lte_first
 
         # --- send: priority path first, spill to the other ---
         first = send_order[0]
@@ -370,7 +392,6 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                 path.credit = credit   # nothing to reinject and no new data it may send
                 continue
             loss = path.loss[tick]
-            rtt = path.rtt[tick]
             pid = path.pid
             dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
             ack_due = ack_wheel[(tick + path.full[tick]) % size]
@@ -393,8 +414,9 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                     di = 0
                 di += 1
                 if draws[di - 1] >= loss:
-                    dlv_due.append(seq * 2 + pid)
-                    ack_due.append((seq, pid, rtt))
+                    key = seq * 2 + pid
+                    dlv_due.append(key)
+                    ack_due.append(key)
                 # lost packets generate no events; the RTO scan recovers them
             path.credit = credit
             path.sent_win += sent

@@ -3,12 +3,17 @@
 The SmartPS policy serves every decision from the model it was given, the
 prior-learned scheme, falling back to the other path when the chosen one has
 no cwnd space.  Nothing retrains the model while a connection runs.
+
+The simulator builds one `Observation` and keeps one `Decision` per decision,
+every tick at a 1-ms decision interval, so both are named tuples built
+positionally: immutable, compared by value, and cheap to build.
+`Observation` still refuses a feature vector that is not 12 long.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import treelearn
 from .dataset import FEATURE_NAMES, N_FEATURES
@@ -27,22 +32,25 @@ _RTT_WIFI = FEATURE_NAMES.index("rtt_wifi")
 _RTT_LTE = FEATURE_NAMES.index("rtt_lte")
 
 
-@dataclass(frozen=True)
-class Observation:
-    """Selector input for one decision: features plus per-path send state."""
-
+class _ObservationFields(NamedTuple):
     t: float
     features: tuple[float, ...]   # 12-vector in dataset.FEATURE_NAMES order
     space_wifi: float             # cwnd space (packets); > 0 means sendable
     space_lte: float
 
-    def __post_init__(self):
-        if len(self.features) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} features, got {len(self.features)}")
+
+class Observation(_ObservationFields):
+    """Selector input for one decision: features plus per-path send state."""
+
+    __slots__ = ()
+
+    def __new__(cls, t, features, space_wifi, space_lte):
+        if len(features) != N_FEATURES:
+            raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
+        return tuple.__new__(cls, (t, features, space_wifi, space_lte))
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     t: float
     priority: str  # WF or LF
     reason: str    # MODEL or FALLBACK
@@ -84,8 +92,8 @@ def decide(state: SelectorState, obs: Observation) -> Decision:
     space, other_space = ((obs.space_wifi, obs.space_lte) if prio == WF
                           else (obs.space_lte, obs.space_wifi))
     if space <= 0 and other_space > 0:
-        return Decision(t=obs.t, priority=LF if prio == WF else WF, reason=FALLBACK)
-    return Decision(t=obs.t, priority=prio, reason=MODEL)
+        return Decision(obs.t, LF if prio == WF else WF, FALLBACK)
+    return Decision(obs.t, prio, MODEL)
 
 
 def maybe_refresh(state: SelectorState, now: float) -> bool:

@@ -90,10 +90,11 @@ class AttributeSample:
     def validate(self, where: str = "sample") -> None:
         """Apply the row invariants to this sample; the first one broken raises."""
         for names, holds, message in _ROW_INVARIANTS:
-            for name in names:
-                v = getattr(self, name)
-                if not holds(_column(name, [v]))[0]:
-                    raise TraceError(where + message.format(name=name, v=v))
+            values = [getattr(self, name) for name in names]
+            ok = holds(_column(names[0], values))
+            if not ok.all():
+                i = int(ok.argmin())   # the first field of the group that breaks it
+                raise TraceError(where + message.format(name=names[i], v=values[i]))
 
 
 # AttributeSample's fields in order: the CSV columns with prio_tag for prio.
@@ -101,10 +102,11 @@ class AttributeSample:
 _FIELDS = ["prio_tag" if c == "prio" else c for c in TRACE_COLUMNS]
 
 # The row invariants, in the order a row is checked: (fields, holds, message).
-# `holds` maps an array of one field's values (see _column) to booleans, so the
-# one table checks a single sample (validate) and screens whole columns
-# (parse_trace, write_trace).  A message follows "row N" or "sample N"; it is
-# formatted with the field name and the sample's own value.
+# `holds` maps an array of values (see _column) to booleans elementwise, so the
+# one table checks a single sample, one array per group of fields (validate),
+# and screens whole columns (parse_trace, write_trace).  Only prio_tag's group
+# holds strings.  A message follows "row N" or "sample N"; it is formatted
+# with the field name and the sample's own value.
 _ROW_INVARIANTS = (
     (("prio_tag",), lambda v: np.array([tag in _PRIO_TAGS for tag in v], dtype=bool),
      ": unknown prio tag {v!r}"),

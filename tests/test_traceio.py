@@ -417,6 +417,41 @@ class TestBlockParse:
         assert fields == ["prio_tag" if c == "prio" else c for c in traceio.TRACE_COLUMNS]
 
 
+# Field values that break an invariant: any number may be non-finite, and a
+# bounded one may sit just past its bound or well past it.
+BAD_VALUES = {
+    "prio_tag": ["LF(6G)", "wf", ""],
+    **{c: [math.nan, math.inf, -math.inf] for c in NUMERIC_COLUMNS},
+}
+for _col, (_lo, _hi) in BOUNDS.items():
+    if _lo is not None:
+        BAD_VALUES[_col] += [float(np.nextafter(_lo, -math.inf)), _lo - 3.0]
+    if _hi is not None:
+        BAD_VALUES[_col] += [float(np.nextafter(_hi, math.inf)), _hi + 3.0]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("n_faults", [0, 1, 2])
+    def test_matches_oracle_on_seeded_faults(self, n_faults):
+        rng = np.random.default_rng(1700 + n_faults)
+        rows = valid_cells(rng, 300)
+        text = "\n".join([",".join(traceio.TRACE_COLUMNS)] + [",".join(r) for r in rows])
+        names = sorted(BAD_VALUES)
+        for i, sample in enumerate(parse_trace(text + "\n")):
+            fields = rng.choice(names, n_faults, replace=False).tolist()
+            sample = dataclasses.replace(sample, **{
+                f: BAD_VALUES[f][rng.integers(len(BAD_VALUES[f]))] for f in fields})
+            messages = []
+            for check in (AttributeSample.validate, oracle_validate):
+                try:
+                    check(sample, f"sample {i}")
+                    messages.append(None)
+                except TraceError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1]
+            assert (messages[0] is None) == (n_faults == 0)
+
+
 # ---------------------------------------------------------------------------
 # Scenarios and synthesis
 # ---------------------------------------------------------------------------
