@@ -12,18 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 from pathlib import Path
 
 from . import dataset, featstats, netsim, scenarios, selector, traceio, treelearn
-
-
-def _setup_logging():
-    level = os.environ.get("SMARTPS_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 # Files a verb writes into its --output directory; other verbs write --output.
@@ -110,8 +102,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = traceio.parse_scenario(Path(args.scenario).read_text())
     policy = args.selector.upper()
+    if args.model and policy != selector.SMARTPS:
+        raise ValueError(f"--model goes only with --selector smartps, "
+                         f"not --selector {args.selector}")
+    scenario = traceio.parse_scenario(Path(args.scenario).read_text())
     model = None
     if policy == selector.SMARTPS:
         model = (treelearn.deserialize_model(Path(args.model).read_text()) if args.model
@@ -206,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

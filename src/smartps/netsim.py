@@ -40,15 +40,14 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import featstats, scenarios, selector as selmod
+from . import featstats, selector as selmod
 from .selector import Decision, Observation, SelectorState
 from .traceio import (
-    DEFAULT_CHANNELS, LF, LTE, WF, WIFI, Scenario, channel_map_arrays, scenario_mac_series,
-    seeded_stream,
+    LTE, WF, WIFI, Scenario, channel_map_arrays, scenario_mac_series, seeded_stream,
 )
 
 PKT_BYTES = 1500
@@ -451,7 +450,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
 
 
 # ---------------------------------------------------------------------------
-# Policy comparisons: evaluation suite and walkaway (missed-handover) study
+# Policy comparisons: one case and the evaluation suite
 # ---------------------------------------------------------------------------
 
 def run_case(scenario: Scenario, policy: str, seed: int, model=None) -> MetricsReport:
@@ -509,47 +508,3 @@ def suite_csv_bundle(rows: Sequence[SuiteRow]) -> dict[str, str]:
         summary.append(f"{policy},{ag50:.4f},{ad50:.3f}")
     return {name: "\n".join(lines) + "\n"
             for name, lines in zip(SUITE_FILES, (runs, summary, cdf))}
-
-
-# Criterion 5's switch rule: at least 8 of 10 consecutive decisions favour LF.
-SWITCH_TRAIL = 10
-SWITCH_MIN_LF = 8
-
-
-def switch_time(decisions: Sequence[Decision]) -> Optional[float]:
-    """Start time of the first SWITCH_TRAIL decisions with >= SWITCH_MIN_LF favouring LF."""
-    trail: deque[Decision] = deque(maxlen=SWITCH_TRAIL)
-    for d in decisions:
-        trail.append(d)
-        if len(trail) == SWITCH_TRAIL and \
-                sum(1 for e in trail if e.priority == LF) >= SWITCH_MIN_LF:
-            return trail[0].t
-    return None
-
-
-@dataclass(frozen=True)
-class WalkawayComparison:
-    switch_times: dict[str, Optional[float]]
-    degraded_accumulation_p90: dict[str, float]  # WiFi in-flight after the cliff
-
-
-def walkaway_comparison(seed: int, model=None) -> WalkawayComparison:
-    """Run the walkaway scenario under MinRTT and SmartPS and compare."""
-    scenario = scenarios.walkaway(seed)
-    if model is None:
-        model = scenarios.pretrained_model()
-    reports = {policy: run_case(scenario, policy, seed, model)
-               for policy in (selmod.MINRTT, selmod.SMARTPS)}
-
-    # windows after the noise-free WiFi RSSI trajectory crosses the loss cliff
-    cliff = DEFAULT_CHANNELS[WIFI].rssi_cliff
-    wt = np.asarray(reports["MINRTT"].window_t)
-    rssi = scenario.attribute_series("rssi_wifi", wt)
-    degraded = rssi < cliff
-    acc_p90 = {}
-    for name, rep in reports.items():
-        series = [a for a, d in zip(rep.accumulation[WIFI], degraded) if d]
-        acc_p90[name] = featstats.percentile(series, 90) if series else 0.0
-    return WalkawayComparison(
-        switch_times={name: switch_time(rep.decisions) for name, rep in reports.items()},
-        degraded_accumulation_p90=acc_p90)

@@ -4,6 +4,7 @@ Each test prints a single machine-greppable PASS/FAIL line describing one
 criterion; the assertions behind the line are the actual gate.
 """
 
+import collections
 import contextlib
 import math
 import random
@@ -13,11 +14,12 @@ import numpy as np
 
 from smartps import dataset, netsim, scenarios, selector, traceio, treelearn
 from smartps.dataset import FEATURE_NAMES
-from smartps.featstats import cig, entropy, kendall_tau_b
+from smartps.featstats import cig, entropy, kendall_tau_b, percentile
 from smartps.traceio import WF, LF
 
 from tests.conftest import REFERENCE_TRACE
-from tests.test_treelearn import planted_records, rec
+from tests.test_featstats import kendall_oracle
+from tests.test_treelearn import check_root_split, planted_records
 
 
 @contextlib.contextmanager
@@ -41,29 +43,6 @@ def criterion(capsys, num, desc):
 # Criterion 1: statistics kernels against independent oracles  (< 10 s)
 # ---------------------------------------------------------------------------
 
-def _kendall_oracle(x, y):
-    """Plain O(n^2) pair enumeration, independent of the implementation."""
-    n = len(x)
-    conc = disc = tie_x = tie_y = 0
-    for i in range(n):
-        xi, yi = x[i], y[i]
-        for j in range(i + 1, n):
-            dx = xi - x[j]
-            dy = yi - y[j]
-            if dx == 0:
-                tie_x += 1
-            if dy == 0:
-                tie_y += 1
-            if dx == 0 or dy == 0:
-                continue
-            if (dx > 0) == (dy > 0):
-                conc += 1
-            else:
-                disc += 1
-    n0 = n * (n - 1) // 2
-    return (conc - disc) / math.sqrt((n0 - tie_x) * (n0 - tie_y))
-
-
 def test_criterion_1_statistics(capsys):
     with criterion(capsys, 1, "kendall/entropy/CIG oracles") as note:
         start = time.perf_counter()
@@ -81,7 +60,7 @@ def test_criterion_1_statistics(capsys):
                 y = [rng.uniform(0.0, 60.0) for _ in range(n)]
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
-            assert kendall_tau_b(x, y) == _kendall_oracle(x, y)
+            assert kendall_tau_b(x, y) == kendall_oracle(x, y)
             checked += 1
 
         # Entropy hand values to 1e-12.
@@ -167,55 +146,9 @@ def test_criterion_3_tree_and_forest(capsys):
         forest_acc = treelearn.evaluate(forest, test).accuracy
         assert forest_acc >= tree_hold - 0.01
 
-        # Root split must match exhaustive search on tiny 2-feature datasets,
-        # scored with plain entropy arithmetic written out here.
-        def h(ls):
-            out = 0.0
-            for lab in set(ls):
-                p = ls.count(lab) / len(ls)
-                out -= p * math.log2(p)
-            return out
-
-        def oracle_igr(recs, fi, thr):
-            labels = [r.label for r in recs]
-            left = [r.label for r in recs if r.features[fi] <= thr]
-            right = [r.label for r in recs if r.features[fi] > thr]
-            if not left or not right:
-                return None
-            n = len(labels)
-            ig = h(labels) - len(left) / n * h(left) - len(right) / n * h(right)
-            return ig / h(["L"] * len(left) + ["R"] * len(right))
-
-        def oracle_best(recs):
-            best = None
-            for fname in ("rssi_wifi", "rtt_lte"):
-                fi = FEATURE_NAMES.index(fname)
-                xs = [r.features[fi] for r in recs]
-                for thr in treelearn._thresholds(
-                        np.unique(xs), treelearn.FEATURE_BIN_WIDTHS[fi]).tolist():
-                    score = oracle_igr(recs, fi, thr)
-                    if score is not None and (best is None or score > best):
-                        best = score
-            return best
-
+        # Root split must match exhaustive search on tiny 2-feature datasets.
         srng = random.Random(99)
-        tiny_params = treelearn.TreeParams(max_depth=1, min_leaf=1, min_igr=1e-9)
-        checked = 0
-        for _ in range(200):
-            n = srng.randint(4, 10)
-            recs = [rec(srng.choice([WF, LF]),
-                        rssi_wifi=srng.randint(-90, -30),
-                        rtt_lte=srng.randint(20, 60)) for _ in range(n)]
-            if len({r.label for r in recs}) < 2:
-                continue
-            best = oracle_best(recs)
-            tree = treelearn.build_tree(recs, tiny_params)
-            if best is None or best < 1e-9:
-                assert isinstance(tree, treelearn.Leaf)
-            else:
-                achieved = oracle_igr(recs, tree.feature, tree.threshold)
-                assert abs(achieved - best) <= 1e-12
-                checked += 1
+        checked = sum(check_root_split(srng) for _ in range(200))
         assert checked >= 100
 
         elapsed = time.perf_counter() - start
@@ -254,6 +187,32 @@ def test_criterion_4_pruning_properties(capsys):
 # Criterion 5: missed handover and in-flight accumulation  (< 10 min)
 # ---------------------------------------------------------------------------
 
+def switch_time(decisions):
+    """Start time of the first 10 consecutive decisions with at least 8 favouring LF."""
+    trail = collections.deque(maxlen=10)
+    for d in decisions:
+        trail.append(d)
+        if len(trail) == 10 and sum(e.priority == LF for e in trail) >= 8:
+            return trail[0].t
+    return None
+
+
+def walkaway_comparison(seed, model):
+    """Policy -> (switch time, WiFi in-flight p90 over the windows past the loss cliff)."""
+    scenario = scenarios.walkaway(seed)
+    reports = {policy: netsim.run_case(scenario, policy, seed, model)
+               for policy in (selector.MINRTT, selector.SMARTPS)}
+    # windows where the noise-free WiFi RSSI trajectory is below the cliff
+    rssi = scenario.attribute_series("rssi_wifi", np.asarray(reports["MINRTT"].window_t))
+    degraded = rssi < traceio.DEFAULT_CHANNELS[traceio.WIFI].rssi_cliff
+    out = {}
+    for policy, rep in reports.items():
+        series = [a for a, d in zip(rep.accumulation[traceio.WIFI], degraded) if d]
+        out[policy] = (switch_time(rep.decisions),
+                       percentile(series, 90) if series else 0.0)
+    return out
+
+
 def test_criterion_5_walkaway(capsys):
     with criterion(capsys, 5, "walkaway switch & accumulation") as note:
         start = time.perf_counter()
@@ -262,13 +221,11 @@ def test_criterion_5_walkaway(capsys):
         switch_wins = 0
         acc_wins = 0
         for seed in range(100):
-            cmp = netsim.walkaway_comparison(seed=seed, model=model)
-            s = cmp.switch_times["SMARTPS"]
-            m = cmp.switch_times["MINRTT"]
+            cmp = walkaway_comparison(seed, model)
+            (s, s_acc), (m, m_acc) = cmp["SMARTPS"], cmp["MINRTT"]
             if s is not None and s <= (m if m is not None else inf):
                 switch_wins += 1
-            if (cmp.degraded_accumulation_p90["SMARTPS"]
-                    < cmp.degraded_accumulation_p90["MINRTT"]):
+            if s_acc < m_acc:
                 acc_wins += 1
         assert switch_wins >= 95, switch_wins
         assert acc_wins >= 90, acc_wins

@@ -211,6 +211,19 @@ class TestSimulate:
         assert f"error: line {lineno}: non-finite number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("selector", ["minrtt", "rr", "wf", "lf"])
+    def test_model_without_smartps_is_an_error(self, tmp_path, scenario_file, monkeypatch,
+                                               capsys, selector):
+        # Refused before the scenario is read or anything runs; the model file is absent.
+        monkeypatch.setattr(traceio, "parse_scenario", must_not_run)
+        monkeypatch.setattr(netsim, "run", must_not_run)
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--scenario", str(scenario_file), "--selector", selector,
+                       "--seed", "7", "--model", str(tmp_path / "absent.txt"),
+                       "--output", str(out)) == 1
+        assert "--model goes only with --selector smartps" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def experiment_dir(tmp_path_factory):

@@ -100,9 +100,10 @@ def kendall_oracle(x, y):
     n = len(x)
     conc = disc = tie_x = tie_y = 0
     for i in range(n):
+        xi, yi = x[i], y[i]
         for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
+            dx = xi - x[j]
+            dy = yi - y[j]
             if dx == 0:
                 tie_x += 1
             if dy == 0:

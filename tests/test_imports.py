@@ -1,4 +1,4 @@
-"""Import hygiene: no unused names, and no import cycles between smartps modules."""
+"""Import hygiene: no unused names, no import cycles, and no public name only tests call."""
 
 import ast
 from pathlib import Path
@@ -7,6 +7,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "smartps"
+BENCHMARK = TESTS.parent / "benchmark"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -88,3 +89,64 @@ def test_cycle_checker_counts_imports_inside_functions():
     assert modules_in_cycles(graph) == ["a", "b", "c"]
     graph["c"] = set()
     assert modules_in_cycles(graph) == []
+
+
+def test_netsim_imports_only_what_the_simulator_needs():
+    assert package_imports((SRC / "netsim.py").read_text()) == {"featstats", "selector", "traceio"}
+
+
+def references(node: ast.AST, strings: bool = False) -> set[str]:
+    """Names and attributes a node reads; with strings, each dotted part of a str constant."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.update(n.value.split("."))
+    return found
+
+
+def unreferenced(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.name` of each public top-level def or class that nothing refers to.
+
+    A reference counts from any module, its own included, outside the name's
+    own definition, and from a caller's code or string constants (a caller
+    may name a function as a string, as the benchmark's tracer does).
+    """
+    used = set().union(*(references(ast.parse(text), strings=True) for text in callers))
+    defined = []
+    for module, text in modules.items():
+        for node in ast.parse(text).body:
+            names = references(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if not node.name.startswith("_"):
+                    defined.append((module, node.name))
+            used |= names
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+# Public names that no src module or benchmark calls, each kept for a reason.
+UNREFERENCED_KEPT = {
+    "traceio.write_scenario": "the user's one way to write a scenario file for simulate",
+    "traceio.constant": "the constructor of the scenario format's constant kind",
+    "featstats.entropy": "criterion 1 checks it against hand values",
+}
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    modules = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    callers = [path.read_text() for path in BENCHMARK.glob("*.py")]
+    assert unreferenced(modules, callers) == sorted(UNREFERENCED_KEPT)
+
+
+def test_reference_checker():
+    modules = {
+        "a": "def f(n):\n    return f(n - 1)\nclass C:\n    pass\ndef _p():\n    pass\n",
+        "b": "from .a import C\ndef g():\n    return C\ndef h():\n    return g()\n",
+        "c": "def timed():\n    pass\n",
+    }
+    # f calls only itself, h has no caller, timed is named in a caller's string.
+    assert unreferenced(modules, ["tr.span(c, 'timed', 'c.timed')"]) == ["a.f", "b.h"]

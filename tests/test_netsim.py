@@ -13,14 +13,16 @@ from smartps import netsim, scenarios
 from smartps.netsim import (
     MetricsReport, SimError,
     SimParams, SuiteRow, run, run_case,
-    suite_csv_bundle, switch_time,
-    walkaway_comparison,
+    suite_csv_bundle,
 )
 from smartps.selector import Decision, MODEL, SelectorState
 from smartps.traceio import (
     DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays,
 )
-from smartps.treelearn import TreeParams, train_forest
+from smartps.treelearn import TreeParams, serialize_model, train_forest
+
+from tests.test_acceptance import switch_time, walkaway_comparison
+from tests.test_treelearn import PRETRAINED_FOREST_SHA256, sha256
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +81,22 @@ def dead(interface):
 
 
 def channels(**overrides):
-    """Patch DEFAULT_CHANNELS, keyed by interface (WIFI, LTE), for a with block."""
+    """Patch DEFAULT_CHANNELS, keyed by interface (WIFI, LTE), for a with block.
+
+    The process-wide pretrained model is trained first, on the default
+    channels, so no SMARTPS run inside the block can cache one trained on
+    the patched channels.
+    """
     assert set(overrides) <= set(DEFAULT_CHANNELS)
+    scenarios.pretrained_model()
     return mock.patch.dict(DEFAULT_CHANNELS, overrides)
+
+
+def test_channels_keep_the_pretrained_model_on_default_channels():
+    scenarios.pretrained_model.cache_clear()
+    with channels(LTE=dead(LTE)):
+        scenarios.pretrained_model()
+    assert sha256(serialize_model(scenarios.pretrained_model())) == PRETRAINED_FOREST_SHA256
 
 
 def bundle_digest(report):
@@ -234,7 +249,6 @@ class TestRun:
     def test_random_channels_conserve_and_reproduce(self, wifi_floor, wifi_q, lte_floor,
                                                     lte_q, kind, policy, seed):
         scn = getattr(scenarios, kind)(seed=seed, duration=1.0)
-        # Outside the patch: the cached model must be trained on the default channels.
         model = scenarios.pretrained_model()   # MINRTT, RR, WF and LF ignore it
         with channels(
                 WIFI=replace(DEFAULT_CHANNELS[WIFI], rtt_floor=wifi_floor, rtt_loss_factor=wifi_q),
@@ -353,7 +367,7 @@ class TestReport:
 
 
 # ---------------------------------------------------------------------------
-# Switch detection and the walkaway study
+# Criterion 5's switch rule and walkaway study (tests/test_acceptance.py)
 # ---------------------------------------------------------------------------
 
 def dseq(prios, dt=0.1):
@@ -384,13 +398,13 @@ class TestSwitchTime:
 
 @pytest.fixture(scope="class")
 def walkaway_seed0():
-    return walkaway_comparison(seed=0)
+    return walkaway_comparison(0, scenarios.pretrained_model())
 
 
 class TestWalkaway:
     def test_smartps_switches_no_later_than_minrtt(self, walkaway_seed0):
         # MinRTT never hands over within the 60-s walk.
-        assert walkaway_seed0.switch_times == {"MINRTT": None, "SMARTPS": 28.6}
+        assert {p: v[0] for p, v in walkaway_seed0.items()} == {"MINRTT": None, "SMARTPS": 28.6}
 
     def test_smartps_drains_wifi_after_cliff(self, walkaway_seed0):
-        assert walkaway_seed0.degraded_accumulation_p90 == {"MINRTT": 3000, "SMARTPS": 0}
+        assert {p: v[1] for p, v in walkaway_seed0.items()} == {"MINRTT": 3000, "SMARTPS": 0}

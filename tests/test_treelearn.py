@@ -21,6 +21,8 @@ from smartps.treelearn import (
     prune_tree, serialize_model, to_arrays, train_forest,
 )
 
+from tests.test_featstats import reference_entropy
+
 
 def rec(label, **features):
     feats = [0.0] * N_FEATURES
@@ -50,6 +52,42 @@ def planted_records(n, seed, noise=0.0):
                            rtt_wifi=float(rng.uniform(10, 60)),
                            plr_wifi=float(rng.uniform(0, 0.02))))
     return records
+
+
+def oracle_igr(recs, fi, thr):
+    """Gain ratio of the split feature fi <= thr in plain entropy arithmetic; None if a
+    side is empty."""
+    h = reference_entropy
+    labels = [r.label for r in recs]
+    left = [r.label for r in recs if r.features[fi] <= thr]
+    right = [r.label for r in recs if r.features[fi] > thr]
+    if not left or not right:
+        return None
+    n = len(labels)
+    ig = h(labels) - len(left) / n * h(left) - len(right) / n * h(right)
+    return ig / h(["L"] * len(left) + ["R"] * len(right))
+
+
+def check_root_split(rng):
+    """Draw 4-10 records over rssi_wifi and rtt_lte.  A depth-1 tree must stay a leaf
+    when no candidate gains, else reach the best gain ratio that scoring every
+    candidate with oracle_igr finds.  Returns whether a split was checked."""
+    recs = [rec(rng.choice([WF, LF]), rssi_wifi=rng.randint(-90, -30),
+                rtt_lte=rng.randint(20, 60)) for _ in range(rng.randint(4, 10))]
+    if len({r.label for r in recs}) < 2:
+        return False
+    scores = [oracle_igr(recs, fi, thr)
+              for fi in (FEATURE_NAMES.index("rssi_wifi"), FEATURE_NAMES.index("rtt_lte"))
+              for thr in _thresholds(np.unique([r.features[fi] for r in recs]),
+                                     FEATURE_BIN_WIDTHS[fi]).tolist()]
+    best = max((s for s in scores if s is not None), default=None)
+    tree = build_tree(recs, TreeParams(max_depth=1, min_leaf=1, min_igr=1e-9))
+    if best is None or best < 1e-9:
+        assert isinstance(tree, Leaf)
+        return False
+    assert isinstance(tree, Internal)
+    assert abs(oracle_igr(recs, tree.feature, tree.threshold) - best) <= 1e-12
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -149,52 +187,9 @@ class TestBuildTree:
         assert isinstance(t, Leaf)
 
     def test_root_split_matches_brute_force(self):
-        # Independent oracle: exhaustively score every candidate on every
-        # feature with plain entropy arithmetic; the depth-1 root split must
-        # achieve the maximum gain ratio.
-        def oracle_igr(xs, ys, thr):
-            left = [y for x, y in zip(xs, ys) if x <= thr]
-            right = [y for x, y in zip(xs, ys) if x > thr]
-            if not left or not right:
-                return None
-
-            def h(labels):
-                out = 0.0
-                for lab in set(labels):
-                    p = labels.count(lab) / len(labels)
-                    out -= p * math.log2(p)
-                return out
-
-            n = len(ys)
-            ig = h(ys) - len(left) / n * h(left) - len(right) / n * h(right)
-            si = h(["L"] * len(left) + ["R"] * len(right))
-            return ig / si
-
         rng = random.Random(5)
         for _ in range(30):
-            n = rng.randint(4, 10)
-            recs = [rec(rng.choice([WF, LF]),
-                        rssi_wifi=rng.randint(-90, -30),
-                        rtt_lte=rng.randint(20, 60)) for _ in range(n)]
-            labels = [r.label for r in recs]
-            if len(set(labels)) < 2:
-                continue
-            best = None
-            for fname in ("rssi_wifi", "rtt_lte"):
-                fi = FEATURE_NAMES.index(fname)
-                xs = [r.features[fi] for r in recs]
-                for thr in _thresholds(np.unique(xs), FEATURE_BIN_WIDTHS[fi]).tolist():
-                    score = oracle_igr(xs, labels, thr)
-                    if score is not None and (best is None or score > best):
-                        best = score
-            t = build_tree(recs, TreeParams(max_depth=1, min_leaf=1, min_igr=1e-9))
-            if best is None or best < 1e-9:
-                assert isinstance(t, Leaf)
-            else:
-                assert isinstance(t, Internal)
-                achieved = oracle_igr([r.features[t.feature] for r in recs], labels,
-                                      t.threshold)
-                assert achieved == pytest.approx(best, abs=1e-12)
+            check_root_split(rng)
 
 
 def reference_split(X, y, idx, features, min_leaf):
@@ -468,12 +463,14 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+PRETRAINED_FOREST_SHA256 = "dfbc261625e2e8a79a66ae829727e40f8819bdde997d8adc778a8b6c7ec32aa6"
+
+
 class TestModelTextPins:
     """sha256 of the forest and the single tree that training_corpus(7) gives."""
 
     def test_pretrained_forest(self):
-        assert sha256(serialize_model(scenarios.pretrained_model())) == (
-            "dfbc261625e2e8a79a66ae829727e40f8819bdde997d8adc778a8b6c7ec32aa6")
+        assert sha256(serialize_model(scenarios.pretrained_model())) == PRETRAINED_FOREST_SHA256
 
     def test_single_tree_on_training_corpus(self):
         assert sha256(serialize_model(build_tree(scenarios.training_corpus(7)))) == (
