@@ -31,14 +31,18 @@ def _refuse_existing(args):
             raise RuntimeError(f"refusing to overwrite {path} (use --force)")
 
 
+def _read_input(path: str) -> str:
+    """An input file's text: UTF-8, with or without a byte-order mark."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _write_output(path: Path, content: str):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
+    path.write_text(content, encoding="utf-8")
 
 
 def _write_manifest(path: Path, args: argparse.Namespace):
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = {k: (str(v) if isinstance(v, Path) else v) for k, v in manifest.items()}
     _write_output(path, json.dumps(manifest, indent=2) + "\n")
 
 
@@ -50,20 +54,28 @@ def _write_single(args, content: str) -> int:
     return 0
 
 
+def _write_bundle(args, bundle: dict[str, str]):
+    """Write each file of a verb's bundle into --output, then its run-manifest.json."""
+    out_dir = Path(args.output)
+    for name, content in bundle.items():
+        _write_output(out_dir / name, content)
+    _write_manifest(out_dir / "run-manifest.json", args)
+
+
 def _metrics_line(m: treelearn.EvalMetrics) -> str:
     return (f"accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
             f"recall={m.recall:.4f} f1={m.f1:.4f}")
 
 
 def cmd_analyze(args) -> int:
-    samples = traceio.parse_trace(Path(args.input).read_text())
+    samples = traceio.parse_trace(_read_input(args.input))
     rows = featstats.correlation_table(samples, grouped_by_prio=args.grouped,
                                        min_count=args.min_count)
     return _write_single(args, featstats.correlation_table_csv(rows))
 
 
 def cmd_build_dataset(args) -> int:
-    samples = traceio.parse_trace(Path(args.input).read_text())
+    samples = traceio.parse_trace(_read_input(args.input))
     records = dataset.build_dataset(samples, window=args.pair_window)
     return _write_single(args, dataset.records_to_csv(records))
 
@@ -71,7 +83,7 @@ def cmd_build_dataset(args) -> int:
 def cmd_train(args) -> int:
     if args.trees < 1:
         raise ValueError(f"--trees must be at least 1, got {args.trees}")
-    records = dataset.records_from_csv(Path(args.input).read_text())
+    records = dataset.records_from_csv(_read_input(args.input))
     params = treelearn.TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                                   min_igr=args.min_igr)
 
@@ -88,15 +100,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model = treelearn.deserialize_model(Path(args.model).read_text())
-    validation = dataset.records_from_csv(Path(args.validation).read_text())
+    model = treelearn.deserialize_model(_read_input(args.model))
+    validation = dataset.records_from_csv(_read_input(args.validation))
     pruned = treelearn.prune_model(model, validation)
     return _write_single(args, treelearn.serialize_model(pruned))
 
 
 def cmd_evaluate(args) -> int:
-    model = treelearn.deserialize_model(Path(args.model).read_text())
-    records = dataset.records_from_csv(Path(args.input).read_text())
+    model = treelearn.deserialize_model(_read_input(args.model))
+    records = dataset.records_from_csv(_read_input(args.input))
     print(_metrics_line(treelearn.evaluate(model, records)))
     return 0
 
@@ -106,29 +118,23 @@ def cmd_simulate(args) -> int:
     if args.model and policy != selector.SMARTPS:
         raise ValueError(f"--model goes only with --selector smartps, "
                          f"not --selector {args.selector}")
-    scenario = traceio.parse_scenario(Path(args.scenario).read_text())
+    scenario = traceio.parse_scenario(_read_input(args.scenario))
     model = None
     if policy == selector.SMARTPS:
-        model = (treelearn.deserialize_model(Path(args.model).read_text()) if args.model
+        model = (treelearn.deserialize_model(_read_input(args.model)) if args.model
                  else scenarios.pretrained_model())
     report = netsim.run_case(scenario, policy, args.seed, model)
-    out_dir = Path(args.output)
-    for name, content in report.to_csv_bundle().items():
-        _write_output(out_dir / name, content)
-    _write_manifest(out_dir / "run-manifest.json", args)
+    _write_bundle(args, report.to_csv_bundle())
     return 0
 
 
 def cmd_experiment(args) -> int:
-    out_dir = Path(args.output)
     rows = netsim.run_suite(scenarios.evaluation_suite(duration=args.duration),
                             (selector.SMARTPS, selector.MINRTT, selector.RR),
                             args.seed, args.seeds,
                             scenarios.pretrained_model())
     bundle = netsim.suite_csv_bundle(rows)
-    for name, content in bundle.items():
-        _write_output(out_dir / name, content)
-    _write_manifest(out_dir / "run-manifest.json", args)
+    _write_bundle(args, bundle)
     print(bundle["summary.csv"], end="")
     return 0
 

@@ -23,27 +23,26 @@ class StatsError(ValueError):
     """Degenerate or malformed statistics input."""
 
 
-# Bin widths per attribute family, in native units.  RSSI/RSRP 5 dBm,
-# SINR/RSRQ 5 dB, TD/RD/PDR 5 Mbps, PLR 0.05% (0.0005 as a fraction).
-# RTT (5 ms) and CWND (5 packets) have no stated width; 5 keeps the scheme
-# uniform across attributes.
+# Bin widths per column family, in native units.  RSSI/RSRP 5 dBm,
+# SINR/RSRQ 5 dB, TD/RD/PDR 5 Mbps, PLR 0.05% (0.0005 as a fraction), and the
+# metrics AG 5 Mbps and AD 5 ms.  RTT (5 ms) and CWND (5 packets) have no
+# stated width; 5 keeps the scheme uniform across attributes.
 BIN_WIDTHS = {
     "RSSI": 5.0, "SINR": 5.0, "RSRP": 5.0, "RSRQ": 5.0,
     "TD": 5.0, "RD": 5.0, "PDR": 5.0, "PLR": 0.0005,
-    "RTT": 5.0, "CWND": 5.0,
+    "RTT": 5.0, "CWND": 5.0, "AG": 5.0, "AD": 5.0,
 }
-
-AG_BIN_WIDTH = 5.0   # Mbps
-AD_BIN_WIDTH = 5.0   # ms
 
 
 def family(column: str) -> str:
-    """Attribute family of a trace or feature column: "plr_wifi" -> "PLR"."""
+    """Family of a trace or feature column, which keys BIN_WIDTHS: "plr_wifi" -> "PLR"."""
     return column.split("_")[0].upper()
 
 
 def bin_index(values, width: float) -> np.ndarray:
     """Fixed-width binning: each value v lands in bin floor(v / width), as int64."""
+    if not width > 0:                       # False for a NaN width too
+        raise StatsError(f"bin_index: width must be > 0, got {width}")
     a = np.asarray(values, dtype=float)
     with np.errstate(over="ignore"):        # an overflowed quotient is refused below
         q = np.floor(a / width)
@@ -108,21 +107,17 @@ def _entropy_of_counts(counts: np.ndarray) -> float:
     return float((-p * np.log2(p)).sum())
 
 
-def cig(x: Sequence[float], y: Sequence[float], x_width: float,
-        y_width: float) -> float:
-    """Conditional information gain (H(Y) - H(Y|X)) / H(Y), in [0, 1].
+def cig(x_bins: np.ndarray, y_bins: np.ndarray) -> float:
+    """Conditional information gain (H(Y) - H(Y|X)) / H(Y) of two bin columns, in [0, 1].
 
-    Both sides are discretized with fixed-width bins (no min_count filtering
-    here: every row contributes).  Defined as 0 when H(Y) = 0.
+    Every row contributes (no min_count filtering).  Defined as 0 when H(Y) = 0.
     """
-    if len(x) != len(y):
+    if len(x_bins) != len(y_bins):
         raise StatsError("cig: x and y length mismatch")
-    if len(x) == 0:
+    if len(x_bins) == 0:
         raise StatsError("cig: empty input")
-    if x_width <= 0 or y_width <= 0:
-        raise StatsError(f"cig: bin widths must be > 0, got {x_width} and {y_width}")
-    _, xi, x_counts = np.unique(bin_index(x, x_width), return_inverse=True, return_counts=True)
-    _, yi, y_counts = np.unique(bin_index(y, y_width), return_inverse=True, return_counts=True)
+    _, xi, x_counts = np.unique(x_bins, return_inverse=True, return_counts=True)
+    _, yi, y_counts = np.unique(y_bins, return_inverse=True, return_counts=True)
     h_y = _entropy_of_counts(y_counts)
     if h_y == 0.0:
         return 0.0
@@ -154,13 +149,13 @@ class CorrelationRow:
     cig_ad: float
 
 
-def _binned_kendall(x, y, width: float, min_count: int) -> float:
+def _binned_kendall(x_bins: np.ndarray, y, min_count: int) -> float:
     """Kendall between bin index and the mean metric value in that bin.
 
     Binning first (with min_count filtering) matches the summary-then-correlate
     procedure; it also avoids the massive ties of raw binned data.
     """
-    keys, inverse, counts = np.unique(bin_index(x, width), return_inverse=True, return_counts=True)
+    keys, inverse, counts = np.unique(x_bins, return_inverse=True, return_counts=True)
     sums = np.bincount(inverse, weights=y)   # adds each bin's values in input order
     keep = counts >= min_count
     if np.count_nonzero(keep) < 2:
@@ -172,19 +167,12 @@ def _column(samples: Sequence[AttributeSample], name: str) -> np.ndarray:
     return np.fromiter(map(operator.attrgetter(name), samples), float, len(samples))
 
 
-def _binnable_column(samples: Sequence[AttributeSample], name: str,
-                     width: float) -> np.ndarray:
-    """A column whose every value has an int64 bin.
-
-    A value past that range is bad input, not a degenerate variant, so it is
-    refused here rather than caught with the variant's StatsErrors.
-    """
-    x = _column(samples, name)
+def _bins(name: str, values: np.ndarray) -> np.ndarray:
+    # A value without an int64 bin is bad input, not a degenerate variant: name its column.
     try:
-        bin_index(x, width)
+        return bin_index(values, BIN_WIDTHS[family(name)])
     except StatsError as exc:
         raise StatsError(f"correlation_table: column {name}: {exc}") from None
-    return x
 
 
 def correlation_table(samples: Sequence[AttributeSample],
@@ -203,20 +191,19 @@ def correlation_table(samples: Sequence[AttributeSample],
         raise StatsError("correlation_table: no samples")
     if min_count < 1:
         raise StatsError(f"min_count must be >= 1, got {min_count}")
-    ag = _binnable_column(samples, "ag", AG_BIN_WIDTH)
-    ad = _binnable_column(samples, "ad", AD_BIN_WIDTH)
+    ag, ad = _column(samples, "ag"), _column(samples, "ad")
+    ag_bins, ad_bins = _bins("ag", ag), _bins("ad", ad)
     prio = np.array([s.prio for s in samples])
     figures: dict[str, list[tuple[float, ...]]] = {attr: [] for attr in ATTRIBUTES}
     for column, iface_prio in _ATTRIBUTE_COLUMNS.items():
         use = prio == iface_prio if grouped_by_prio else slice(None)
-        width = BIN_WIDTHS[family(column)]
-        x = _binnable_column(samples, column, width)[use]
+        x = _bins(column, _column(samples, column))[use]
         try:
             figures[family(column)].append((
-                _binned_kendall(x, ag[use], width, min_count),
-                _binned_kendall(x, ad[use], width, min_count),
-                cig(x, ag[use], width, AG_BIN_WIDTH),
-                cig(x, ad[use], width, AD_BIN_WIDTH)))
+                _binned_kendall(x, ag[use], min_count),
+                _binned_kendall(x, ad[use], min_count),
+                cig(x, ag_bins[use]),
+                cig(x, ad_bins[use])))
         except StatsError:
             continue
     return [CorrelationRow(attr, *(np.median(f, axis=0).tolist() if f else [math.nan] * 4))

@@ -14,7 +14,7 @@ import numpy as np
 
 from smartps import dataset, netsim, scenarios, selector, traceio, treelearn
 from smartps.dataset import FEATURE_NAMES
-from smartps.featstats import cig, entropy, kendall_tau_b, percentile
+from smartps.featstats import bin_index, cig, entropy, kendall_tau_b, percentile
 from smartps.traceio import WF, LF
 
 from tests.conftest import REFERENCE_TRACE
@@ -69,12 +69,13 @@ def test_criterion_1_statistics(capsys):
         assert entropy([WF, LF]) == 1.0
 
         # CIG hand values to 1e-12 (x bin width 5, y bin width 5).
-        assert cig([-39.0, -39.0, -42.0, -42.0], [2.0, 2.0, 7.0, 7.0],
-                   5.0, 5.0) == 1.0
-        assert cig([-39.0, -38.0, -37.0, -36.0], [2.0, 7.0, 2.0, 7.0],
-                   5.0, 5.0) == 0.0
+        assert cig(bin_index([-39.0, -39.0, -42.0, -42.0], 5.0),
+                   bin_index([2.0, 2.0, 7.0, 7.0], 5.0)) == 1.0
+        assert cig(bin_index([-39.0, -38.0, -37.0, -36.0], 5.0),
+                   bin_index([2.0, 7.0, 2.0, 7.0], 5.0)) == 0.0
         h_cond = 0.75 * (-(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3))
-        got = cig([-39.0, -38.0, -37.0, -42.0], [2.0, 3.0, 7.0, 8.0], 5.0, 5.0)
+        got = cig(bin_index([-39.0, -38.0, -37.0, -42.0], 5.0),
+                  bin_index([2.0, 3.0, 7.0, 8.0], 5.0))
         assert abs(got - (1.0 - h_cond)) <= 1e-12
 
         # CIG bounded on 1000 random inputs.
@@ -83,7 +84,7 @@ def test_criterion_1_statistics(capsys):
             n = int(nrng.integers(1, 80))
             xv = nrng.normal(-50, 25, size=n).tolist()
             yv = nrng.normal(25, 20, size=n).tolist()
-            assert 0.0 <= cig(xv, yv, 5.0, 5.0) <= 1.0
+            assert 0.0 <= cig(bin_index(xv, 5.0), bin_index(yv, 5.0)) <= 1.0
 
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0

@@ -112,6 +112,17 @@ class TestAnalyze:
         assert "error: correlation_table: column cwnd_wifi:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reads_a_trace_with_a_byte_order_mark(self, tmp_path, reference_trace_text):
+        # Spreadsheet tools often save UTF-8 with a BOM; it must not reach the header.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(reference_trace_text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + reference_trace_text.encode())
+        for trace in (plain, marked):
+            assert run_cli("analyze", "--input", str(trace), "--min-count", "1",
+                           "--output", str(tmp_path / f"{trace.stem}.corr.csv")) == 0
+        assert (tmp_path / "marked.corr.csv").read_bytes() \
+            == (tmp_path / "plain.corr.csv").read_bytes()
+
 
 class TestBuildDataset:
     def test_reference_trace_gives_two_records(self, tmp_path, reference_trace_text):

@@ -13,7 +13,7 @@ import pytest
 
 from smartps import featstats, scenarios
 from smartps.featstats import (
-    AG_BIN_WIDTH, BIN_WIDTHS, StatsError, bin_index, cig, correlation_table,
+    BIN_WIDTHS, StatsError, bin_index, cig, correlation_table,
     correlation_table_csv, entropy, family, kendall_tau_b, percentile,
 )
 from smartps.traceio import synthesize_trace
@@ -45,14 +45,14 @@ class TestBinning:
         # Bin -8 holds two rows and bin -9 one, so only one bin reaches
         # min_count=2 and the binned Kendall has nothing to rank.
         x, y = [-39.0, -38.0, -42.0], [1.0, 2.0, 3.0]
-        assert featstats._binned_kendall(x, y, 5.0, 1) == -1.0
+        assert featstats._binned_kendall(bin_index(x, 5.0), y, 1) == -1.0
         with pytest.raises(StatsError):
-            featstats._binned_kendall(x, y, 5.0, 2)
+            featstats._binned_kendall(bin_index(x, 5.0), y, 2)
 
     def test_bad_width_rejected(self):
-        for x_width, y_width in ((0.0, 5.0), (5.0, 0.0), (-5.0, 5.0)):
-            with pytest.raises(StatsError, match="bin widths must be > 0"):
-                cig([1.0, 2.0], [1.0, 2.0], x_width, y_width)
+        for width in (0.0, -5.0, math.nan):
+            with pytest.raises(StatsError, match=f"bin_index: width must be > 0, got {width}"):
+                bin_index([1.0, 2.0], width)
 
     def test_bad_min_count_rejected(self):
         for min_count in (0, -3):
@@ -188,16 +188,16 @@ class TestCig:
         # x bins split y bins perfectly -> CIG 1.
         x = [-39.0, -39.0, -42.0, -42.0]
         y = [2.0, 2.0, 7.0, 7.0]
-        assert cig(x, y, self.SPEC, 5.0) == 1.0
+        assert cig(bin_index(x, self.SPEC), bin_index(y, 5.0)) == 1.0
 
     def test_uninformative(self):
         # Single x bin -> H(Y|X) = H(Y) -> CIG 0.
         x = [-39.0, -38.0, -37.0, -36.0]
         y = [2.0, 7.0, 2.0, 7.0]
-        assert cig(x, y, self.SPEC, 5.0) == 0.0
+        assert cig(bin_index(x, self.SPEC), bin_index(y, 5.0)) == 0.0
 
     def test_constant_y_defined_as_zero(self):
-        assert cig([-39.0, -42.0], [2.0, 3.0], self.SPEC, 5.0) == 0.0
+        assert cig(bin_index([-39.0, -42.0], self.SPEC), bin_index([2.0, 3.0], 5.0)) == 0.0
 
     def test_hand_value_half_split(self):
         # y bins: [0,0,1,1]; x splits as {bin -8: [y0,y0,y1], bin -9: [y1]}.
@@ -205,7 +205,8 @@ class TestCig:
         x = [-39.0, -38.0, -37.0, -42.0]
         y = [2.0, 3.0, 7.0, 8.0]
         h_cond = 0.75 * (-(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3))
-        assert cig(x, y, self.SPEC, 5.0) == pytest.approx(1.0 - h_cond, abs=1e-12)
+        assert cig(bin_index(x, self.SPEC), bin_index(y, 5.0)) \
+            == pytest.approx(1.0 - h_cond, abs=1e-12)
 
     def test_bounded_on_random_inputs(self):
         rng = np.random.default_rng(23)
@@ -213,16 +214,16 @@ class TestCig:
             n = int(rng.integers(1, 50))
             x = rng.normal(-50, 20, size=n).tolist()
             y = rng.normal(20, 15, size=n).tolist()
-            v = cig(x, y, self.SPEC, 5.0)
+            v = cig(bin_index(x, self.SPEC), bin_index(y, 5.0))
             assert 0.0 <= v <= 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(StatsError):
-            cig([], [], self.SPEC, 5.0)
+            cig(bin_index([], self.SPEC), bin_index([], 5.0))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(StatsError):
-            cig([1.0], [1.0, 2.0], self.SPEC, 5.0)
+            cig(bin_index([1.0], self.SPEC), bin_index([1.0, 2.0], 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +250,13 @@ class TestNonFinite:
 
     def test_binned_kendall_refuses_a_nan_metric(self):
         with pytest.raises(StatsError, match="non-finite y value nan"):
-            featstats._binned_kendall([1, 7, 12], [1, math.nan, 3], 5.0, 1)
+            featstats._binned_kendall(bin_index([1, 7, 12], 5.0), [1, math.nan, 3], 1)
 
     def test_cig_refuses_non_finite_values(self):
         for x, y in (([math.nan, 1.0], [1.0, 2.0]), ([math.inf, 1.0], [1.0, 2.0]),
                      ([1.0, 2.0], [1.0, -math.inf])):
             with pytest.raises(StatsError, match="non-finite value"):
-                cig(x, y, 5.0, 5.0)
+                cig(bin_index(x, 5.0), bin_index(y, 5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +310,7 @@ def oracle_columns(rng, width):
     else:
         x = [rng.uniform(-30.0, 30.0) * width for _ in range(n)]
     if rng.random() < 0.5:
-        y = [rng.randint(-2, 4) * AG_BIN_WIDTH for _ in range(n)]
+        y = [rng.randint(-2, 4) * BIN_WIDTHS["AG"] for _ in range(n)]
     else:
         y = [rng.uniform(0.0, 40.0) for _ in range(n)]
     return x, y
@@ -341,7 +342,7 @@ class TestReferenceOracles:
         for _ in range(300):
             x, y = oracle_columns(rng, width)
             min_count = rng.choice((1, 2, 3, 5))
-            assert outcome(featstats._binned_kendall, x, y, width, min_count) \
+            assert outcome(featstats._binned_kendall, bin_index(x, width), y, min_count) \
                 == outcome(reference_binned_kendall, x, y, width, min_count)
 
     @pytest.mark.parametrize("width", ORACLE_WIDTHS)
@@ -349,8 +350,9 @@ class TestReferenceOracles:
         rng = random.Random(41)
         for _ in range(300):
             x, y = oracle_columns(rng, width)
-            assert abs(cig(x, y, width, AG_BIN_WIDTH)
-                       - reference_cig(x, y, width, AG_BIN_WIDTH)) <= 1e-12
+            ag_width = BIN_WIDTHS["AG"]
+            assert abs(cig(bin_index(x, width), bin_index(y, ag_width))
+                       - reference_cig(x, y, width, ag_width)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +421,18 @@ class TestCorrelationTable:
         with pytest.raises(StatsError, match=f"column {column}: bin_index: "
                                              "1e\\+300 / 5.0 is outside the int64 bins"):
             correlation_table(samples, min_count=5)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_bins_each_column_once(self, monkeypatch, grouped):
+        # AG, AD and the 16 attribute columns: one bin_index call each.
+        calls = []
+
+        def counted(values, width):
+            calls.append(width)
+            return bin_index(values, width)
+        monkeypatch.setattr(featstats, "bin_index", counted)
+        correlation_table(synthetic_samples(200), grouped_by_prio=grouped, min_count=5)
+        assert len(calls) == 2 + len(featstats._ATTRIBUTE_COLUMNS) == 18
 
     def test_variant_gives_all_four_figures_or_none(self):
         # With AD constant, every variant's kendall_ad fails after its

@@ -1,4 +1,5 @@
-"""Import hygiene: no unused names, no import cycles, and no public name only tests call."""
+"""Import and I/O hygiene: no unused names, no import cycles, no public name only tests
+call, and no file text read or written in the locale's encoding."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,36 @@ def test_checker_flags_unused_and_keeps_used():
               "def f(x: Seq[int]) -> float:\n"
               "    return math.pi\n")
     assert unused_imports(source) == ["line 2: os", "line 3: Optional"]
+
+
+FILE_TEXT_CALLS = {"read_text", "write_text", "open"}
+
+
+def calls_without_encoding(source: str) -> list[str]:
+    """`read_text`, `write_text` and `open` calls that leave the encoding to the locale."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FILE_TEXT_CALLS and not any(k.arg == "encoding" for k in node.keywords):
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_file_text_names_its_encoding(path):
+    assert calls_without_encoding(path.read_text()) == []
+
+
+def test_encoding_checker():
+    source = ("from pathlib import Path\n"
+              "a = Path('x').read_text()\n"
+              "Path('y').write_text(a, encoding='utf-8')\n"
+              "with open('z') as f:\n"
+              "    pass\n"
+              "Path('x').open(encoding='utf-8')\n")
+    assert calls_without_encoding(source) == ["line 2: read_text", "line 4: open"]
 
 
 def package_imports(source: str, package: str = "smartps") -> set[str]:
