@@ -31,9 +31,13 @@ def _refuse_existing(args):
             raise RuntimeError(f"refusing to overwrite {path} (use --force)")
 
 
-def _read_input(path: str) -> str:
-    """An input file's text: UTF-8, with or without a byte-order mark."""
-    return Path(path).read_text(encoding="utf-8-sig")
+def _read_input(path: str, parse):
+    """parse applied to an input file's text: UTF-8, with or without a byte-order
+    mark.  A ValueError from decoding or parsing is raised again naming the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8-sig"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_output(path: Path, content: str):
@@ -68,14 +72,14 @@ def _metrics_line(m: treelearn.EvalMetrics) -> str:
 
 
 def cmd_analyze(args) -> int:
-    samples = traceio.parse_trace(_read_input(args.input))
+    samples = _read_input(args.input, traceio.parse_trace)
     rows = featstats.correlation_table(samples, grouped_by_prio=args.grouped,
                                        min_count=args.min_count)
     return _write_single(args, featstats.correlation_table_csv(rows))
 
 
 def cmd_build_dataset(args) -> int:
-    samples = traceio.parse_trace(_read_input(args.input))
+    samples = _read_input(args.input, traceio.parse_trace)
     records = dataset.build_dataset(samples, window=args.pair_window)
     return _write_single(args, dataset.records_to_csv(records))
 
@@ -83,7 +87,7 @@ def cmd_build_dataset(args) -> int:
 def cmd_train(args) -> int:
     if args.trees < 1:
         raise ValueError(f"--trees must be at least 1, got {args.trees}")
-    records = dataset.records_from_csv(_read_input(args.input))
+    records = _read_input(args.input, dataset.records_from_csv)
     params = treelearn.TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                                   min_igr=args.min_igr)
 
@@ -100,15 +104,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    model = treelearn.deserialize_model(_read_input(args.model))
-    validation = dataset.records_from_csv(_read_input(args.validation))
+    model = _read_input(args.model, treelearn.deserialize_model)
+    validation = _read_input(args.validation, dataset.records_from_csv)
     pruned = treelearn.prune_model(model, validation)
     return _write_single(args, treelearn.serialize_model(pruned))
 
 
 def cmd_evaluate(args) -> int:
-    model = treelearn.deserialize_model(_read_input(args.model))
-    records = dataset.records_from_csv(_read_input(args.input))
+    model = _read_input(args.model, treelearn.deserialize_model)
+    records = _read_input(args.input, dataset.records_from_csv)
     print(_metrics_line(treelearn.evaluate(model, records)))
     return 0
 
@@ -118,10 +122,10 @@ def cmd_simulate(args) -> int:
     if args.model and policy != selector.SMARTPS:
         raise ValueError(f"--model goes only with --selector smartps, "
                          f"not --selector {args.selector}")
-    scenario = traceio.parse_scenario(_read_input(args.scenario))
+    scenario = _read_input(args.scenario, traceio.parse_scenario)
     model = None
     if policy == selector.SMARTPS:
-        model = (treelearn.deserialize_model(_read_input(args.model)) if args.model
+        model = (_read_input(args.model, treelearn.deserialize_model) if args.model
                  else scenarios.pretrained_model())
     report = netsim.run_case(scenario, policy, args.seed, model)
     _write_bundle(args, report.to_csv_bundle())

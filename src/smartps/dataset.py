@@ -127,14 +127,14 @@ def records_to_csv(records: Sequence[LabeledRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[LabeledRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty dataset file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header != FEATURE_NAMES + ["label"]:
         raise ValueError(f"unexpected dataset header {header}")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != N_FEATURES + 1:
             raise ValueError(f"line {lineno}: expected {N_FEATURES + 1} cells")

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Optional, Sequence, TextIO, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ TRACE_COLUMNS = [
     "prio", "ag", "ad",
 ]
 
-_PLR_COLUMNS = {"plr_lte", "plr_wifi"}
+_PLR_COLUMNS = ("plr_lte", "plr_wifi")
 _NUMERIC_COLUMNS = [c for c in TRACE_COLUMNS if c != "prio"]
 _PRIO_TAGS = {"WF": WF, "LF": LF, "LF(4G)": LF, "LF(5G)": LF}
 
@@ -97,10 +97,6 @@ class AttributeSample:
                 raise TraceError(where + message.format(name=names[i], v=values[i]))
 
 
-# AttributeSample's fields in order: the CSV columns with prio_tag for prio.
-# parse_trace builds samples positionally from its columns in this order.
-_FIELDS = ["prio_tag" if c == "prio" else c for c in TRACE_COLUMNS]
-
 # The row invariants, in the order a row is checked: (fields, holds, message).
 # `holds` maps an array of values (see _column) to booleans elementwise, so the
 # one table checks a single sample, one array per group of fields (validate),
@@ -112,7 +108,7 @@ _ROW_INVARIANTS = (
      ": unknown prio tag {v!r}"),
     (_NUMERIC_COLUMNS, np.isfinite, ", column {name}: non-finite value {v!r}"),
     (("t",), lambda v: v >= 0.0, ", column t: negative time {v} (seconds since trace start)"),
-    (("plr_lte", "plr_wifi"), lambda v: (0.0 <= v) & (v <= 1.0), ": {name}={v} outside [0,1]"),
+    (_PLR_COLUMNS, lambda v: (0.0 <= v) & (v <= 1.0), ": {name}={v} outside [0,1]"),
     (("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"), lambda v: v >= 0.0,
      ": {name} must be >= 0"),
     (("rtt_lte", "rtt_wifi", "ad"), lambda v: v > 0.0, ": {name} must be > 0"),
@@ -161,22 +157,36 @@ def _parse_plr(cell: str) -> float:
     return float(s)
 
 
+def _parse_tag(cell: str) -> str:
+    return sys.intern(cell.strip())   # one shared string per tag, not one per row
+
+
+# Each trace column's AttributeSample field, cell parser and cell formatter, in
+# TRACE_COLUMNS order.  A parser accepts a padded cell and raises ValueError or
+# ArithmeticError on a malformed one.
+_CODECS = {col: ("prio_tag", _parse_tag, str) if col == "prio" else
+                (col, _parse_plr, _fmt_plr) if col in _PLR_COLUMNS else
+                (col, float, _fmt_num)
+           for col in TRACE_COLUMNS}
+
+# AttributeSample's fields in order: parse_trace builds samples positionally.
+_FIELDS = [f for f, _, _ in _CODECS.values()]
+
+
 # Rows that parse_trace converts and screens together: few enough that the
 # block's cell strings add little to peak memory.
 _BLOCK_ROWS = 1024
 
 
-def parse_trace(stream: Union[str, TextIO]) -> list[AttributeSample]:
-    """Parse a trace CSV (header required) into a list of samples.
+def parse_trace(text: str) -> list[AttributeSample]:
+    """Parse a trace CSV's text (header required) into a list of samples.
 
     PLR cells may be percent-formatted ("0.03%") or plain fractions.  The raw
     priority tags LF(4G)/LF(5G) are kept in ``prio_tag`` and read as prio=LF.
     Raises :class:`TraceError` naming the offending row and column on any
     malformed cell or invariant violation.
     """
-    if isinstance(stream, str):   # the lines a StringIO would give, without its copy
-        stream = stream.split("\n")
-    lines = [ln.rstrip("\n") for ln in stream if ln.strip() != ""]
+    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
     if not lines:
         raise TraceError("empty input: header row required")
     header = [h.strip() for h in lines[0].split(",")]
@@ -206,13 +216,9 @@ def _parse_block(block: list[str], prev_t: float) -> Optional[list[list]]:
     rows = [line.split(",") for line in block]
     if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
         return None
-    columns = []
     try:
-        for col, cells in zip(TRACE_COLUMNS, zip(*rows)):
-            if col == "prio":   # one shared string per tag, not one per row
-                columns.append([sys.intern(c.strip()) for c in cells])
-            else:
-                columns.append(list(map(_parse_plr if col in _PLR_COLUMNS else float, cells)))
+        columns = [list(map(parse, cells))
+                   for (_, parse, _), cells in zip(_CODECS.values(), zip(*rows))]
     except (ValueError, ArithmeticError):
         return None
     arrays = {name: _column(name, values) for name, values in zip(_FIELDS, columns)}
@@ -224,16 +230,13 @@ def _parse_row(line: str, rowno: int, prev_t: float) -> AttributeSample:
     cells = [c.strip() for c in line.split(",")]
     if len(cells) != len(TRACE_COLUMNS):
         raise TraceError(f"row {rowno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}")
-    vals = {}
-    for col, cell in zip(TRACE_COLUMNS, cells):
-        if col == "prio":
-            continue
+    values = []
+    for (col, (_, parse, _)), cell in zip(_CODECS.items(), cells):
         try:
-            v = _parse_plr(cell) if col in _PLR_COLUMNS else float(cell)
+            values.append(parse(cell))
         except (ValueError, ArithmeticError):
             raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
-        vals[col] = v
-    sample = AttributeSample(prio_tag=sys.intern(cells[TRACE_COLUMNS.index("prio")]), **vals)
+    sample = AttributeSample(*values)
     sample.validate(f"row {rowno}")
     if sample.t < prev_t:
         raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
@@ -251,15 +254,7 @@ def write_trace(samples: Sequence[AttributeSample]) -> str:
         raise TraceError(f"sample {i}: time goes backwards")
     out = [",".join(TRACE_COLUMNS)]
     for s in samples:
-        cells = []
-        for col in TRACE_COLUMNS:
-            if col == "prio":
-                cells.append(s.prio_tag)
-            elif col in _PLR_COLUMNS:
-                cells.append(_fmt_plr(getattr(s, col)))
-            else:
-                cells.append(_fmt_num(getattr(s, col)))
-        out.append(",".join(cells))
+        out.append(",".join([fmt(getattr(s, f)) for f, _, fmt in _CODECS.values()]))
     return "\n".join(out) + "\n"
 
 

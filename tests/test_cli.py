@@ -65,6 +65,14 @@ def scenario_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def model_file(tmp_path, dataset_file):
+    records = dataset.records_from_csv(dataset_file.read_text())
+    path = tmp_path / "model.txt"
+    path.write_text(treelearn.serialize_model(treelearn.build_tree(records)))
+    return path
+
+
 class TestAnalyze:
     def test_writes_ten_attribute_rows(self, tmp_path, trace_file):
         out = tmp_path / "corr.csv"
@@ -174,7 +182,56 @@ class TestTrainPruneEvaluate:
         bad.write_text("\n".join(lines) + "\n")
         assert run_cli("train", "--input", str(bad),
                        "--output", str(tmp_path / "m.txt")) == 1
-        assert "error: line 3: label must be WF or LF, got 'XX'" in capsys.readouterr().err
+        assert f"error: {bad}: line 3: label must be WF or LF, got 'XX'" \
+            in capsys.readouterr().err
+
+
+# Each verb's input flags and the kind of file each one reads.
+INPUT_FLAGS = {
+    "analyze": {"--input": "trace"},
+    "build-dataset": {"--input": "trace"},
+    "train": {"--input": "records"},
+    "prune": {"--model": "model", "--validation": "records"},
+    "evaluate": {"--model": "model", "--input": "records"},
+    "simulate": {"--scenario": "scenario", "--model": "model"},
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("verb,flag", [(verb, flag) for verb, flags in INPUT_FLAGS.items()
+                                           for flag in flags])
+    def test_errors_name_the_file_and_a_byte_order_mark_is_read(
+            self, tmp_path, trace_file, dataset_file, model_file, scenario_file, capsys,
+            verb, flag):
+        good = {"trace": trace_file, "records": dataset_file, "model": model_file,
+                "scenario": scenario_file}
+        text = good[INPUT_FLAGS[verb][flag]].read_bytes()
+
+        def run(name, content):
+            """(exit code, stdout, stderr, output files) with content under flag."""
+            path = tmp_path / name
+            path.write_bytes(content)
+            argv = [verb]
+            for f, kind in INPUT_FLAGS[verb].items():
+                argv += [f, str(path if f == flag else good[kind])]
+            if verb == "simulate":
+                argv += ["--selector", "smartps", "--seed", "7"]
+            out = tmp_path / f"{name}.runs" / "out"   # one file, or simulate's bundle
+            if verb != "evaluate":
+                argv += ["--output", str(out)]
+            code = run_cli(*argv)
+            stdout, stderr = capsys.readouterr()
+            files = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
+            return code, stdout, stderr, {p.name: p.read_bytes() for p in files
+                                          if p.name != "run-manifest.json"}
+
+        # Bytes that do not decode, and a last line that no input format accepts.
+        for i, bad in enumerate((b"\xff" + text, text + b"oops\n")):
+            code, _, err, files = run(f"bad{i}", bad)
+            assert (code, files) == (1, {})
+            assert err.startswith(f"error: {tmp_path / f'bad{i}'}: ")
+        plain, marked = run("plain", text), run("marked", b"\xef\xbb\xbf" + text)
+        assert plain[0] == 0 and plain[1:] == marked[1:]
 
 
 class TestSimulate:
@@ -219,7 +276,7 @@ class TestSimulate:
                        "--selector", "minrtt", "--seed", "7",
                        "--output", str(tmp_path / "sim")) == 1
         err = capsys.readouterr().err
-        assert f"error: line {lineno}: non-finite number" in err
+        assert f"error: {scenario_file}: line {lineno}: non-finite number" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("selector", ["minrtt", "rr", "wf", "lf"])

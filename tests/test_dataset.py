@@ -171,3 +171,12 @@ class TestRecordCsv:
         lines[2] = lines[2].replace("5.0", cell)
         with pytest.raises(ValueError, match="line 3: non-finite"):
             records_from_csv("\n".join(lines) + "\n")
+
+    def test_fault_names_the_file_line_past_a_blank_line(self):
+        # Blank lines are skipped but still counted, as in model and scenario files.
+        text = records_to_csv(
+            [LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)] * 2)
+        header, first, second = text.splitlines()
+        bad = "\n".join([header, "", first, second.rsplit(",", 1)[0] + ",XX"]) + "\n"
+        with pytest.raises(ValueError, match="^line 4: label must be WF or LF, got 'XX'$"):
+            records_from_csv(bad)
