@@ -87,22 +87,13 @@ class AttributeSample:
         except KeyError:   # a sample built in code; parse_trace checks each row's tag
             raise TraceError(f"unknown prio tag {self.prio_tag!r}") from None
 
-    def validate(self, where: str = "sample") -> None:
-        """Apply the row invariants to this sample; the first one broken raises."""
-        for names, holds, message in _ROW_INVARIANTS:
-            values = [getattr(self, name) for name in names]
-            ok = holds(_column(names[0], values))
-            if not ok.all():
-                i = int(ok.argmin())   # the first field of the group that breaks it
-                raise TraceError(where + message.format(name=names[i], v=values[i]))
-
 
 # The row invariants, in the order a row is checked: (fields, holds, message).
-# `holds` maps an array of values (see _column) to booleans elementwise, so the
-# one table checks a single sample, one array per group of fields (validate),
-# and screens whole columns (parse_trace, write_trace).  Only prio_tag's group
-# holds strings.  A message follows "row N" or "sample N"; it is formatted
-# with the field name and the sample's own value.
+# `holds` maps a column of values to booleans elementwise, so _first_fault
+# screens whole columns with the one table and names a bad row's first broken
+# invariant in table order.  Only prio_tag's column holds strings.  A message
+# follows "row N" or "sample N"; it is formatted with the field name and the
+# row's own value.
 _ROW_INVARIANTS = (
     (("prio_tag",), lambda v: np.array([tag in _PRIO_TAGS for tag in v], dtype=bool),
      ": unknown prio tag {v!r}"),
@@ -118,22 +109,24 @@ _ROW_INVARIANTS = (
 )
 
 
-def _column(name: str, values) -> np.ndarray:
-    # Tags stay Python strings: a numpy string array would drop trailing NULs.
-    return np.array(values, dtype=object if name == "prio_tag" else float)
-
-
-def _good_rows(columns: dict[str, np.ndarray], prev_t: float) -> np.ndarray:
-    """Per row, whether it holds every invariant and its t is not below the t
-    of the row before it (prev_t for the first row)."""
-    t = columns["t"]
-    good = np.ones(len(t), dtype=bool)
-    for names, holds, _ in _ROW_INVARIANTS:
-        for name in names:
-            good &= holds(columns[name])
-    good[:1] &= t[:1] >= prev_t
-    good[1:] &= t[1:] >= t[:-1]
-    return good
+def _first_fault(columns: dict[str, list], prev_t: float) -> Optional[tuple[int, str]]:
+    """The first row that breaks an invariant or whose t is below the t of the row
+    before it (prev_t for the first row), with its fault's message; None if none does."""
+    # Tags stay a list of Python strings: a numpy string array would drop trailing NULs.
+    arrays = {name: values if name == "prio_tag" else np.array(values, dtype=float)
+              for name, values in columns.items()}
+    t = arrays["t"]
+    checks = [(name, message, holds(arrays[name]))
+              for names, holds, message in _ROW_INVARIANTS for name in names]
+    checks.append(("t", ", column t: time goes backwards ({v} < {prev})",
+                   t >= np.append(prev_t, t)[:-1]))
+    good = np.logical_and.reduce([ok for _, _, ok in checks])
+    if good.all():
+        return None
+    i = int(good.argmin())
+    name, message = next((name, message) for name, message, ok in checks if not ok[i])
+    return i, message.format(name=name, v=columns[name][i],
+                             prev=columns["t"][i - 1] if i else prev_t)
 
 
 def _fmt_num(x: float) -> str:
@@ -183,10 +176,11 @@ def parse_trace(text: str) -> list[AttributeSample]:
 
     PLR cells may be percent-formatted ("0.03%") or plain fractions.  The raw
     priority tags LF(4G)/LF(5G) are kept in ``prio_tag`` and read as prio=LF.
-    Raises :class:`TraceError` naming the offending row and column on any
-    malformed cell or invariant violation.
+    Raises :class:`TraceError` naming the first offending row and its column
+    on any malformed cell or invariant violation.  Blank lines are skipped but
+    counted: row N is line N of the file.
     """
-    lines = [ln for ln in text.split("\n") if ln.strip() != ""]
+    lines = [line for line in text.split("\n") if line.strip() != ""]
     if not lines:
         raise TraceError("empty input: header row required")
     header = [h.strip() for h in lines[0].split(",")]
@@ -199,59 +193,59 @@ def parse_trace(text: str) -> list[AttributeSample]:
     samples: list[AttributeSample] = []
     prev_t = -math.inf
     for start in range(1, len(lines), _BLOCK_ROWS):
-        block = lines[start:start + _BLOCK_ROWS]
-        columns = _parse_block(block, prev_t)
-        if columns is not None:
-            samples.extend(map(AttributeSample, *columns))
-        else:   # the screen flagged the block: find and name its first fault
-            for rowno, line in enumerate(block, start=start + 1):
-                samples.append(_parse_row(line, rowno, prev_t))
-                prev_t = samples[-1].t
+        columns, fault = _parse_block(lines[start:start + _BLOCK_ROWS], prev_t)
+        if fault is not None:   # numbered only now, to keep a clean parse's peak low
+            linenos = [n for n, line in enumerate(text.split("\n"), 1) if line.strip() != ""]
+            raise TraceError("row %d%s" % (linenos[start + fault[0]], fault[1]))
+        samples.extend(map(AttributeSample, *columns))
         prev_t = samples[-1].t
     return samples
 
 
-def _parse_block(block: list[str], prev_t: float) -> Optional[list[list]]:
-    """The block's values, one list per AttributeSample field; None if any row is bad."""
+def _parse_block(block: list[str], prev_t: float
+                 ) -> tuple[list[list], Optional[tuple[int, str]]]:
+    """The block's values, one list per AttributeSample field, and its first
+    fault (index in the block, message) or None."""
     rows = [line.split(",") for line in block]
-    if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
-        return None
+    malformed = None
     try:
+        if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
+            raise ValueError("a row has the wrong cell count")
         columns = [list(map(parse, cells))
                    for (_, parse, _), cells in zip(_CODECS.values(), zip(*rows))]
-    except (ValueError, ArithmeticError):
-        return None
-    arrays = {name: _column(name, values) for name, values in zip(_FIELDS, columns)}
-    return columns if _good_rows(arrays, prev_t).all() else None
+    except (ValueError, ArithmeticError):   # convert row by row up to the first malformed row
+        converted: list[list] = []
+        for i, cells in enumerate(rows):
+            try:
+                converted.append(_convert_row(cells))
+            except TraceError as exc:
+                malformed = (i, str(exc))
+                break
+        columns = [[row[k] for row in converted] for k in range(len(_FIELDS))]
+    # A malformed row is named only if no row before it breaks an invariant.
+    return columns, _first_fault(dict(zip(_FIELDS, columns)), prev_t) or malformed
 
 
-def _parse_row(line: str, rowno: int, prev_t: float) -> AttributeSample:
-    """One row checked cell by cell; raises TraceError naming its first fault."""
-    cells = [c.strip() for c in line.split(",")]
+def _convert_row(cells: list[str]) -> list:
+    """One row's values; raises TraceError with the message of its first malformed cell."""
     if len(cells) != len(TRACE_COLUMNS):
-        raise TraceError(f"row {rowno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}")
+        raise TraceError(f": expected {len(TRACE_COLUMNS)} cells, got {len(cells)}")
     values = []
     for (col, (_, parse, _)), cell in zip(_CODECS.items(), cells):
         try:
             values.append(parse(cell))
         except (ValueError, ArithmeticError):
-            raise TraceError(f"row {rowno}, column {col}: non-numeric cell {cell!r}") from None
-    sample = AttributeSample(*values)
-    sample.validate(f"row {rowno}")
-    if sample.t < prev_t:
-        raise TraceError(f"row {rowno}, column t: time goes backwards ({sample.t} < {prev_t})")
-    return sample
+            raise TraceError(f", column {col}: non-numeric cell {cell.strip()!r}") from None
+    return values
 
 
 def write_trace(samples: Sequence[AttributeSample]) -> str:
     """Canonical CSV text; inverts parse_trace."""
-    # The columns are screened and dropped before the text is built, to keep the peak low.
-    bad = np.flatnonzero(~_good_rows({name: _column(name, [getattr(s, name) for s in samples])
-                                      for name in _FIELDS}, -math.inf))
-    if len(bad):   # name the first bad sample's broken invariant, else its time
-        i = int(bad[0])
-        samples[i].validate(f"sample {i}")
-        raise TraceError(f"sample {i}: time goes backwards")
+    # The columns are checked and dropped before the text is built, to keep the peak low.
+    fault = _first_fault({name: [getattr(s, name) for s in samples] for name in _FIELDS},
+                         -math.inf)
+    if fault is not None:
+        raise TraceError("sample %d%s" % fault)
     out = [",".join(TRACE_COLUMNS)]
     for s in samples:
         out.append(",".join([fmt(getattr(s, f)) for f, _, fmt in _CODECS.values()]))

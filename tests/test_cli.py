@@ -131,6 +131,15 @@ class TestAnalyze:
         assert (tmp_path / "marked.corr.csv").read_bytes() \
             == (tmp_path / "plain.corr.csv").read_bytes()
 
+    def test_trace_fault_names_the_file_line(self, tmp_path, reference_trace_text, capsys):
+        # The row number is the line in the file, blank lines counted.
+        bad = tmp_path / "bad.csv"
+        bad.write_text(reference_trace_text.replace("\n0,-39,", "\n\n0,oops,", 1))
+        assert run_cli("analyze", "--input", str(bad),
+                       "--output", str(tmp_path / "corr.csv")) == 1
+        assert f"error: {bad}: row 3, column rssi_lte: non-numeric cell 'oops'\n" \
+            == capsys.readouterr().err
+
 
 class TestBuildDataset:
     def test_reference_trace_gives_two_records(self, tmp_path, reference_trace_text):

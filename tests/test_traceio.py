@@ -91,6 +91,12 @@ class TestParseTrace:
         with pytest.raises(TraceError, match="row 2.*rssi_lte"):
             parse_trace(bad)
 
+    def test_fault_past_a_blank_line_names_the_file_line(self, reference_trace_text):
+        # A row is numbered by its line in the file, blank lines counted.
+        bad = reference_trace_text.replace("\n0,-39,", "\n\n0,oops,", 1)
+        with pytest.raises(TraceError, match=r"^row 3, column rssi_lte: non-numeric cell 'oops'$"):
+            parse_trace(bad)
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("old,col", [("-39", "rssi_lte"), ("0.03%", "plr_wifi")])
     def test_non_finite_cell_names_row_and_column(self, reference_trace_text,
@@ -143,7 +149,7 @@ class TestWriteTrace:
             write_trace([make_sample(t=-1.0), make_sample(t=0.0)])
 
     @pytest.mark.parametrize("faults,message", [
-        ({1500: dict(t=0.5)}, "sample 1500: time goes backwards"),
+        ({1500: dict(t=0.5)}, "sample 1500, column t: time goes backwards (0.5 < 1499.0)"),
         ({1200: dict(ad=0.0), 1500: dict(t=0.5)}, "sample 1200: ad must be > 0"),
         ({0: dict(cwnd_lte=0.5, t=math.nan)}, "sample 0, column t: non-finite value nan"),
     ])
@@ -175,7 +181,7 @@ class TestWriteTrace:
 # Round-trip properties
 # ---------------------------------------------------------------------------
 
-# The numeric bounds AttributeSample.validate enforces, per column.
+# The numeric bounds the trace row invariants enforce, per column.
 BOUNDS = {"t": (0.0, None), "plr_lte": (0.0, 1.0), "plr_wifi": (0.0, 1.0),
           **dict.fromkeys(("pdr_lte", "pdr_wifi", "td_wifi", "rd_wifi", "ag"), (0.0, None)),
           **dict.fromkeys(("rtt_lte", "rtt_wifi", "ad"), (math.ulp(0.0), None)),
@@ -292,11 +298,13 @@ def oracle_validate(s, where):
 
 
 def oracle_parse(text):
-    """The reference parse: one row at a time, each cell converted, then checked."""
-    lines = [ln.rstrip("\n") for ln in io.StringIO(text) if ln.strip() != ""]
+    """The reference parse: one row at a time, each cell converted, then checked.
+    A row is numbered by its line in the file; blank lines are skipped."""
+    lines = [(lineno, ln.rstrip("\n")) for lineno, ln in enumerate(io.StringIO(text), start=1)
+             if ln.strip() != ""]
     samples = []
     prev_t = -math.inf
-    for rowno, line in enumerate(lines[1:], start=2):
+    for rowno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(traceio.TRACE_COLUMNS):
             raise TraceError(f"row {rowno}: expected {len(traceio.TRACE_COLUMNS)} cells, "
@@ -391,7 +399,7 @@ def faulty_traces(draw, kind):
     elif kind == "cell_count":
         rows[at] = rows[at][:-1] if draw(st.booleans()) else rows[at] + ["1"]
     lines = [",".join(traceio.TRACE_COLUMNS)] + [",".join(row) for row in rows]
-    if draw(st.booleans()):   # blank lines are skipped and do not count as rows
+    for _ in range(draw(st.integers(0, 2))):   # skipped, but counted in a row's file line
         lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
     return "\n".join(lines) + "\n"
 
@@ -410,6 +418,35 @@ class TestBlockParse:
     def test_matches_row_by_row_oracle(self, kind, data):
         text = data.draw(faulty_traces(kind))
         assert outcome(parse_trace, text) == outcome(oracle_parse, text)
+
+    @pytest.mark.parametrize("malformed", ["short", "non_numeric"])
+    @pytest.mark.parametrize("invariant_first", [True, False])
+    def test_first_of_two_faults_in_a_block_is_named(self, malformed, invariant_first):
+        # A malformed row makes the block convert row by row; an invariant fault
+        # in an earlier row of that block is still the one named.
+        rows = valid_cells(np.random.default_rng(21), 800)
+        bad_ad, bad_row = (100, 700) if invariant_first else (700, 100)
+        rows[bad_ad][traceio.TRACE_COLUMNS.index("ad")] = "0"
+        if malformed == "short":
+            rows[bad_row].pop()
+            message = ": expected 20 cells, got 19"
+        else:
+            rows[bad_row][traceio.TRACE_COLUMNS.index("rssi_lte")] = "oops"
+            message = ", column rssi_lte: non-numeric cell 'oops'"
+        text = "\n".join([",".join(traceio.TRACE_COLUMNS)] + [",".join(r) for r in rows])
+        # Row index i is on file line i + 2, after the header.
+        expected = (f"row {bad_ad + 2}: ad must be > 0" if invariant_first
+                    else f"row {bad_row + 2}{message}")
+        with pytest.raises(TraceError, match=f"^{re.escape(expected)}$"):
+            parse_trace(text + "\n")
+
+    def test_fault_in_the_second_block_is_named(self):
+        n = traceio._BLOCK_ROWS + 300
+        rows = valid_cells(np.random.default_rng(22), n)
+        rows[n - 1][traceio.TRACE_COLUMNS.index("ad")] = "0"
+        text = "\n".join([",".join(traceio.TRACE_COLUMNS)] + [",".join(r) for r in rows])
+        with pytest.raises(TraceError, match=f"^row {n + 1}: ad must be > 0$"):
+            parse_trace(text + "\n")
 
     def test_sample_fields_follow_trace_columns(self):
         # parse_trace builds samples positionally, one column per field.
@@ -430,6 +467,15 @@ for _col, (_lo, _hi) in BOUNDS.items():
         BAD_VALUES[_col] += [float(np.nextafter(_hi, math.inf)), _hi + 3.0]
 
 
+def error_of(check, *args):
+    """The TraceError message check(*args) raises, or None."""
+    try:
+        check(*args)
+    except TraceError as exc:
+        return str(exc)
+    return None
+
+
 class TestValidate:
     @pytest.mark.parametrize("n_faults", [0, 1, 2])
     def test_matches_oracle_on_seeded_faults(self, n_faults):
@@ -437,19 +483,13 @@ class TestValidate:
         rows = valid_cells(rng, 300)
         text = "\n".join([",".join(traceio.TRACE_COLUMNS)] + [",".join(r) for r in rows])
         names = sorted(BAD_VALUES)
-        for i, sample in enumerate(parse_trace(text + "\n")):
+        for sample in parse_trace(text + "\n"):
             fields = rng.choice(names, n_faults, replace=False).tolist()
             sample = dataclasses.replace(sample, **{
                 f: BAD_VALUES[f][rng.integers(len(BAD_VALUES[f]))] for f in fields})
-            messages = []
-            for check in (AttributeSample.validate, oracle_validate):
-                try:
-                    check(sample, f"sample {i}")
-                    messages.append(None)
-                except TraceError as exc:
-                    messages.append(str(exc))
-            assert messages[0] == messages[1]
-            assert (messages[0] is None) == (n_faults == 0)
+            message = error_of(write_trace, [sample])
+            assert message == error_of(oracle_validate, sample, "sample 0")
+            assert (message is None) == (n_faults == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +627,7 @@ class TestSynthesize:
         assert h.hexdigest() == digest
 
     def test_random_scenarios_respect_invariants(self):
-        # Seeded sweep: every generated sample must validate even when the
+        # Seeded sweep: every generated trace must be writable even when the
         # scripted values run outside physical ranges (clamping).
         rng = np.random.default_rng(7)
         for trial in range(20):
@@ -599,5 +639,4 @@ class TestSynthesize:
             })]
             scn = Scenario(name=f"r{trial}", duration=5.0, seed=trial,
                            segments=tuple(segments))
-            for i, s in enumerate(synthesize_trace(scn, 0.25)):
-                s.validate(f"trial {trial} sample {i}")
+            write_trace(synthesize_trace(scn, 0.25))
