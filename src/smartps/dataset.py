@@ -9,6 +9,7 @@ merged by the midpoint, and the pair labeled with the priority whose
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,8 +51,8 @@ class LabeledRecord:
 def better_than(a: tuple[float, float], b: tuple[float, float]) -> int:
     """Compare two (ag, ad) outcomes; 1 if a wins, -1 if b wins, 0 if tied.
 
-    a wins outright on goodput when a.ag > b.ag * (1 + eps); within the
-    relative tolerance the lower delay wins.
+    A goodput more than AG_EPS above the other wins outright; otherwise the
+    finite goodputs are within that tolerance and the lower delay wins.
     """
     ag_a, ad_a = a
     ag_b, ad_b = b
@@ -59,36 +60,29 @@ def better_than(a: tuple[float, float], b: tuple[float, float]) -> int:
         return 1
     if ag_b > ag_a * (1.0 + AG_EPS):
         return -1
-    if abs(ag_a - ag_b) <= AG_EPS * max(ag_a, ag_b):
-        if ad_a < ad_b:
-            return 1
-        if ad_b < ad_a:
-            return -1
-    return 0
+    return (ad_a < ad_b) - (ad_b < ad_a)
 
 
 def pair_rows(samples: Sequence[AttributeSample],
               window: float = DEFAULT_PAIR_WINDOW
               ) -> list[tuple[AttributeSample, AttributeSample]]:
-    """Greedily pair each row with the next opposite-priority row within window.
+    """Pair each row with the oldest waiting opposite-priority row <= window s older.
 
-    Rows left unpaired are dropped.  Samples must be time-ordered.
+    Unpaired rows wait in one FIFO per priority; one more than window s older
+    than the current row is too old for every later row too, so it is dropped.
+    Samples must be time-ordered; pairs are (earlier, later), in time order.
     """
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"pair window must be a finite number of seconds > 0, got {window}")
-    pairs = []
-    used = [False] * len(samples)
-    for i, a in enumerate(samples):
-        if used[i]:
-            continue
-        for j in range(i + 1, len(samples)):
-            b = samples[j]
-            if b.t - a.t > window:
-                break
-            if not used[j] and b.prio != a.prio:
-                pairs.append((a, b))
-                used[i] = used[j] = True
-                break
+    pairs, waiting = [], {WF: deque(), LF: deque()}
+    for row in samples:
+        other = waiting[LF if row.prio == WF else WF]
+        while other and row.t - other[0].t > window:
+            other.popleft()
+        if other:
+            pairs.append((other.popleft(), row))
+        else:
+            waiting[row.prio].append(row)
     return pairs
 
 
@@ -103,14 +97,8 @@ def merge_pair(pair: tuple[AttributeSample, AttributeSample]) -> LabeledRecord:
     if a.prio == b.prio:
         raise ValueError("merge_pair: rows must have opposite priorities")
     features = tuple((getattr(a, f) + getattr(b, f)) / 2.0 for f in FEATURE_NAMES)
-    cmp = better_than((a.ag, a.ad), (b.ag, b.ad))
-    if cmp > 0:
-        label = a.prio
-    elif cmp < 0:
-        label = b.prio
-    else:
-        label = a.prio if a.t <= b.t else b.prio
-    return LabeledRecord(features=features, label=label)
+    cmp = better_than((a.ag, a.ad), (b.ag, b.ad)) or (1 if a.t <= b.t else -1)
+    return LabeledRecord(features=features, label=a.prio if cmp > 0 else b.prio)
 
 
 def build_dataset(samples: Sequence[AttributeSample],

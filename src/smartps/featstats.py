@@ -41,18 +41,27 @@ def family(column: str) -> str:
 
 def bin_index(values, width: float) -> np.ndarray:
     """Fixed-width binning: each value v lands in bin floor(v / width), as int64."""
-    if not width > 0:                       # False for a NaN width too
-        raise StatsError(f"bin_index: width must be > 0, got {width}")
-    a = np.asarray(values, dtype=float)
-    with np.errstate(over="ignore"):        # an overflowed quotient is refused below
-        q = np.floor(a / width)
-    ok = np.abs(q) < 2.0 ** 63              # False for NaN and inf too
+    q, ok = _quotients(values, width)
     if not ok.all():
-        v = float(a[~ok][0])
+        v = float(np.asarray(values, dtype=float)[~ok][0])
         if not math.isfinite(v):
             raise StatsError(f"bin_index: non-finite value {v!r}")
         raise StatsError(f"bin_index: {v!r} / {width} is outside the int64 bins")
     return q.astype(np.int64)
+
+
+def binnable(values, width: float) -> np.ndarray:
+    """Elementwise: would bin_index take the value (finite, its bin within int64)?"""
+    return _quotients(values, width)[1]
+
+
+def _quotients(values, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """floor(v / width) as floats, and which of them fit an int64 bin."""
+    if not width > 0:                       # False for a NaN width too
+        raise StatsError(f"bin_index: width must be > 0, got {width}")
+    with np.errstate(over="ignore"):        # an overflowed quotient does not fit
+        q = np.floor(np.asarray(values, dtype=float) / width)
+    return q, np.abs(q) < 2.0 ** 63         # False for NaN and inf too
 
 
 def percentile(values: Sequence[float], p: float) -> float:

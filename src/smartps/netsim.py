@@ -75,7 +75,7 @@ class SimParams:
     seed: int = 0
     tick: float = MS                # run() rejects any other step; benchmark _after_run reads it
     decision_interval: float = 0.1  # seconds, a whole number of ticks
-    check_conservation: bool = True  # True at every caller; benchmark Serve.run passes it
+    check_conservation: bool = True  # ignored: always checked; benchmark Serve.run passes it
 
 
 @dataclass
@@ -114,14 +114,11 @@ class MetricsReport:
             f"total_goodput_mbps {self.total_goodput:.6f}",
         ]
         for name in ("ag", "ad"):
-            try:
-                p50 = self.percentile(name, 50)
-                p90 = self.percentile(name, 90)
-                summary.append(f"{name}_p50 {p50:.6f}")
-                summary.append(f"{name}_p90 {p90:.6f}")
-            except featstats.StatsError:
-                summary.append(f"{name}_p50 NA")
-                summary.append(f"{name}_p90 NA")
+            for p in (50, 90):
+                try:
+                    summary.append(f"{name}_p{p} {self.percentile(name, p):.6f}")
+                except featstats.StatsError:   # an empty series
+                    summary.append(f"{name}_p{p} NA")
         texts = ("\n".join(ag) + "\n", "\n".join(ad) + "\n", "\n".join(acc) + "\n",
                  selmod.decisions_csv(self.decisions), "\n".join(summary) + "\n")
         return dict(zip(BUNDLE_FILES, texts))
@@ -249,7 +246,6 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     recv_buffer: set[int] = set()
     n_transit = 0
     block_first_send: dict[int, int] = {}
-    seq_state_guard = p.check_conservation
 
     decisions: list[Decision] = []
     window_t: list[float] = []
@@ -434,13 +430,12 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
                 path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 
         # --- conservation: every distinct packet is in exactly one place ---
-        if seq_state_guard:
-            pending = len(wifi.reinject) + len(lte.reinject)
-            if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
-                raise SimError(
-                    f"conservation violated at tick {tick}: transit={n_transit} "
-                    f"buffered={len(recv_buffer)} released={delivered_upto} "
-                    f"pending={pending} sent={next_seq}")
+        pending = len(wifi.reinject) + len(lte.reinject)
+        if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
+            raise SimError(
+                f"conservation violated at tick {tick}: transit={n_transit} "
+                f"buffered={len(recv_buffer)} released={delivered_upto} "
+                f"pending={pending} sent={next_seq}")
 
     total_goodput = delivered_upto * PKT_BYTES * 8.0 / (n_ticks * MS) / 1e6
     return MetricsReport(

@@ -311,7 +311,8 @@ class Trajectory:
     """Per-attribute value evolution inside one scenario segment.
 
     kind is one of "constant" (v0), "ramp" (v0 -> v1 linearly over the
-    segment) or "noisy" (v0 plus additive Gaussian noise with sigma=v1).
+    segment) or "noisy" (v0 plus additive Gaussian noise with sigma=v1).  A
+    constant's v1 is 0, so it is evaluated as a noisy trajectory with no noise.
     """
 
     kind: str
@@ -392,12 +393,10 @@ class Scenario:
             traj = seg.trajectories.get(attr)
             if traj is None:
                 continue
-            if traj.kind == "constant":
-                out[mask] = traj.v0
-            elif traj.kind == "ramp":
+            if traj.kind == "ramp":
                 span = max(end - seg.start, 1e-9)
                 out[mask] = traj.v0 + (traj.v1 - traj.v0) * (times[mask] - seg.start) / span
-            else:  # noisy
+            else:  # noisy, or constant: a noisy trajectory whose sigma v1 is 0
                 out[mask] = traj.v0
                 if rng is not None and traj.v1 > 0:
                     out[mask] += rng.normal(0.0, traj.v1, size=int(mask.sum()))

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
-from .featstats import BIN_WIDTHS, bin_index, family
+from .featstats import BIN_WIDTHS, bin_index, binnable, family
 from .traceio import WF, LF
 
 LABELS = (WF, LF)
@@ -112,10 +112,14 @@ def to_arrays(records: Sequence[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]
     if len(records) == 0:
         raise ValueError("empty record list")
     X = np.array([r.features for r in records], dtype=float).reshape(len(records), N_FEATURES)
-    bad = np.argwhere(~np.isfinite(X))
+    ok = np.column_stack([binnable(X[:, f], w) for f, w in enumerate(FEATURE_BIN_WIDTHS)])
+    bad = np.argwhere(~ok)
     if len(bad):
         i, f = bad[0]
-        raise ValueError(f"record {i}: feature {FEATURE_NAMES[f]} is not finite ({X[i, f]})")
+        v = X[i, f]
+        why = (f"is outside the int64 bins of width {FEATURE_BIN_WIDTHS[f]}"
+               if math.isfinite(v) else "is not finite")
+        raise ValueError(f"record {i}: feature {FEATURE_NAMES[f]} {why} ({v})")
     y = np.array([_LABEL_INDEX[r.label] for r in records], dtype=np.int8)
     return X, y
 
@@ -279,6 +283,9 @@ _GROUP_NODES = 500
 # CPython's tokenizer allows 100 indentation levels; a subtree that would
 # nest deeper is compiled as a function of its own.
 _MAX_NEST = 90
+# Deepest split a model file may hold: reading, compiling and writing a tree
+# take a frame per level, and CPython stops at 1,000.
+_MAX_MODEL_DEPTH = 500
 
 
 def predict(model: Union[TreeNode, ForestModel],
@@ -535,7 +542,7 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
     def fail(lineno: int, msg: str):
         raise ModelFormatError(f"line {lineno}: {msg}")
 
-    def read_node() -> TreeNode:
+    def read_node(depth: int) -> TreeNode:
         nonlocal pos
         if pos >= len(lines):
             fail(lines[-1][0], "truncated model (node expected)")
@@ -564,8 +571,10 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
                 fail(lineno, f"feature index {feature} out of range")
             if not math.isfinite(threshold):
                 fail(lineno, f"non-finite threshold {parts[2]!r}")
-            left = read_node()
-            right = read_node()
+            if depth == _MAX_MODEL_DEPTH:
+                fail(lineno, f"model nests splits deeper than {_MAX_MODEL_DEPTH} levels")
+            left = read_node(depth + 1)
+            right = read_node(depth + 1)
             return Internal(feature=feature, threshold=threshold, left=left, right=right)
         fail(lineno, f"unknown node tag {parts[0]!r}")
 
@@ -581,10 +590,10 @@ def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
         if n_trees < 1:
             fail(first_lineno, f"forest needs at least one tree, got {n_trees}")
         pos = 1
-        model = ForestModel(trees=tuple(read_node() for _ in range(n_trees)), seed=seed,
+        model = ForestModel(trees=tuple(read_node(0) for _ in range(n_trees)), seed=seed,
                             global_majority=parts[3])
     else:
-        model = read_node()
+        model = read_node(0)
     if pos != len(lines):
         fail(lines[pos][0], "trailing content after model")
     return model

@@ -279,13 +279,11 @@ def test_criterion_7_conservation_and_determinism(capsys):
         def state(policy):
             return selector.SelectorState(policy=policy, offline_model=model)
 
-        # check_conservation=True raises mid-run on any tick where a packet
-        # is not in exactly one of {transit, reorder buffer, released, pending}.
+        # Every run checks conservation each tick: it raises mid-run on any tick
+        # where a packet is not in exactly one of {transit, reorder buffer,
+        # released, pending}.
         for policy in (selector.MINRTT, selector.RR, selector.SMARTPS):
-            params = netsim.SimParams(duration=20.0, seed=13,
-                                      check_conservation=True)
+            params = netsim.SimParams(duration=20.0, seed=13)
             rep_a = netsim.run(scn, state(policy), params)
-            rep_b = netsim.run(scn, state(policy),
-                               netsim.SimParams(duration=20.0, seed=13,
-                                                check_conservation=True))
+            rep_b = netsim.run(scn, state(policy), netsim.SimParams(duration=20.0, seed=13))
             assert rep_a.to_csv_bundle() == rep_b.to_csv_bundle()

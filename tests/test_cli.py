@@ -120,17 +120,6 @@ class TestAnalyze:
         assert "error: correlation_table: column cwnd_wifi:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_reads_a_trace_with_a_byte_order_mark(self, tmp_path, reference_trace_text):
-        # Spreadsheet tools often save UTF-8 with a BOM; it must not reach the header.
-        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        plain.write_text(reference_trace_text, encoding="utf-8")
-        marked.write_bytes(b"\xef\xbb\xbf" + reference_trace_text.encode())
-        for trace in (plain, marked):
-            assert run_cli("analyze", "--input", str(trace), "--min-count", "1",
-                           "--output", str(tmp_path / f"{trace.stem}.corr.csv")) == 0
-        assert (tmp_path / "marked.corr.csv").read_bytes() \
-            == (tmp_path / "plain.corr.csv").read_bytes()
-
     def test_trace_fault_names_the_file_line(self, tmp_path, reference_trace_text, capsys):
         # The row number is the line in the file, blank lines counted.
         bad = tmp_path / "bad.csv"
@@ -183,6 +172,26 @@ class TestTrainPruneEvaluate:
                        "--output", str(tmp_path / "m.txt"),
                        "--folds", "10") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_feature_past_the_int64_bins_names_record_and_feature(self, tmp_path, capsys):
+        # 200 distinct values, so a node would bin them; the refusal comes first.
+        features = [0.0] * len(dataset.FEATURE_NAMES)
+        records = [dataset.LabeledRecord(tuple([1e20 + i * 1e7] + features[1:]),
+                                         "WF" if i % 2 else "LF") for i in range(200)]
+        big = tmp_path / "big.csv"
+        big.write_text(dataset.records_to_csv(records))
+        model = tmp_path / "m.txt"
+        assert run_cli("train", "--input", str(big), "--output", str(model)) == 1
+        assert capsys.readouterr().err == ("error: record 0: feature rssi_wifi is outside "
+                                           "the int64 bins of width 5.0 (1e+20)\n")
+        assert not model.exists()
+
+    def test_model_nested_too_deep_names_the_file_line(self, tmp_path, dataset_file, capsys):
+        deep = tmp_path / "deep.txt"
+        deep.write_text("N 0 0.5\n" * 3000 + "L WF 1 0\n" + "L LF 0 1\n" * 3000)
+        assert run_cli("evaluate", "--model", str(deep), "--input", str(dataset_file)) == 1
+        assert capsys.readouterr().err == (f"error: {deep}: line 501: model nests splits "
+                                           f"deeper than 500 levels\n")
 
     def test_bad_label_names_line(self, tmp_path, dataset_file, capsys):
         lines = dataset_file.read_text().splitlines()[:3]

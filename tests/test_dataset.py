@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smartps.dataset import (
     AG_EPS, FEATURE_NAMES, LabeledRecord, better_than, build_dataset,
@@ -16,6 +17,38 @@ from tests.test_traceio import make_sample
 # ---------------------------------------------------------------------------
 # Outcome comparison
 # ---------------------------------------------------------------------------
+
+def reference_better_than(a, b):
+    """better_than as first written, with its third goodput test before the delay."""
+    ag_a, ad_a = a
+    ag_b, ad_b = b
+    if ag_a > ag_b * (1.0 + AG_EPS):
+        return 1
+    if ag_b > ag_a * (1.0 + AG_EPS):
+        return -1
+    if abs(ag_a - ag_b) <= AG_EPS * max(ag_a, ag_b):
+        if ad_a < ad_b:
+            return 1
+        if ad_b < ad_a:
+            return -1
+    return 0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def outcome_pairs(draw):
+    """Two finite (ag, ad) outcomes; goodputs and delays often sit on a boundary."""
+    ag_b, ad_b = draw(FINITE), draw(FINITE)
+    edge = ag_b * (1.0 + AG_EPS)
+    near = [ag_b, edge] + ([math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+                           if math.isfinite(edge) else [])
+    ag_a = draw(st.one_of(FINITE, st.sampled_from(near).filter(math.isfinite)))
+    ad_a = draw(st.one_of(FINITE, st.just(ad_b)))
+    pair = [(ag_a, ad_a), (ag_b, ad_b)]
+    return pair if draw(st.booleans()) else pair[::-1]
+
 
 class TestBetterThan:
     def test_goodput_win(self):
@@ -43,10 +76,55 @@ class TestBetterThan:
         assert better_than((base * (1.0 + AG_EPS), 99.0), (base, 1.0)) == -1
         assert better_than((base * (1.0 + AG_EPS) + 1e-9, 99.0), (base, 1.0)) == 1
 
+    @settings(max_examples=3000, deadline=None)
+    @given(outcome_pairs())
+    def test_matches_the_three_test_reference(self, pair):
+        # With finite goodputs the reference's third test always holds once the
+        # first two fail, so the delay decides every goodput tie.
+        a, b = pair
+        assert better_than(a, b) == reference_better_than(a, b)
+
 
 # ---------------------------------------------------------------------------
 # Pairing
 # ---------------------------------------------------------------------------
+
+def reference_pair_rows(samples, window):
+    """pair_rows as first written: each unpaired row rescans forward for a partner."""
+    pairs = []
+    used = [False] * len(samples)
+    for i, a in enumerate(samples):
+        if used[i]:
+            continue
+        for j in range(i + 1, len(samples)):
+            b = samples[j]
+            if b.t - a.t > window:
+                break
+            if not used[j] and b.prio != a.prio:
+                pairs.append((a, b))
+                used[i] = used[j] = True
+                break
+    return pairs
+
+
+QUARTERS = st.integers(0, 12).map(lambda k: k * 0.25)   # exact sums: gaps hit the window
+
+
+@st.composite
+def timed_runs(draw):
+    """(time-ordered samples, window): runs of one tag, ties in time, gaps of exactly window."""
+    window = draw(st.one_of(st.integers(1, 8).map(lambda k: k * 0.25), st.floats(0.5, 10.0)))
+    runs = draw(st.lists(st.tuples(st.sampled_from([WF, LF, "LF(4G)", "LF(5G)"]),
+                                   st.integers(1, 25),
+                                   st.one_of(QUARTERS, st.just(window), st.floats(0.0, 3.0))),
+                         max_size=12))
+    samples, t = [], 0.0
+    for tag, length, gap in runs:
+        for _ in range(length):
+            t += gap
+            samples.append(make_sample(t=t, prio_tag=tag, ag=float(len(samples))))
+    return samples, window
+
 
 class TestPairRows:
     def test_reference_trace_two_pairs(self, reference_samples):
@@ -79,6 +157,21 @@ class TestPairRows:
 
     def test_empty_input(self):
         assert pair_rows([]) == []
+
+    def test_a_row_past_the_window_waits_no_longer(self):
+        # a is too old for c, so c pairs with b (as old as c) and d waits alone.
+        a, b, c, d = (make_sample(t=t, prio_tag=tag)
+                      for t, tag in ((0.0, WF), (6.0, WF), (6.0, LF), (6.0, LF)))
+        assert pair_rows([a, b, c, d]) == [(b, c)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(timed_runs())
+    def test_matches_the_rescanning_reference(self, case):
+        samples, window = case
+        index = {id(s): i for i, s in enumerate(samples)}
+        got = [(index[id(a)], index[id(b)]) for a, b in pair_rows(samples, window)]
+        want = [(index[id(a)], index[id(b)]) for a, b in reference_pair_rows(samples, window)]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

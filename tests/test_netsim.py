@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartps import netsim, scenarios
+from smartps.dataset import FEATURE_NAMES
 from smartps.netsim import (
     MetricsReport, SimError,
     SimParams, SuiteRow, run, run_case,
@@ -17,7 +18,7 @@ from smartps.netsim import (
 )
 from smartps.selector import Decision, MODEL, SelectorState
 from smartps.traceio import (
-    DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays,
+    DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays, scenario_mac_series,
 )
 from smartps.treelearn import TreeParams, serialize_model, train_forest
 
@@ -178,6 +179,32 @@ class TestRun:
         scn = scenarios.walkaway(seed=5, duration=10.0)
         for policy in (WF, LF, "MINRTT", "RR"):
             run_case(scn, policy, 5)  # a violation raises
+
+    def test_observations_follow_feature_names(self, monkeypatch):
+        # observation() builds its 12-tuple by hand; read every slot back by name.
+        seen = []
+        decide = netsim.selmod.decide
+
+        def spy(state, obs):
+            seen.append(obs)
+            return decide(state, obs)
+
+        monkeypatch.setattr(netsim.selmod, "decide", spy)
+        scn = scenarios.walkaway(seed=5, duration=3.0)
+        run_case(scn, "MINRTT", 7)
+        mac = scenario_mac_series(scn, np.arange(3000) * netsim.MS,
+                                  ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
+        assert [round(obs.t / netsim.MS) for obs in seen] == list(range(0, 3000, 100))
+        named = [dict(zip(FEATURE_NAMES, obs.features)) for obs in seen]
+        for obs, feats in zip(seen, named):
+            for attr, series in mac.items():
+                assert feats[attr] == series[round(obs.t / netsim.MS)], (obs.t, attr)
+        first = named[0]
+        for iface, interface in (("wifi", WIFI), ("lte", LTE)):
+            _, rtt, _ = channel_map_arrays(mac[f"rssi_{iface}"], mac[f"sinr_{iface}"], interface)
+            assert first[f"rtt_{iface}"] == rtt[0]
+            assert first[f"cwnd_{iface}"] == netsim.CWND_INIT
+            assert first[f"plr_{iface}"] == first[f"pdr_{iface}"] == 0.0
 
     def test_decision_cadence(self):
         rep = run_case(scenarios.stable(seed=0, duration=2.0), WF, 0)

@@ -245,6 +245,10 @@ class TestRoundTripProperties:
         with pytest.raises(TraceError, match="one word"):
             Scenario(name=name, duration=1.0, seed=0, segments=(Segment(0.0, {}),))
 
+    def test_unknown_trajectory_kind_rejected(self):
+        with pytest.raises(TraceError, match="^unknown trajectory kind 'zigzag'$"):
+            traceio.Trajectory("zigzag", -50.0)
+
     def test_one_value_kind_refuses_a_second_value(self):
         # write_scenario writes only the values a kind reads.
         with pytest.raises(TraceError, match="constant trajectory takes one value"):
@@ -568,6 +572,26 @@ class TestScenario:
         text = "name x\nduration 10\nseed 1\nsegment 0\n  rssi_wifi noisy -50 -4\n"
         with pytest.raises(TraceError, match="line 5: noisy sigma must be >= 0, got -4"):
             parse_scenario(text)
+
+    @pytest.mark.parametrize("line,message", [
+        ("rssi_wifi zigzag -50 1", "unknown trajectory kind 'zigzag'"),
+        ("rssi_wifi", "malformed scenario line 'rssi_wifi'"),
+        ("rssi_wifi ramp -50 low", "malformed scenario line 'rssi_wifi ramp -50 low'"),
+        ("segment zero", "malformed scenario line 'segment zero'"),
+        ("segment", "malformed scenario line 'segment'"),
+    ])
+    def test_parse_names_the_line_past_blank_and_comment_lines(self, line, message):
+        # Blank and '#' lines are skipped but counted: the fault is on line 7.
+        text = f"name x\nduration 10\nseed 1\n\n# first segment\nsegment 0\n{line}\n"
+        with pytest.raises(TraceError, match=f"^line 7: {re.escape(message)}$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("period,duration", [(0.0, 10.0), (-2.0, 10.0), (math.nan, 10.0),
+                                                 (4.0, math.inf)])
+    def test_oscillating_needs_a_positive_period_and_finite_duration(self, period, duration):
+        with pytest.raises(TraceError, match=f"^need a period > 0 and a finite duration, "
+                                             f"got {period}, {duration}$"):
+            scenarios.oscillating(0, duration, period=period)
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
     def test_duration_must_be_finite_and_non_negative(self, duration):

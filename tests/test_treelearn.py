@@ -4,6 +4,7 @@ import hashlib
 import math
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,14 @@ class TestBuildTree:
     def test_non_finite_feature_rejected(self, bad):
         recs = [rec(WF, rssi_wifi=-40), rec(LF, rssi_wifi=bad), rec(LF, rssi_wifi=-80)]
         with pytest.raises(ValueError, match=rf"record 1: feature rssi_wifi is not finite \({bad}\)"):
+            build_tree(recs, SMALL_PARAMS)
+
+    @pytest.mark.parametrize("bad", [1e20, -1e300])
+    def test_feature_past_the_int64_bins_rejected(self, bad):
+        # Refused even in a node of few distinct values, which never bins them.
+        recs = [rec(WF, rssi_wifi=-40), rec(LF, rssi_wifi=-80), rec(LF, sinr_lte=bad)]
+        message = f"record 2: feature sinr_lte is outside the int64 bins of width 5.0 ({bad})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build_tree(recs, SMALL_PARAMS)
 
     def test_max_depth_zero_gives_majority_leaf(self):
@@ -653,3 +662,35 @@ class TestSerialize:
     def test_tree_count_below_one_names_line(self, header):
         with pytest.raises(ModelFormatError, match="line 1: forest needs at least one tree"):
             deserialize_model(f"{header}\nL WF 1 0\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("L WF 1\n", "line 1: malformed leaf line 'L WF 1'"),
+        ("L XX 1 0\n", "line 1: malformed leaf line 'L XX 1 0'"),
+        ("L WF 1 0.5\n", "line 1: malformed leaf counts in 'L WF 1 0.5'"),
+        ("N 0 -60.0\nL WF one 0\nL LF 0 1\n", "line 2: malformed leaf counts in 'L WF one 0'"),
+        ("N 0\nL WF 1 0\nL LF 0 1\n", "line 1: malformed internal node line 'N 0'"),
+        ("N 0.5 -60.0\nL WF 1 0\nL LF 0 1\n",
+         "line 1: malformed internal node line 'N 0.5 -60.0'"),
+        ("N 0 low\nL WF 1 0\nL LF 0 1\n", "line 1: malformed internal node line 'N 0 low'"),
+        ("F two 0 WF\nL WF 1 0\n", "line 1: malformed forest header 'F two 0 WF'"),
+        ("F 1 0.5 WF\nL WF 1 0\n", "line 1: malformed forest header 'F 1 0.5 WF'"),
+    ])
+    def test_malformed_line_message(self, text, message):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
+            deserialize_model(text)
+
+    def test_nesting_past_the_depth_limit_names_its_line(self):
+        # Read to the end, 3,000 levels would overflow the Python stack, naming no line.
+        depth = 3000
+        text = "N 0 0.5\n" * depth + "L WF 1 0\n" + "L LF 0 1\n" * depth
+        limit = treelearn._MAX_MODEL_DEPTH
+        with pytest.raises(ModelFormatError,
+                           match=f"^line {limit + 1}: model nests splits deeper than {limit} "):
+            deserialize_model(text)
+
+    def test_a_model_at_the_depth_limit_reads_and_predicts(self):
+        depth = treelearn._MAX_MODEL_DEPTH
+        text = "N 0 0.5\n" * depth + "L WF 1 0\n" + "L LF 0 1\n" * depth
+        model = deserialize_model(text)
+        assert (node_count(model), predict(model, [0.0] * N_FEATURES)) == (2 * depth + 1, WF)
+        assert serialize_model(model) == text
