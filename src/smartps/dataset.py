@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
+import numpy as np
+
+from .featstats import BIN_WIDTHS, binnable, family
 from .traceio import WF, LF, AttributeSample
 
 # Fixed feature order of a LabeledRecord.  RSRP, RSRQ, TD and RD are excluded
@@ -26,6 +29,10 @@ FEATURE_NAMES = [
     "pdr_wifi", "pdr_lte",
 ]
 N_FEATURES = len(FEATURE_NAMES)
+
+# Bin width per feature: its family's width ("plr_wifi" -> BIN_WIDTHS["PLR"]),
+# in native units; the learner's candidate thresholds are bin edges.
+FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[family(name)] for name in FEATURE_NAMES)
 
 # Relative AG tolerance: goodputs within 1% of each other count as tied and
 # the comparison falls through to delay.
@@ -107,6 +114,20 @@ def build_dataset(samples: Sequence[AttributeSample],
     return [merge_pair(p) for p in pair_rows(samples, window=window)]
 
 
+def unbinnable_feature(X: np.ndarray) -> Optional[tuple[int, str]]:
+    """(row, reason) of the first value of an (n, 12) feature matrix, row by row,
+    that featstats.bin_index cannot bin at its feature's width; None if all can."""
+    ok = np.column_stack([binnable(X[:, f], w) for f, w in enumerate(FEATURE_BIN_WIDTHS)])
+    bad = np.argwhere(~ok)
+    if not len(bad):
+        return None
+    i, f = bad[0]
+    v = X[i, f]
+    why = (f"is outside the int64 bins of width {FEATURE_BIN_WIDTHS[f]}"
+           if math.isfinite(v) else "is not finite")
+    return int(i), f"feature {FEATURE_NAMES[f]} {why} ({v})"
+
+
 def records_to_csv(records: Sequence[LabeledRecord]) -> str:
     out = [",".join(FEATURE_NAMES + ["label"])]
     for r in records:
@@ -136,4 +157,8 @@ def records_from_csv(text: str) -> list[LabeledRecord]:
             records.append(LabeledRecord(features=feats, label=cells[-1]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+    fault = unbinnable_feature(np.array([r.features for r in records]).reshape(-1, N_FEATURES))
+    if fault:
+        row, why = fault
+        raise ValueError(f"line {lines[row + 1][0]}: {why}")
     return records

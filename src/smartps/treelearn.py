@@ -21,16 +21,12 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, N_FEATURES, LabeledRecord
-from .featstats import BIN_WIDTHS, bin_index, binnable, family
+from .dataset import FEATURE_BIN_WIDTHS, N_FEATURES, LabeledRecord, unbinnable_feature
+from .featstats import bin_index
 from .traceio import WF, LF
 
 LABELS = (WF, LF)
 _LABEL_INDEX = {WF: 0, LF: 1}
-
-# Candidate-threshold bin width per feature index: its family's width
-# ("plr_wifi" -> BIN_WIDTHS["PLR"]), in native units.
-FEATURE_BIN_WIDTHS = tuple(BIN_WIDTHS[family(name)] for name in FEATURE_NAMES)
 
 # Below this many distinct values, thresholds fall back to midpoints between
 # consecutive distinct raw values instead of bin-edge midpoints.
@@ -112,14 +108,9 @@ def to_arrays(records: Sequence[LabeledRecord]) -> tuple[np.ndarray, np.ndarray]
     if len(records) == 0:
         raise ValueError("empty record list")
     X = np.array([r.features for r in records], dtype=float).reshape(len(records), N_FEATURES)
-    ok = np.column_stack([binnable(X[:, f], w) for f, w in enumerate(FEATURE_BIN_WIDTHS)])
-    bad = np.argwhere(~ok)
-    if len(bad):
-        i, f = bad[0]
-        v = X[i, f]
-        why = (f"is outside the int64 bins of width {FEATURE_BIN_WIDTHS[f]}"
-               if math.isfinite(v) else "is not finite")
-        raise ValueError(f"record {i}: feature {FEATURE_NAMES[f]} {why} ({v})")
+    fault = unbinnable_feature(X)
+    if fault:
+        raise ValueError(f"record {fault[0]}: {fault[1]}")
     y = np.array([_LABEL_INDEX[r.label] for r in records], dtype=np.int8)
     return X, y
 
@@ -277,8 +268,7 @@ def global_majority(y: np.ndarray) -> str:
 
 # Trees are compiled in groups of about this many nodes, one function each.
 # Compiling costs a transient of about 3 KiB per node of the function, so a
-# whole forest in one function can take several MiB; a function per tree
-# costs a call per tree on every predict.
+# whole forest in one function can take several MiB.
 _GROUP_NODES = 500
 # CPython's tokenizer allows 100 indentation levels; a subtree that would
 # nest deeper is compiled as a function of its own.
@@ -307,19 +297,26 @@ def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndar
 
 
 def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
-    """The model's vote as a function of a feature vector; a single tree is a one-tree forest."""
+    """The model's vote as a function of a feature vector; a single tree is a one-tree forest.
+
+    Trees that open with the same split go to the same function, so that
+    split is compared once for all of them.
+    """
     if isinstance(model, ForestModel):
         trees, tie = model.trees, model.global_majority
     else:
         trees, tie = (model,), WF   # one vote cannot tie
+    same_root: dict[Optional[tuple[int, float]], list[TreeNode]] = {}
+    for tree in map(_merge_alike, trees):
+        same_root.setdefault(_split(tree), []).append(tree)
     groups: list[list[TreeNode]] = [[]]
     nodes = 0
-    for tree in map(_merge_alike, trees):
+    for alike in same_root.values():
         if nodes >= _GROUP_NODES:
             groups.append([])
             nodes = 0
-        groups[-1].append(tree)
-        nodes += node_count(tree)
+        groups[-1] += alike
+        nodes += sum(map(node_count, alike))
     counters = tuple(_wf_vote_counter(group) for group in groups)
     n = len(trees)
 
@@ -330,6 +327,11 @@ def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequen
         return _majority(votes, n - votes, tie)
 
     return classify
+
+
+def _split(node: TreeNode) -> Optional[tuple[int, float]]:
+    """(feature, threshold) of an internal node, None for a leaf."""
+    return (node.feature, float(node.threshold)) if isinstance(node, Internal) else None
 
 
 def _merge_alike(node: TreeNode) -> TreeNode:
@@ -348,30 +350,43 @@ def _merge_alike(node: TreeNode) -> TreeNode:
 def _wf_vote_counter(trees: Sequence[TreeNode]) -> Callable[[Sequence[float]], int]:
     """Compile trees into nested `if x<f> <= <threshold>:` blocks counting WF leaves reached.
 
-    Thresholds are written with repr, which round-trips a float exactly, so
-    each comparison is the one the tree makes; a NaN feature goes right.
+    The subtrees that one point of the code reaches are emitted together:
+    their WF leaves add one `v += k`, and their splits are grouped by
+    (feature, threshold) in first-seen order, one `if` per group whose
+    branches go on with every member's left and right child.  Each tree
+    takes the path it takes alone, but a split that several trees reach at
+    the same point is compared once.  Thresholds are written with repr,
+    which round-trips a float exactly, so each comparison is the one the
+    tree makes; a NaN feature goes right.
     """
     lines = ["def count(x):",
              "    " + ", ".join(f"x{f}" for f in range(N_FEATURES)) + " = x",
              "    v = 0"]
     subtrees: dict[str, Callable[[Sequence[float]], int]] = {}
 
-    def emit(node: TreeNode, depth: int):
+    def emit(nodes: Sequence[TreeNode], depth: int):
         pad = "    " * depth
-        if isinstance(node, Leaf):
-            lines.append(pad + ("v += 1" if node.label == WF else "pass"))
-        elif depth > _MAX_NEST:
+        wf = 0
+        splits: dict[tuple[int, float], list[Internal]] = {}
+        for node in nodes:
+            if isinstance(node, Leaf):
+                wf += node.label == WF
+            else:
+                splits.setdefault(_split(node), []).append(node)
+        if wf or not splits:
+            lines.append(pad + (f"v += {wf}" if wf else "pass"))
+        if splits and depth > _MAX_NEST:
             name = f"subtree{len(subtrees)}"
-            subtrees[name] = _wf_vote_counter((node,))
+            subtrees[name] = _wf_vote_counter([n for n in nodes if isinstance(n, Internal)])
             lines.append(f"{pad}v += {name}(x)")
-        else:
-            lines.append(f"{pad}if x{node.feature} <= {float(node.threshold)!r}:")
-            emit(node.left, depth + 1)
+            return
+        for (feature, threshold), group in splits.items():
+            lines.append(f"{pad}if x{feature} <= {threshold!r}:")
+            emit([node.left for node in group], depth + 1)
             lines.append(pad + "else:")
-            emit(node.right, depth + 1)
+            emit([node.right for node in group], depth + 1)
 
-    for tree in trees:
-        emit(tree, 1)
+    emit(trees, 1)
     lines.append("    return v")
     namespace = {"inf": math.inf, "nan": math.nan, **subtrees}   # repr of non-finite thresholds
     exec(compile("\n".join(lines), "<treelearn.predict>", "exec"), namespace)

@@ -182,8 +182,8 @@ class TestTrainPruneEvaluate:
         big.write_text(dataset.records_to_csv(records))
         model = tmp_path / "m.txt"
         assert run_cli("train", "--input", str(big), "--output", str(model)) == 1
-        assert capsys.readouterr().err == ("error: record 0: feature rssi_wifi is outside "
-                                           "the int64 bins of width 5.0 (1e+20)\n")
+        assert capsys.readouterr().err == (f"error: {big}: line 2: feature rssi_wifi is outside "
+                                           f"the int64 bins of width 5.0 (1e+20)\n")
         assert not model.exists()
 
     def test_model_nested_too_deep_names_the_file_line(self, tmp_path, dataset_file, capsys):

@@ -1,12 +1,13 @@
 """Pairing, merging, labeling, and dataset CSV round-trips."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smartps.dataset import (
-    AG_EPS, FEATURE_NAMES, LabeledRecord, better_than, build_dataset,
+    AG_EPS, FEATURE_BIN_WIDTHS, FEATURE_NAMES, LabeledRecord, better_than, build_dataset,
     merge_pair, pair_rows, records_from_csv, records_to_csv,
 )
 from smartps.traceio import WF, LF, TraceError
@@ -272,4 +273,15 @@ class TestRecordCsv:
         header, first, second = text.splitlines()
         bad = "\n".join([header, "", first, second.rsplit(",", 1)[0] + ",XX"]) + "\n"
         with pytest.raises(ValueError, match="^line 4: label must be WF or LF, got 'XX'$"):
+            records_from_csv(bad)
+
+    def test_feature_past_the_int64_bins_names_the_file_line(self):
+        text = records_to_csv(
+            [LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)] * 3)
+        header, first, second, third = text.splitlines()
+        bad = "\n".join([header, "", first, second.replace("3.0", "1e+300"), third]) + "\n"
+        width = FEATURE_BIN_WIDTHS[3]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"line 4: feature sinr_lte is outside the int64 bins of width {width} (1e+300)")
+                + "$"):
             records_from_csv(bad)

@@ -313,13 +313,24 @@ class TestPredict:
 
 # Thresholds and feature values share one small pool, so a feature often
 # equals a threshold exactly (it goes left); NaN compares false and goes right.
-POOL = (-60.0, -0.5, -0.0, 0.1, 12.25, 1e-300)
+# -0.0 and 0.0 are one split; a model file holds only finite thresholds.
+POOL = (-60.0, -0.5, -0.0, 0.0, 0.1, 12.25, 1e-300, math.inf)
+FINITE_POOL = tuple(filter(math.isfinite, POOL))
 LEAVES = st.builds(Leaf, st.sampled_from((WF, LF)), st.just((1, 1)))
-TREES = st.recursive(LEAVES, lambda kids: st.builds(
-    Internal, st.integers(0, N_FEATURES - 1), st.sampled_from(POOL), kids, kids),
-    max_leaves=12)
-FORESTS = st.builds(ForestModel, st.lists(TREES, min_size=1, max_size=8).map(tuple),
-                    st.just(0), st.sampled_from((WF, LF)))
+
+
+def trees(thresholds=POOL):
+    return st.recursive(LEAVES, lambda kids: st.builds(
+        Internal, st.integers(0, N_FEATURES - 1), st.sampled_from(thresholds), kids, kids),
+        max_leaves=12)
+
+
+def forests(thresholds=POOL):
+    return st.builds(ForestModel, st.lists(trees(thresholds), min_size=1, max_size=8).map(tuple),
+                     st.just(0), st.sampled_from((WF, LF)))
+
+
+TREES, FORESTS = trees(), forests()
 ROWS = st.lists(st.lists(st.one_of(st.sampled_from(POOL), st.just(math.nan),
                                    st.floats(allow_nan=False)),
                          min_size=N_FEATURES, max_size=N_FEATURES),
@@ -346,6 +357,31 @@ def reference_label(model, row):
     wf = sum(walk(tree, row) == WF for tree in model.trees)
     lf = len(model.trees) - wf
     return WF if wf > lf else LF if lf > wf else model.global_majority
+
+
+def deep_tree(depth=150, moved=0):
+    """A tree nested deeper than Python can indent: x<d % 12> <= d goes one level deeper.
+
+    The `moved` deepest splits test d + 0.5 instead.
+    """
+    tree = Leaf(WF, (1, 0))
+    for d in range(depth):
+        tree = Internal(d % N_FEATURES, d + 0.5 * (d < moved), tree, Leaf(LF, (0, 1)))
+    return tree
+
+
+def random_tree(rng, depth):
+    """A full-depth tree whose splits and leaves are drawn from POOL and both labels."""
+    if depth == 0:
+        return Leaf(rng.choice((WF, LF)), (1, 1))
+    return Internal(rng.randrange(N_FEATURES), rng.choice(POOL),
+                    random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
+# More nodes than one compiled function holds, with trees that open with the
+# same split spread through it; few features and thresholds, so splits repeat.
+BIG_FOREST = ForestModel(trees=tuple(random_tree(random.Random(i), 1 + i % 5) for i in range(120)),
+                         seed=0, global_majority=LF)
 
 
 def assert_matches_reference(model, rows):
@@ -385,12 +421,44 @@ class TestCompiledPredict:
             assert_matches_reference(model, rows)
 
     def test_tree_deeper_than_python_can_indent(self):
-        tree = Leaf(WF, (1, 0))
-        for depth in range(150):
-            tree = Internal(depth % N_FEATURES, float(depth), tree, Leaf(LF, (0, 1)))
+        tree = deep_tree()
+        twice = ForestModel(trees=(tree, tree), seed=0, global_majority=WF)
+        # Two trees whose paths split apart at the first level nested too deep to indent.
+        apart = ForestModel(trees=(tree, deep_tree(moved=150 - treelearn._MAX_NEST)),
+                            seed=0, global_majority=WF)
         rows = [[float(v)] * N_FEATURES for v in (-1.0, 0.0, 0.5, 75.0, 149.0, 149.5)]
-        assert_matches_reference(tree, rows)
-        assert predict(tree, rows[0]) == WF and predict(tree, rows[-1]) == LF
+        for model in (tree, twice, apart):
+            assert_matches_reference(model, rows)
+            assert predict(model, rows[0]) == WF and predict(model, rows[-1]) == LF
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=ROWS)
+    def test_forest_of_several_functions(self, rows):
+        assert sum(map(node_count, BIG_FOREST.trees)) > 2 * treelearn._GROUP_NODES
+        assert_matches_reference(BIG_FOREST, rows)
+
+    def test_a_shared_split_is_compared_once(self):
+        """Trees that reach one split at the same point of their paths compare it once."""
+        comparisons = 0
+
+        class Counted(float):
+            def __le__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return float(self) <= other
+
+        # x0 <= -60 opens all 60 trees; 10 of them go on to x1 <= 0.0 or x1 <= 1.0.
+        opening = [Internal(0, -60.0, Leaf(LF, (0, 1)),
+                            Internal(1, float(i % 2), Leaf(WF, (1, 0)), Leaf(LF, (0, 1))))
+                   for i in range(10)]
+        forest = ForestModel(trees=(TestPredict.TREE,) * 50 + tuple(opening), seed=0,
+                             global_majority=WF)
+        for row, label, path in [([-70.0] + [0.0] * (N_FEATURES - 1), LF, 1),
+                                  ([0.0] * N_FEATURES, WF, 3),
+                                  ([0.0] + [0.5] * (N_FEATURES - 1), WF, 3)]:
+            comparisons = 0
+            assert predict(forest, [Counted(v) for v in row]) == label
+            assert comparisons == path
 
     def test_compiled_once_per_model(self, monkeypatch):
         compiles = []
@@ -617,7 +685,7 @@ class TestSerialize:
         assert deserialize_model(serialize_model(t)) == t
 
     @settings(max_examples=200, deadline=None)
-    @given(model=st.one_of(FORESTS, TREES))
+    @given(model=st.one_of(forests(FINITE_POOL), trees(FINITE_POOL)))
     def test_roundtrip_property(self, model):
         assert deserialize_model(serialize_model(model)) == model
 
