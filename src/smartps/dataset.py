@@ -136,29 +136,37 @@ def records_to_csv(records: Sequence[LabeledRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[LabeledRecord]:
+    """Parse a records file; a fault names the file line of the first one in file order."""
     lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty dataset file")
     header = lines[0][1].split(",")
     if header != FEATURE_NAMES + ["label"]:
         raise ValueError(f"unexpected dataset header {header}")
-    records = []
+    records, malformed = [], None
     for lineno, line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != N_FEATURES + 1:
-            raise ValueError(f"line {lineno}: expected {N_FEATURES + 1} cells")
         try:
-            feats = tuple(float(c) for c in cells[:-1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric feature cell") from None
-        if not all(math.isfinite(v) for v in feats):
-            raise ValueError(f"line {lineno}: non-finite feature cell")
-        try:
-            records.append(LabeledRecord(features=feats, label=cells[-1]))
+            records.append(_parse_record(line.split(",")))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+            malformed = f"line {lineno}: {exc}"
+            break
+    # The lines before a malformed one are screened first: one of them may hold
+    # a value that cannot be binned (NaN and inf included).
     fault = unbinnable_feature(np.array([r.features for r in records]).reshape(-1, N_FEATURES))
     if fault:
         row, why = fault
         raise ValueError(f"line {lines[row + 1][0]}: {why}")
+    if malformed:
+        raise ValueError(malformed)
     return records
+
+
+def _parse_record(cells: list[str]) -> LabeledRecord:
+    """One records line's record; raises ValueError on a malformed cell."""
+    if len(cells) != N_FEATURES + 1:
+        raise ValueError(f"expected {N_FEATURES + 1} cells")
+    try:
+        feats = tuple(float(c) for c in cells[:-1])
+    except ValueError:
+        raise ValueError("non-numeric feature cell") from None
+    return LabeledRecord(features=feats, label=cells[-1])

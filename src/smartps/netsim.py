@@ -40,7 +40,7 @@ import math
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -73,9 +73,9 @@ class SimError(ValueError):
 class SimParams:
     duration: float = 60.0          # must equal scenario.duration; benchmark Serve.check reads it
     seed: int = 0
-    tick: float = MS                # run() rejects any other step; benchmark _after_run reads it
     decision_interval: float = 0.1  # seconds, a whole number of ticks
     check_conservation: bool = True  # ignored: always checked; benchmark Serve.run passes it
+    tick: ClassVar[float] = MS      # the loop's step, not settable; benchmark _after_run reads it
 
 
 @dataclass
@@ -107,6 +107,8 @@ class MetricsReport:
             f"{t:.3f},{w:.0f},{l:.0f}"
             for t, w, l in zip(self.window_t, self.accumulation[WIFI], self.accumulation[LTE])
         ]
+        dec = ["t,priority,reason"] + [f"{d.t:.3f},{d.priority},{d.reason}"
+                                       for d in self.decisions]
         summary = [
             f"policy {self.policy}",
             f"scenario {self.scenario}",
@@ -119,9 +121,8 @@ class MetricsReport:
                     summary.append(f"{name}_p{p} {self.percentile(name, p):.6f}")
                 except featstats.StatsError:   # an empty series
                     summary.append(f"{name}_p{p} NA")
-        texts = ("\n".join(ag) + "\n", "\n".join(ad) + "\n", "\n".join(acc) + "\n",
-                 selmod.decisions_csv(self.decisions), "\n".join(summary) + "\n")
-        return dict(zip(BUNDLE_FILES, texts))
+        return {name: "\n".join(lines) + "\n"
+                for name, lines in zip(BUNDLE_FILES, (ag, ad, acc, dec, summary))}
 
 
 _DRAW_CHUNK = 4096   # uniform loss draws fetched from the generator at a time
@@ -194,8 +195,6 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
     if p.duration != scenario.duration:
         raise SimError(f"params.duration {p.duration} s differs from the scenario's "
                        f"duration {scenario.duration} s")
-    if p.tick != MS:
-        raise SimError(f"tick must be {MS} s, the step the loop assumes; got {p.tick}")
     decision_ticks = _whole(p.decision_interval, MS)
     if not decision_ticks:
         raise SimError(f"decision_interval must be a positive whole number of {MS} s "
@@ -214,7 +213,6 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
              for pid, name, rssi, sinr in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
                                            (1, LTE, "rssi_lte", "sinr_lte"))]
     wifi, lte = paths
-    rto_pairs = ((wifi, lte), (lte, wifi))
     wifi_first, lte_first = (wifi, lte), (lte, wifi)
     # The MAC features of each decision as plain floats.  Each numpy series is
     # dropped as its table is made, so no more than one extra series is alive.
@@ -328,7 +326,7 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
         # --- RTO: stranded packets reinject on the other path ---
         if tick >= rto_wake:
             rto_wake = tick + min_rto   # an empty path sends its next packet now at the earliest
-            for path, other in rto_pairs:
+            for path, other in (wifi_first, lte_first):
                 in_flight = path.in_flight
                 if not in_flight:
                     continue
@@ -425,7 +423,8 @@ def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsR
             released_win_bytes = 0
             for path in paths:
                 accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
-                path.plr_est = path.lost_win / path.sent_win if path.sent_win else 0.0
+                # lost_win also counts RTOs of packets sent in earlier windows.
+                path.plr_est = min(1.0, path.lost_win / path.sent_win) if path.sent_win else 0.0
                 path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * MS) / 1e6
                 path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 

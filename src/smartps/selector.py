@@ -12,8 +12,8 @@ positionally: immutable, compared by value, and cheap to build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple, Optional, Union
 
 from . import treelearn
 from .dataset import FEATURE_NAMES, N_FEATURES
@@ -65,7 +65,7 @@ class SelectorState:
     offline_model: Optional[Model] = None
     seed: int = 0                  # read by nothing here; benchmark Serve.run passes it
     rr_cursor: int = 0
-    feature_memory: tuple = field(default=(), init=False)   # benchmark _after_run reads its len
+    feature_memory: ClassVar[tuple] = ()   # always empty; benchmark _after_run reads its len
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -99,10 +99,3 @@ def decide(state: SelectorState, obs: Observation) -> Decision:
 def maybe_refresh(state: SelectorState, now: float) -> bool:
     """Never swaps the model; benchmark register_targets wraps this name."""
     return False
-
-
-def decisions_csv(decisions: Sequence[Decision]) -> str:
-    out = ["t,priority,reason"]
-    for d in decisions:
-        out.append(f"{d.t:.3f},{d.priority},{d.reason}")
-    return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from typing import Optional, Sequence
 
@@ -27,24 +27,6 @@ LF = "LF"
 WIFI = "WIFI"
 LTE = "LTE"
 
-# Canonical CSV column order.  PLR columns are serialized as percent strings
-# ("0.03%"); everything else is a plain decimal.  Labels are not part of a
-# trace: they live in the dataset records built from it.
-TRACE_COLUMNS = [
-    "t",
-    "rssi_lte", "rssi_wifi",
-    "sinr_lte", "sinr_wifi",
-    "rsrp_lte", "rsrq_lte",
-    "td_wifi", "rd_wifi",
-    "rtt_lte", "rtt_wifi",
-    "cwnd_lte", "cwnd_wifi",
-    "plr_lte", "plr_wifi",
-    "pdr_lte", "pdr_wifi",
-    "prio", "ag", "ad",
-]
-
-_PLR_COLUMNS = ("plr_lte", "plr_wifi")
-_NUMERIC_COLUMNS = [c for c in TRACE_COLUMNS if c != "prio"]
 _PRIO_TAGS = {"WF": WF, "LF": LF, "LF(4G)": LF, "LF(5G)": LF}
 
 
@@ -54,7 +36,10 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class AttributeSample:
-    """One timestamped row of cross-layer attributes plus performance metrics."""
+    """One timestamped row of cross-layer attributes plus performance metrics.
+
+    Its fields, in order, are a trace file's columns; prio_tag is the prio column.
+    """
 
     t: float                 # seconds since trace start
     rssi_lte: float          # dBm, <= 0
@@ -86,6 +71,17 @@ class AttributeSample:
             return _PRIO_TAGS[self.prio_tag]
         except KeyError:   # a sample built in code; parse_trace checks each row's tag
             raise TraceError(f"unknown prio tag {self.prio_tag!r}") from None
+
+
+# Canonical CSV column order: AttributeSample's fields, with prio_tag written as
+# "prio".  PLR columns are serialized as percent strings ("0.03%"); everything
+# else is a plain decimal.  Labels are not part of a trace: they live in the
+# dataset records built from it.
+_FIELDS = [f.name for f in fields(AttributeSample)]
+TRACE_COLUMNS = ["prio" if f == "prio_tag" else f for f in _FIELDS]
+
+_PLR_COLUMNS = ("plr_lte", "plr_wifi")
+_NUMERIC_COLUMNS = [f for f in _FIELDS if f != "prio_tag"]
 
 
 # The row invariants, in the order a row is checked: (fields, holds, message).
@@ -157,13 +153,10 @@ def _parse_tag(cell: str) -> str:
 # Each trace column's AttributeSample field, cell parser and cell formatter, in
 # TRACE_COLUMNS order.  A parser accepts a padded cell and raises ValueError or
 # ArithmeticError on a malformed one.
-_CODECS = {col: ("prio_tag", _parse_tag, str) if col == "prio" else
-                (col, _parse_plr, _fmt_plr) if col in _PLR_COLUMNS else
-                (col, float, _fmt_num)
-           for col in TRACE_COLUMNS}
-
-# AttributeSample's fields in order: parse_trace builds samples positionally.
-_FIELDS = [f for f, _, _ in _CODECS.values()]
+_CODECS = {col: (f, _parse_tag, str) if f == "prio_tag" else
+                (f, _parse_plr, _fmt_plr) if f in _PLR_COLUMNS else
+                (f, float, _fmt_num)
+           for col, f in zip(TRACE_COLUMNS, _FIELDS)}
 
 
 # Rows that parse_trace converts and screens together: few enough that the

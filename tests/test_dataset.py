@@ -263,7 +263,8 @@ class TestRecordCsv:
             [LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)] * 2)
         lines = text.splitlines()
         lines[2] = lines[2].replace("5.0", cell)
-        with pytest.raises(ValueError, match="line 3: non-finite"):
+        with pytest.raises(ValueError,
+                           match=rf"^line 3: feature rtt_lte is not finite \({cell}\)$"):
             records_from_csv("\n".join(lines) + "\n")
 
     def test_fault_names_the_file_line_past_a_blank_line(self):
@@ -285,3 +286,13 @@ class TestRecordCsv:
                 f"line 4: feature sinr_lte is outside the int64 bins of width {width} (1e+300)")
                 + "$"):
             records_from_csv(bad)
+
+    def test_faults_are_named_in_file_order(self):
+        # An unbinnable value on line 3 comes before a bad label on line 5.
+        text = records_to_csv(
+            [LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)] * 4)
+        header, *rows = text.splitlines()
+        rows[1] = rows[1].replace("3.0", "1e+300")
+        rows[3] = rows[3].rsplit(",", 1)[0] + ",XX"
+        with pytest.raises(ValueError, match="^line 3: feature sinr_lte is outside"):
+            records_from_csv("\n".join([header] + rows) + "\n")

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smartps import netsim, scenarios
+from smartps import netsim, scenarios, traceio
 from smartps.dataset import FEATURE_NAMES
 from smartps.netsim import (
     MetricsReport, SimError,
     SimParams, SuiteRow, run, run_case,
     suite_csv_bundle,
 )
-from smartps.selector import Decision, MODEL, SelectorState
+from smartps.selector import Decision, FALLBACK, MODEL, SelectorState
 from smartps.traceio import (
-    DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, channel_map_arrays, scenario_mac_series,
+    DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, Scenario, Segment, channel_map_arrays,
+    constant, scenario_mac_series,
 )
 from smartps.treelearn import TreeParams, serialize_model, train_forest
 
@@ -100,6 +101,20 @@ def test_channels_keep_the_pretrained_model_on_default_channels():
     assert sha256(serialize_model(scenarios.pretrained_model())) == PRETRAINED_FOREST_SHA256
 
 
+def seen_observations(monkeypatch, scenario, policy, seed):
+    """Every Observation that run_case hands selector.decide, in decision order."""
+    seen = []
+    decide = netsim.selmod.decide
+
+    def spy(state, obs):
+        seen.append(obs)
+        return decide(state, obs)
+
+    monkeypatch.setattr(netsim.selmod, "decide", spy)
+    run_case(scenario, policy, seed)
+    return seen
+
+
 def bundle_digest(report):
     h = hashlib.sha256()
     for name, text in sorted(report.to_csv_bundle().items()):
@@ -146,6 +161,12 @@ class TestRun:
         ("decision_interval", math.nan), ("decision_interval", math.inf),
         ("decision_interval", 0.0025)])
     def test_params_the_loop_cannot_honour_rejected(self, field, value):
+        if field == "tick":
+            # The loop's step is the class constant MS, so the constructor refuses another.
+            assert SimParams().tick == netsim.MS
+            with pytest.raises(TypeError, match=field):
+                SimParams(duration=1.0, tick=value)
+            return
         params = SimParams(duration=1.0, **{field: value})
         with pytest.raises(SimError, match=field):
             run(scenarios.stable(seed=0, duration=1.0), SelectorState(policy=WF), params)
@@ -182,16 +203,8 @@ class TestRun:
 
     def test_observations_follow_feature_names(self, monkeypatch):
         # observation() builds its 12-tuple by hand; read every slot back by name.
-        seen = []
-        decide = netsim.selmod.decide
-
-        def spy(state, obs):
-            seen.append(obs)
-            return decide(state, obs)
-
-        monkeypatch.setattr(netsim.selmod, "decide", spy)
         scn = scenarios.walkaway(seed=5, duration=3.0)
-        run_case(scn, "MINRTT", 7)
+        seen = seen_observations(monkeypatch, scn, "MINRTT", 7)
         mac = scenario_mac_series(scn, np.arange(3000) * netsim.MS,
                                   ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
         assert [round(obs.t / netsim.MS) for obs in seen] == list(range(0, 3000, 100))
@@ -205,6 +218,17 @@ class TestRun:
             assert first[f"rtt_{iface}"] == rtt[0]
             assert first[f"cwnd_{iface}"] == netsim.CWND_INIT
             assert first[f"plr_{iface}"] == first[f"pdr_{iface}"] == 0.0
+
+    def test_features_stay_inside_trace_row_bounds(self, monkeypatch):
+        # A decision sees only values a trace row may hold.  An RTO expires
+        # packets sent in earlier windows too, which once put plr_wifi at 2.0.
+        seen = seen_observations(monkeypatch, scenarios.walkaway(seed=5, duration=30.0),
+                                 "MINRTT", 7)
+        columns = dict(zip(FEATURE_NAMES, np.array([obs.features for obs in seen]).T))
+        for names, holds, message in traceio._ROW_INVARIANTS:
+            for name in columns.keys() & set(names):
+                bad = ~holds(columns[name])
+                assert not bad.any(), (name, message, columns[name][bad][:3])
 
     def test_decision_cadence(self):
         rep = run_case(scenarios.stable(seed=0, duration=2.0), WF, 0)
@@ -328,6 +352,43 @@ def test_long_run_pinned(suite_scenarios, index, policy):
 
 
 # ---------------------------------------------------------------------------
+# Metamorphic relations: they hold whatever the channel model's constants are
+# ---------------------------------------------------------------------------
+
+# Builders whose segments do not stretch with the run: a ramp spans the whole
+# duration, so walkaway does not qualify.
+STATIONARY = {
+    "stable": scenarios.stable,
+    "oscillating": lambda seed, duration: scenarios.oscillating(seed, duration, period=4.0),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(sorted(STATIONARY)),
+       policy=st.sampled_from(["SMARTPS", "MINRTT", "RR", WF, LF]),
+       seed=st.integers(0, 2**16))
+def test_a_shorter_run_is_a_prefix(kind, policy, seed):
+    model = scenarios.pretrained_model()   # MINRTT, RR, WF and LF ignore it
+    short, full = (run_case(STATIONARY[kind](seed, duration), policy, seed, model)
+                   for duration in (5.0, 10.0))
+    assert short.ag_series == full.ag_series[:50]
+    assert short.decisions == full.decisions[:50]
+    assert short.ad_samples == [s for s in full.ad_samples if s[0] < 5.0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_lossless_goodput_never_falls_as_sinr_rises(seed):
+    # WiFi at -30 dBm is 45 dB above its loss cliff, so more SINR only adds capacity.
+    goodputs = []
+    for sinr in range(0, 30, 2):
+        scn = Scenario(name="lossless", duration=3.0, seed=seed, segments=(Segment(
+            0.0, {"rssi_wifi": constant(-30.0), "sinr_wifi": constant(float(sinr))}),))
+        goodputs.append(run_case(scn, WF, seed).total_goodput)
+    assert goodputs == sorted(goodputs)
+
+
+# ---------------------------------------------------------------------------
 # Suite output
 # ---------------------------------------------------------------------------
 
@@ -391,6 +452,11 @@ class TestReport:
                                "decisions.csv", "summary.txt"}
         assert bundle["ag.csv"].startswith("t,ag_mbps\n")
         assert "total_goodput_mbps 20.000000" in bundle["summary.txt"]
+
+    def test_decisions_csv_format(self):
+        report = make_report(decisions=[Decision(0.0, WF, MODEL), Decision(0.5, LF, FALLBACK)])
+        assert report.to_csv_bundle()["decisions.csv"] == (
+            "t,priority,reason\n0.000,WF,MODEL\n0.500,LF,FALLBACK\n")
 
 
 # ---------------------------------------------------------------------------

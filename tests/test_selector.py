@@ -1,11 +1,11 @@
-"""Decision policies, fallback, and the decisions CSV."""
+"""Decision policies and fallback."""
 
 import pytest
 
 from smartps.dataset import FEATURE_NAMES, N_FEATURES
 from smartps.selector import (
     FALLBACK, MINRTT, MODEL, RR, SMARTPS,
-    Decision, Observation, SelectorState, decide, decisions_csv,
+    Decision, Observation, SelectorState, decide,
 )
 from smartps.traceio import WF, LF
 from smartps.treelearn import Internal, Leaf
@@ -118,8 +118,3 @@ class TestRoundRobinAndStatic:
         d = decide(SelectorState(policy=WF), obs(space_wifi=0.0))
         assert d == Decision(0.0, LF, FALLBACK)
 
-
-class TestDecisionsCsv:
-    def test_format(self):
-        text = decisions_csv([Decision(0.0, WF, MODEL), Decision(0.5, LF, FALLBACK)])
-        assert text == "t,priority,reason\n0.000,WF,MODEL\n0.500,LF,FALLBACK\n"
