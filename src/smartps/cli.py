@@ -22,11 +22,19 @@ from . import dataset, featstats, netsim, scenarios, selector, traceio, treelear
 _BUNDLES = {"simulate": netsim.BUNDLE_FILES, "experiment": netsim.SUITE_FILES}
 
 
+def _manifest_path(args) -> Path:
+    """Where a verb writes its manifest: inside a bundle directory, else beside --output."""
+    out = Path(args.output)
+    if args.verb in _BUNDLES:
+        return out / "run-manifest.json"
+    return out.with_name(out.name + ".manifest.json")
+
+
 def _refuse_existing(args):
-    """Stop before any work if an output of the verb exists and --force is not given."""
+    """Stop before any work if an output of the verb or its manifest exists without --force."""
     out = Path(args.output)
     names = _BUNDLES.get(args.verb)
-    for path in [out / name for name in names] if names else [out]:
+    for path in ([out / name for name in names] if names else [out]) + [_manifest_path(args)]:
         if path.exists() and not args.force:
             raise RuntimeError(f"refusing to overwrite {path} (use --force)")
 
@@ -45,16 +53,15 @@ def _write_output(path: Path, content: str):
     path.write_text(content, encoding="utf-8")
 
 
-def _write_manifest(path: Path, args: argparse.Namespace):
+def _write_manifest(args: argparse.Namespace):
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_output(path, json.dumps(manifest, indent=2) + "\n")
+    _write_output(_manifest_path(args), json.dumps(manifest, indent=2) + "\n")
 
 
 def _write_single(args, content: str) -> int:
     """Write a verb's one output to --output and its manifest next to it."""
-    out = Path(args.output)
-    _write_output(out, content)
-    _write_manifest(out.with_name(out.name + ".manifest.json"), args)
+    _write_output(Path(args.output), content)
+    _write_manifest(args)
     return 0
 
 
@@ -63,7 +70,7 @@ def _write_bundle(args, bundle: dict[str, str]):
     out_dir = Path(args.output)
     for name, content in bundle.items():
         _write_output(out_dir / name, content)
-    _write_manifest(out_dir / "run-manifest.json", args)
+    _write_manifest(args)
 
 
 def _metrics_line(m: treelearn.EvalMetrics) -> str:

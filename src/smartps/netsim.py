@@ -5,9 +5,10 @@ base RTT and loss rate are driven from the scenario's MAC attributes through
 traceio's channel model (Shannon-shaped capacity, logistic loss cliff).  The
 sender runs per-subflow AIMD congestion control with RTO-triggered
 reinjection on the other path, the receiver releases the in-order prefix,
-and a pluggable selector chooses the priority path every 100 ms.  Everything
-is a pure function of (scenario, selector state, params): `run` takes all
-three, and `run_case` builds the last two from a policy name and a seed.
+and a pluggable selector chooses the priority path every decision interval,
+100 ms by default.  Everything is a pure function of (scenario, selector
+state, params): `run` takes all three, and `run_case` builds the last two
+from a policy name and a seed.
 
 Packet deliveries and acks wait on a timing wheel with one bucket per tick,
 sized from the run's own largest round trip, and the channel state each tick

@@ -266,12 +266,12 @@ def global_majority(y: np.ndarray) -> str:
 # Prediction
 # ---------------------------------------------------------------------------
 
-# Trees are compiled in groups of about this many nodes, one function each.
-# Compiling costs a transient of about 3 KiB per node of the function, so a
-# whole forest in one function can take several MiB.
-_GROUP_NODES = 500
-# CPython's tokenizer allows 100 indentation levels; a subtree that would
-# nest deeper is compiled as a function of its own.
+# A compiled function that holds this many lines leaves the rest of its top
+# level to the next function.  Compiling costs a transient of about 3 KiB per
+# line of the function, so a whole forest in one function can take several MiB.
+_FUNCTION_LINES = 500
+# CPython's tokenizer allows 100 indentation levels; the rest of a point that
+# would nest deeper is compiled as a function of its own.
 _MAX_NEST = 90
 # Deepest split a model file may hold: reading, compiling and writing a tree
 # take a frame per level, and CPython stops at 1,000.
@@ -297,27 +297,12 @@ def predict_batch(model: Union[TreeNode, ForestModel], X: np.ndarray) -> np.ndar
 
 
 def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequence[float]], str]:
-    """The model's vote as a function of a feature vector; a single tree is a one-tree forest.
-
-    Trees that open with the same split go to the same function, so that
-    split is compared once for all of them.
-    """
+    """The model's vote as a function of a feature vector; a single tree is a one-tree forest."""
     if isinstance(model, ForestModel):
         trees, tie = model.trees, model.global_majority
     else:
         trees, tie = (model,), WF   # one vote cannot tie
-    same_root: dict[Optional[tuple[int, float]], list[TreeNode]] = {}
-    for tree in map(_merge_alike, trees):
-        same_root.setdefault(_split(tree), []).append(tree)
-    groups: list[list[TreeNode]] = [[]]
-    nodes = 0
-    for alike in same_root.values():
-        if nodes >= _GROUP_NODES:
-            groups.append([])
-            nodes = 0
-        groups[-1] += alike
-        nodes += sum(map(node_count, alike))
-    counters = tuple(_wf_vote_counter(group) for group in groups)
+    counters = _wf_vote_counters(tuple(map(_merge_alike, trees)))
     n = len(trees)
 
     def classify(features: Sequence[float]) -> str:
@@ -327,11 +312,6 @@ def _compile_classifier(model: Union[TreeNode, ForestModel]) -> Callable[[Sequen
         return _majority(votes, n - votes, tie)
 
     return classify
-
-
-def _split(node: TreeNode) -> Optional[tuple[int, float]]:
-    """(feature, threshold) of an internal node, None for a leaf."""
-    return (node.feature, float(node.threshold)) if isinstance(node, Internal) else None
 
 
 def _merge_alike(node: TreeNode) -> TreeNode:
@@ -347,24 +327,23 @@ def _merge_alike(node: TreeNode) -> TreeNode:
     return Internal(node.feature, node.threshold, left, right)
 
 
-def _wf_vote_counter(trees: Sequence[TreeNode]) -> Callable[[Sequence[float]], int]:
-    """Compile trees into nested `if x<f> <= <threshold>:` blocks counting WF leaves reached.
+def _wf_vote_counters(trees: Sequence[TreeNode]) -> list[Callable[[Sequence[float]], int]]:
+    """Compile trees into functions whose counts add up to the WF leaves the trees reach.
 
-    The subtrees that one point of the code reaches are emitted together:
-    their WF leaves add one `v += k`, and their splits are grouped by
-    (feature, threshold) in first-seen order, one `if` per group whose
-    branches go on with every member's left and right child.  Each tree
-    takes the path it takes alone, but a split that several trees reach at
-    the same point is compared once.  Thresholds are written with repr,
-    which round-trips a float exactly, so each comparison is the one the
-    tree makes; a NaN feature goes right.
+    Each function is nested `if x<f> <= <threshold>:` blocks.  The subtrees
+    that one point of the code reaches are emitted together: their WF leaves
+    add one `v += k`, and their splits are grouped by (feature, threshold) in
+    first-seen order, one `if` per group whose branches go on with every
+    member's children, so each tree takes its own path but a split several
+    trees reach there is compared once.  Past _MAX_NEST levels, or at the top
+    level once a function holds _FUNCTION_LINES lines, the remaining groups
+    of a point go to other functions: a nested point adds their counts, and
+    the top level's rest opens the next function.  Thresholds are written
+    with repr, which round-trips a float exactly; a NaN feature goes right.
     """
-    lines = ["def count(x):",
-             "    " + ", ".join(f"x{f}" for f in range(N_FEATURES)) + " = x",
-             "    v = 0"]
-    subtrees: dict[str, Callable[[Sequence[float]], int]] = {}
+    counters = []
 
-    def emit(nodes: Sequence[TreeNode], depth: int):
+    def emit(nodes: Sequence[TreeNode], depth: int) -> list[Internal]:   # into `lines`
         pad = "    " * depth
         wf = 0
         splits: dict[tuple[int, float], list[Internal]] = {}
@@ -372,25 +351,36 @@ def _wf_vote_counter(trees: Sequence[TreeNode]) -> Callable[[Sequence[float]], i
             if isinstance(node, Leaf):
                 wf += node.label == WF
             else:
-                splits.setdefault(_split(node), []).append(node)
+                splits.setdefault((node.feature, float(node.threshold)), []).append(node)
         if wf or not splits:
             lines.append(pad + (f"v += {wf}" if wf else "pass"))
-        if splits and depth > _MAX_NEST:
-            name = f"subtree{len(subtrees)}"
-            subtrees[name] = _wf_vote_counter([n for n in nodes if isinstance(n, Internal)])
-            lines.append(f"{pad}v += {name}(x)")
-            return
-        for (feature, threshold), group in splits.items():
+        for i, ((feature, threshold), group) in enumerate(splits.items()):
+            if depth > _MAX_NEST or (depth == 1 and i and len(lines) >= _FUNCTION_LINES):
+                rest = [node for alike in list(splits.values())[i:] for node in alike]
+                if depth == 1:
+                    return rest
+                for count in _wf_vote_counters(rest):
+                    name = f"subtree{len(subtrees)}"
+                    subtrees[name] = count
+                    lines.append(f"{pad}v += {name}(x)")
+                break
             lines.append(f"{pad}if x{feature} <= {threshold!r}:")
             emit([node.left for node in group], depth + 1)
             lines.append(pad + "else:")
             emit([node.right for node in group], depth + 1)
+        return []
 
-    emit(trees, 1)
-    lines.append("    return v")
-    namespace = {"inf": math.inf, "nan": math.nan, **subtrees}   # repr of non-finite thresholds
-    exec(compile("\n".join(lines), "<treelearn.predict>", "exec"), namespace)
-    return namespace["count"]
+    while trees:
+        lines = ["def count(x):",
+                 "    " + ", ".join(f"x{f}" for f in range(N_FEATURES)) + " = x",
+                 "    v = 0"]
+        subtrees: dict[str, Callable[[Sequence[float]], int]] = {}
+        trees = emit(trees, 1)
+        lines.append("    return v")
+        namespace = {"inf": math.inf, "nan": math.nan, **subtrees}   # repr of inf/nan thresholds
+        exec(compile("\n".join(lines), "<treelearn.predict>", "exec"), namespace)
+        counters.append(namespace["count"])
+    return counters
 
 
 # ---------------------------------------------------------------------------

@@ -365,27 +365,29 @@ class TestExperiment:
             raise AssertionError("simulation started before the overwrite check")
         monkeypatch.setattr(netsim, "run_suite", must_not_run)
         monkeypatch.setattr(scenarios, "pretrained_model", must_not_run)
-        out = tmp_path / "exp"
-        out.mkdir()
-        (out / "summary.csv").write_text("old\n")
-        assert run_cli("experiment", "--output", str(out), *EXPERIMENT_ARGS) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
-        assert (out / "summary.csv").read_text() == "old\n"
-        assert sorted(p.name for p in out.iterdir()) == ["summary.csv"]
+        for old in ("summary.csv", "run-manifest.json"):
+            out = tmp_path / old
+            out.mkdir()
+            (out / old).write_text("old\n")
+            assert run_cli("experiment", "--output", str(out), *EXPERIMENT_ARGS) == 1
+            assert "refusing to overwrite" in capsys.readouterr().err
+            assert (out / old).read_text() == "old\n"
+            assert sorted(p.name for p in out.iterdir()) == [old]
 
 
 class TestRefusesBeforeWork:
     def test_simulate_leaves_an_old_summary_alone(self, tmp_path, scenario_file,
                                                   monkeypatch, capsys):
         monkeypatch.setattr(netsim, "run", must_not_run)
-        out = tmp_path / "sim"
-        out.mkdir()
-        (out / "summary.txt").write_text("old\n")
-        assert run_cli("simulate", "--scenario", str(scenario_file),
-                       "--selector", "minrtt", "--seed", "7", "--output", str(out)) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["summary.txt"]
-        assert (out / "summary.txt").read_text() == "old\n"
+        for old in ("summary.txt", "run-manifest.json"):
+            out = tmp_path / old
+            out.mkdir()
+            (out / old).write_text("old\n")
+            assert run_cli("simulate", "--scenario", str(scenario_file),
+                           "--selector", "minrtt", "--seed", "7", "--output", str(out)) == 1
+            assert "refusing to overwrite" in capsys.readouterr().err
+            assert sorted(p.name for p in out.iterdir()) == [old]
+            assert (out / old).read_text() == "old\n"
 
     @pytest.mark.parametrize("verb,flags", [
         ("analyze", ("--input", "{trace}")),
@@ -398,12 +400,15 @@ class TestRefusesBeforeWork:
         for module, name in ((traceio, "parse_trace"), (dataset, "records_from_csv"),
                              (treelearn, "deserialize_model")):
             monkeypatch.setattr(module, name, must_not_run)
-        out = tmp_path / "old.txt"
-        out.write_text("old\n")
         argv = [flag.format(trace=trace_file, records=dataset_file) for flag in flags]
-        assert run_cli(verb, *argv, "--output", str(out)) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
-        assert out.read_text() == "old\n"
+        for old in ("out.txt", "out.txt.manifest.json"):   # the output, then its manifest
+            out_dir = tmp_path / old
+            out_dir.mkdir()
+            (out_dir / old).write_text("old\n")
+            assert run_cli(verb, *argv, "--output", str(out_dir / "out.txt")) == 1
+            assert "refusing to overwrite" in capsys.readouterr().err
+            assert sorted(p.name for p in out_dir.iterdir()) == [old]
+            assert (out_dir / old).read_text() == "old\n"
 
 
 class TestRejectsImpossibleValues:

@@ -1,7 +1,9 @@
 """Import and I/O hygiene: no unused names, no import cycles, no public name only tests
-call, and no file text read or written in the locale's encoding."""
+call, no file text read or written in the locale's encoding, and a package docstring
+that names every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -120,6 +122,12 @@ def test_cycle_checker_counts_imports_inside_functions():
     assert modules_in_cycles(graph) == ["a", "b", "c"]
     graph["c"] = set()
     assert modules_in_cycles(graph) == []
+
+
+def test_package_docstring_names_every_module():
+    docstring = ast.get_docstring(ast.parse((SRC / "__init__.py").read_text()))
+    named = set(re.findall(r"\((\w+)\)", docstring))   # "... (treelearn), ..."
+    assert sorted({path.stem for path in SRC.glob("*.py")} - {"__init__", *named}) == []
 
 
 def test_netsim_imports_only_what_the_simulator_needs():

@@ -452,11 +452,6 @@ class TestBlockParse:
         with pytest.raises(TraceError, match=f"^row {n + 1}: ad must be > 0$"):
             parse_trace(text + "\n")
 
-    def test_sample_fields_follow_trace_columns(self):
-        # parse_trace builds samples positionally, one column per field.
-        fields = [f.name for f in dataclasses.fields(AttributeSample)]
-        assert fields == ["prio_tag" if c == "prio" else c for c in traceio.TRACE_COLUMNS]
-
 
 # Field values that break an invariant: any number may be non-finite, and a
 # bounded one may sit just past its bound or well past it.

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def random_tree(rng, depth):
                     random_tree(rng, depth - 1), random_tree(rng, depth - 1))
 
 
-# More nodes than one compiled function holds, with trees that open with the
+# More lines than one compiled function holds, with trees that open with the
 # same split spread through it; few features and thresholds, so splits repeat.
 BIG_FOREST = ForestModel(trees=tuple(random_tree(random.Random(i), 1 + i % 5) for i in range(120)),
                          seed=0, global_majority=LF)
@@ -431,11 +432,32 @@ class TestCompiledPredict:
             assert_matches_reference(model, rows)
             assert predict(model, rows[0]) == WF and predict(model, rows[-1]) == LF
 
+    def test_big_forest_spans_several_functions(self):
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return compile(source, *args)
+
+        with mock.patch.object(treelearn, "compile", spy, create=True):
+            predict(replace(BIG_FOREST), [0.0] * N_FEATURES)   # a copy compiles afresh
+        assert len(sources) > 1
+
     @settings(max_examples=50, deadline=None)
     @given(rows=ROWS)
     def test_forest_of_several_functions(self, rows):
-        assert sum(map(node_count, BIG_FOREST.trees)) > 2 * treelearn._GROUP_NODES
         assert_matches_reference(BIG_FOREST, rows)
+
+    def test_functions_sit_side_by_side(self, monkeypatch):
+        """A forest cut into a thousand functions predicts without nesting their calls.
+
+        Each function still takes at least one group of trees, however small the limit.
+        """
+        monkeypatch.setattr(treelearn, "_FUNCTION_LINES", 1)
+        forest = ForestModel(trees=tuple(Internal(i % N_FEATURES, float(i), Leaf(WF, (1, 0)),
+                                                  Leaf(LF, (0, 1))) for i in range(1000)),
+                             seed=0, global_majority=WF)
+        assert_matches_reference(forest, [[float(v)] * N_FEATURES for v in (-1.0, 499.5, 999.0)])
 
     def test_a_shared_split_is_compared_once(self):
         """Trees that reach one split at the same point of their paths compare it once."""
@@ -459,6 +481,19 @@ class TestCompiledPredict:
             comparisons = 0
             assert predict(forest, [Counted(v) for v in row]) == label
             assert comparisons == path
+
+        # x0 <= -60 opens the first and the last tree, with more lines than one
+        # function holds between them; the others split x1..x11 only.
+        others = tuple(Internal(1 + i % (N_FEATURES - 1), float(i), Leaf(WF, (1, 0)),
+                                Leaf(LF, (0, 1))) for i in range(treelearn._FUNCTION_LINES))
+        apart = ForestModel(trees=(TestPredict.TREE, *others, TestPredict.TREE), seed=0,
+                            global_majority=WF)
+        for x0 in (-70.0, 0.0):
+            row = [Counted(x0)] + [250.0] * (N_FEATURES - 1)
+            label = reference_label(apart, row)
+            comparisons = 0
+            assert predict(apart, row) == label
+            assert comparisons == 1
 
     def test_compiled_once_per_model(self, monkeypatch):
         compiles = []
