@@ -3,9 +3,10 @@
 Verbs: analyze, build-dataset, train, prune, evaluate, simulate, experiment.
 Every verb is reproducible from its flags plus seed; a manifest capturing
 both is written next to each output: `<output>.manifest.json` beside a
-single-file output, `run-manifest.json` inside a bundle directory.  Existing
-outputs are never overwritten without --force, and a verb checks for them
-before it does any work.
+single-file output, `run-manifest.json` inside a bundle directory.  A verb
+returns the contents of its files, and `main` writes them and the manifest
+only once the verb has succeeded.  Before any work, `main` refuses an output
+that cannot be written, or that exists without --force.
 """
 
 from __future__ import annotations
@@ -22,21 +23,27 @@ from . import dataset, featstats, netsim, scenarios, selector, traceio, treelear
 _BUNDLES = {"simulate": netsim.BUNDLE_FILES, "experiment": netsim.SUITE_FILES}
 
 
-def _manifest_path(args) -> Path:
-    """Where a verb writes its manifest: inside a bundle directory, else beside --output."""
-    out = Path(args.output)
-    if args.verb in _BUNDLES:
-        return out / "run-manifest.json"
-    return out.with_name(out.name + ".manifest.json")
-
-
-def _refuse_existing(args):
-    """Stop before any work if an output of the verb or its manifest exists without --force."""
+def _outputs(args) -> list[Path]:
+    """The paths a verb writes, in order, its manifest last: a bundle verb's files
+    and run-manifest.json inside --output, else --output and <output>.manifest.json."""
+    if "output" not in vars(args):   # evaluate writes no file
+        return []
     out = Path(args.output)
     names = _BUNDLES.get(args.verb)
-    for path in ([out / name for name in names] if names else [out]) + [_manifest_path(args)]:
-        if path.exists() and not args.force:
-            raise RuntimeError(f"refusing to overwrite {path} (use --force)")
+    if names:
+        return [out / name for name in names] + [out / "run-manifest.json"]
+    return [out, out.with_name(out.name + ".manifest.json")]
+
+
+def _check_output(path: Path, force: bool):
+    """Refuse, before any work, a path that cannot be written or that exists without --force."""
+    if path.is_dir():
+        raise RuntimeError(f"cannot write {path}: it is a directory")
+    ancestor = next(parent for parent in path.parents if parent.exists())
+    if not ancestor.is_dir():
+        raise RuntimeError(f"cannot write {path}: {ancestor} is not a directory")
+    if path.exists() and not force:
+        raise RuntimeError(f"refusing to overwrite {path} (use --force)")
 
 
 def _read_input(path: str, parse):
@@ -53,45 +60,25 @@ def _write_output(path: Path, content: str):
     path.write_text(content, encoding="utf-8")
 
 
-def _write_manifest(args: argparse.Namespace):
-    manifest = {k: v for k, v in vars(args).items() if k != "func"}
-    _write_output(_manifest_path(args), json.dumps(manifest, indent=2) + "\n")
-
-
-def _write_single(args, content: str) -> int:
-    """Write a verb's one output to --output and its manifest next to it."""
-    _write_output(Path(args.output), content)
-    _write_manifest(args)
-    return 0
-
-
-def _write_bundle(args, bundle: dict[str, str]):
-    """Write each file of a verb's bundle into --output, then its run-manifest.json."""
-    out_dir = Path(args.output)
-    for name, content in bundle.items():
-        _write_output(out_dir / name, content)
-    _write_manifest(args)
-
-
 def _metrics_line(m: treelearn.EvalMetrics) -> str:
     return (f"accuracy={m.accuracy:.4f} precision={m.precision:.4f} "
             f"recall={m.recall:.4f} f1={m.f1:.4f}")
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple[str, ...]:
     samples = _read_input(args.input, traceio.parse_trace)
     rows = featstats.correlation_table(samples, grouped_by_prio=args.grouped,
                                        min_count=args.min_count)
-    return _write_single(args, featstats.correlation_table_csv(rows))
+    return (featstats.correlation_table_csv(rows),)
 
 
-def cmd_build_dataset(args) -> int:
+def cmd_build_dataset(args) -> tuple[str, ...]:
     samples = _read_input(args.input, traceio.parse_trace)
     records = dataset.build_dataset(samples, window=args.pair_window)
-    return _write_single(args, dataset.records_to_csv(records))
+    return (dataset.records_to_csv(records),)
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple[str, ...]:
     if args.trees < 1:
         raise ValueError(f"--trees must be at least 1, got {args.trees}")
     records = _read_input(args.input, dataset.records_from_csv)
@@ -107,24 +94,24 @@ def cmd_train(args) -> int:
     if args.folds:
         mean = treelearn.kfold_evaluate(records, learner, k=args.folds, seed=args.seed)
         print(f"{args.folds}-fold: {_metrics_line(mean)}")
-    return _write_single(args, treelearn.serialize_model(learner(records)))
+    return (treelearn.serialize_model(learner(records)),)
 
 
-def cmd_prune(args) -> int:
+def cmd_prune(args) -> tuple[str, ...]:
     model = _read_input(args.model, treelearn.deserialize_model)
     validation = _read_input(args.validation, dataset.records_from_csv)
     pruned = treelearn.prune_model(model, validation)
-    return _write_single(args, treelearn.serialize_model(pruned))
+    return (treelearn.serialize_model(pruned),)
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[str, ...]:
     model = _read_input(args.model, treelearn.deserialize_model)
     records = _read_input(args.input, dataset.records_from_csv)
     print(_metrics_line(treelearn.evaluate(model, records)))
-    return 0
+    return ()
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[str, ...]:
     policy = args.selector.upper()
     if args.model and policy != selector.SMARTPS:
         raise ValueError(f"--model goes only with --selector smartps, "
@@ -135,19 +122,17 @@ def cmd_simulate(args) -> int:
         model = (_read_input(args.model, treelearn.deserialize_model) if args.model
                  else scenarios.pretrained_model())
     report = netsim.run_case(scenario, policy, args.seed, model)
-    _write_bundle(args, report.to_csv_bundle())
-    return 0
+    return tuple(report.to_csv_bundle().values())
 
 
-def cmd_experiment(args) -> int:
+def cmd_experiment(args) -> tuple[str, ...]:
     rows = netsim.run_suite(scenarios.evaluation_suite(duration=args.duration),
                             (selector.SMARTPS, selector.MINRTT, selector.RR),
                             args.seed, args.seeds,
                             scenarios.pretrained_model())
     bundle = netsim.suite_csv_bundle(rows)
-    _write_bundle(args, bundle)
     print(bundle["summary.csv"], end="")
-    return 0
+    return tuple(bundle.values())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,9 +209,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if "output" in vars(args):   # every verb but evaluate writes files
-            _refuse_existing(args)
-        return args.func(args)
+        paths = _outputs(args)
+        for path in paths:
+            _check_output(path, args.force)
+        contents = args.func(args)
+        if paths:
+            manifest = {k: v for k, v in vars(args).items() if k != "func"}
+            for path, content in zip(paths, (*contents, json.dumps(manifest, indent=2) + "\n"),
+                                     strict=True):
+                _write_output(path, content)
+        return 0
     except (ValueError, RuntimeError, OSError) as exc:  # smartps errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

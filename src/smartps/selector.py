@@ -7,7 +7,7 @@ no cwnd space.  Nothing retrains the model while a connection runs.
 The simulator builds one `Observation` and keeps one `Decision` per decision,
 every tick at a 1-ms decision interval, so both are named tuples built
 positionally: immutable, compared by value, and cheap to build.
-`Observation` still refuses a feature vector that is not 12 long.
+`treelearn.predict` refuses a feature vector that is not 12 long.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar, NamedTuple, Optional, Union
 
 from . import treelearn
-from .dataset import FEATURE_NAMES, N_FEATURES
+from .dataset import FEATURE_NAMES
 from .traceio import WF, LF
 
 SMARTPS = "SMARTPS"
@@ -32,22 +32,13 @@ _RTT_WIFI = FEATURE_NAMES.index("rtt_wifi")
 _RTT_LTE = FEATURE_NAMES.index("rtt_lte")
 
 
-class _ObservationFields(NamedTuple):
+class Observation(NamedTuple):
+    """Selector input for one decision: features plus per-path send state."""
+
     t: float
     features: tuple[float, ...]   # 12-vector in dataset.FEATURE_NAMES order
     space_wifi: float             # cwnd space (packets); > 0 means sendable
     space_lte: float
-
-
-class Observation(_ObservationFields):
-    """Selector input for one decision: features plus per-path send state."""
-
-    __slots__ = ()
-
-    def __new__(cls, t, features, space_wifi, space_lte):
-        if len(features) != N_FEATURES:
-            raise ValueError(f"expected {N_FEATURES} features, got {len(features)}")
-        return tuple.__new__(cls, (t, features, space_wifi, space_lte))
 
 
 class Decision(NamedTuple):

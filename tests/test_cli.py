@@ -373,6 +373,13 @@ class TestExperiment:
             assert "refusing to overwrite" in capsys.readouterr().err
             assert (out / old).read_text() == "old\n"
             assert sorted(p.name for p in out.iterdir()) == [old]
+        blocker = tmp_path / "blocker"   # a regular file where a directory must go
+        blocker.write_text("old\n")
+        for out in (blocker, blocker / "sub"):
+            assert run_cli("experiment", "--output", str(out), *EXPERIMENT_ARGS) == 1
+            assert (f"error: cannot write {out / 'runs.csv'}: {blocker} is not a directory"
+                    in capsys.readouterr().err)
+        assert blocker.read_text() == "old\n"
 
 
 class TestRefusesBeforeWork:
@@ -388,6 +395,14 @@ class TestRefusesBeforeWork:
             assert "refusing to overwrite" in capsys.readouterr().err
             assert sorted(p.name for p in out.iterdir()) == [old]
             assert (out / old).read_text() == "old\n"
+        blocker = tmp_path / "blocker"   # a regular file where a directory must go
+        blocker.write_text("old\n")
+        for out in (blocker, blocker / "sub"):
+            assert run_cli("simulate", "--scenario", str(scenario_file),
+                           "--selector", "minrtt", "--seed", "7", "--output", str(out)) == 1
+            assert (f"error: cannot write {out / 'ag.csv'}: {blocker} is not a directory"
+                    in capsys.readouterr().err)
+        assert blocker.read_text() == "old\n"
 
     @pytest.mark.parametrize("verb,flags", [
         ("analyze", ("--input", "{trace}")),
@@ -409,6 +424,16 @@ class TestRefusesBeforeWork:
             assert "refusing to overwrite" in capsys.readouterr().err
             assert sorted(p.name for p in out_dir.iterdir()) == [old]
             assert (out_dir / old).read_text() == "old\n"
+        blocker = tmp_path / "blocker"   # a regular file where a directory must go
+        blocker.write_text("old\n")
+        out = blocker / "out.txt"
+        assert run_cli(verb, *argv, "--output", str(out)) == 1
+        assert (f"error: cannot write {out}: {blocker} is not a directory"
+                in capsys.readouterr().err)
+        assert blocker.read_text() == "old\n"
+        # --force cannot make a directory writable as a file.
+        assert run_cli(verb, *argv, "--output", str(tmp_path), "--force") == 1
+        assert f"error: cannot write {tmp_path}: it is a directory" in capsys.readouterr().err
 
 
 class TestRejectsImpossibleValues:

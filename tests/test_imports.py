@@ -1,6 +1,6 @@
 """Import and I/O hygiene: no unused names, no import cycles, no public name only tests
-call, no file text read or written in the locale's encoding, and a package docstring
-that names every module."""
+call, no file text read or written in the locale's encoding, no file written outside
+`cli._write_output`, and a package docstring that names every module."""
 
 import ast
 import re
@@ -71,6 +71,67 @@ def test_encoding_checker():
               "    pass\n"
               "Path('x').open(encoding='utf-8')\n")
     assert calls_without_encoding(source) == ["line 2: read_text", "line 4: open"]
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    """A `write_text` or `write_bytes` call, or an `open` whose mode may write: the mode
+    is `open(file, mode)`'s second argument, `path.open(mode)`'s first, or `mode=`."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) else 0
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[position] if len(call.args) > position else None)
+    if mode is None:   # the default mode reads
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def file_writes(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each call that writes a file; the function is dotted through
+    its classes and enclosing functions, `<module>` at the top level."""
+    found = []
+
+    def visit(node: ast.AST, owner: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call) and writes_a_file(child):
+                found.append((owner or "<module>", child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_cli_writer_writes_files():
+    writers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
+               for owner, _ in file_writes(path.read_text())}
+    assert writers == {"cli._write_output"}
+
+
+def test_file_write_checker():
+    source = ("from pathlib import Path\n"
+              "Path('a').write_bytes(b'')\n"
+              "def f(p):\n"
+              "    p.read_text(encoding='utf-8')\n"
+              "    with open(p, encoding='utf-8') as fh:\n"
+              "        fh.write(p.open('r').read())\n"
+              "    open(p, 'rb').close()\n"
+              "    p.open('a', encoding='utf-8')\n"
+              "class C:\n"
+              "    def g(self, p, mode):\n"
+              "        def inner():\n"
+              "            p.write_text('', encoding='utf-8')\n"
+              "        return open(p, mode=mode)\n"
+              "open('x', 'w+b')\n")
+    assert file_writes(source) == [("<module>", 2), ("f", 8), ("C.g.inner", 12),
+                                   ("C.g", 13), ("<module>", 14)]
 
 
 def package_imports(source: str, package: str = "smartps") -> set[str]:

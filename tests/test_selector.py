@@ -41,10 +41,6 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             SelectorState(policy=SMARTPS)
 
-    def test_observation_arity_checked(self):
-        with pytest.raises(ValueError):
-            Observation(t=0.0, features=(1.0,), space_wifi=1, space_lte=1)
-
 
 class TestSmartPs:
     def test_model_decision_follows_tree(self):
