@@ -7,8 +7,14 @@ sender runs per-subflow AIMD congestion control with RTO-triggered
 reinjection on the other path, the receiver releases the in-order prefix,
 and a pluggable selector chooses the priority path every decision interval,
 100 ms by default.  Everything is a pure function of (scenario, selector
-state, params): `run` takes all three, and `run_case` builds the last two
-from a policy name and a seed.
+state, params), so the decisions alone set a run apart from another on the
+same scenario and seed.  `run_group` therefore simulates several selector
+states as one run until their decisions first differ, and forks it there:
+each branch copies the loop state, shares the per-tick tables, and goes on
+from that tick's send step under its own decision.  Every state is asked
+exactly as often, with the same observations, as when it runs alone.  `run`
+is a group of one, and `run_case` builds its state and params from a policy
+name and a seed.
 
 Packet deliveries and acks wait on a timing wheel with one bucket per tick,
 sized from the run's own largest round trip, and the channel state each tick
@@ -24,19 +30,25 @@ path and take the later send's sample: the ambiguity Karn's rule resolves.
 A delivery of the next in-order seq is released at once; the reorder buffer
 holds only seqs above it.
 
-A tick does work only where something can change.  The RTO scan sleeps
-until `rto_wake`, the earliest tick at which any packet can be MIN_RTO old.
-A path's oldest in-flight send tick never decreases: entries leave from
+A tick does work only where something can change, and so a branch can
+re-enter the tick it forked at and repeat nothing before the send step.
+That tick's wheel buckets were emptied as they ran, and its decision is past.
+The RTO scan sleeps until `rto_wake`, the earliest tick at which any packet
+can be MIN_RTO old, and a second scan in the same tick finds nothing new.  A
+path's oldest in-flight send tick never decreases: entries leave from
 anywhere, but a new one is stamped with the current tick.  So
 min over paths of (oldest send tick + MIN_RTO), with the current tick
 standing in for an empty path's oldest, bounds every expiry from below;
 a scan can come early and find nothing, but never late.  A path that can
 send nothing (no reinjections, and new data barred or window-limited)
-skips the rest of its send body.
+skips the rest of its send body.  A one-state run asks its selector
+straight from the loop, so it pays nothing per tick or per decision for
+forking; the loop keeps its state in locals and stores it only on exit.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from array import array
 from collections import deque
@@ -177,6 +189,12 @@ class _Path:
         self.plr_est = 0.0
         self.pdr_est = 0.0
 
+    def fork(self) -> _Path:
+        twin = copy.copy(self)   # shares the per-tick tables
+        twin.in_flight = self.in_flight.copy()
+        twin.reinject = self.reinject.copy()
+        return twin
+
 
 def _whole(length: float, unit: float) -> int:
     """length / unit if that is a positive whole number, else 0.
@@ -190,258 +208,387 @@ def _whole(length: float, unit: float) -> int:
     return n if n >= 1 and abs(length / unit - n) <= 1e-9 * n else 0
 
 
-def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsReport:
-    """Simulate one connection over the scenario under the given selector."""
-    p = params
-    if p.duration != scenario.duration:
-        raise SimError(f"params.duration {p.duration} s differs from the scenario's "
-                       f"duration {scenario.duration} s")
-    decision_ticks = _whole(p.decision_interval, MS)
-    if not decision_ticks:
-        raise SimError(f"decision_interval must be a positive whole number of {MS} s "
-                       f"ticks; got {p.decision_interval}")
-    n_windows = _whole(scenario.duration, METRICS_WINDOW)
-    if not n_windows:
-        raise SimError(f"scenario duration {scenario.duration} s is not a positive whole "
-                       f"number of {METRICS_WINDOW} s metrics windows")
+class _Fork(Exception):
+    """A group's states decided differently; args[0] is each state's Decision."""
 
-    window_ticks = round(METRICS_WINDOW / MS)
-    n_ticks = n_windows * window_ticks
-    mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
-                              ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
-    # A comprehension, so no channel series outlives its path's tables.
-    paths = [_Path(name, pid, *channel_map_arrays(mac[rssi], mac[sinr], name), n_ticks)
-             for pid, name, rssi, sinr in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
-                                           (1, LTE, "rssi_lte", "sinr_lte"))]
-    wifi, lte = paths
-    wifi_first, lte_first = (wifi, lte), (lte, wifi)
-    # The MAC features of each decision as plain floats.  Each numpy series is
-    # dropped as its table is made, so no more than one extra series is alive.
-    rssi_wifi, rssi_lte, sinr_wifi, sinr_lte = (
-        _doubles(mac.pop(key)) for key in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte"))
 
-    # Timing wheel (Varghese & Lauck, SOSP 1987): one bucket per tick of
-    # delay, so a ring one longer than the largest delay never wraps onto a
-    # pending bucket.  Every delivery of a tick runs before any ack, and a
-    # bucket sorted by (seq, path) replays the order a (tick, kind, seq, path)
-    # heap would pop.  A delivery and an ack are both the int seq*2 + path id.
-    size = max(max(wifi.full), max(lte.full)) + 1
-    dlv_wheel: list[list[int]] = [[] for _ in range(size)]
-    ack_wheel: list[list[int]] = [[] for _ in range(size)]
+class _Group:
+    """Stands in for the `selector` module while several states run as one."""
 
-    rng = seeded_stream(p.seed, 0x10c5)
-    draw_chunk = _DRAW_CHUNK
-    draws = rng.random(draw_chunk).tolist()   # uniform loss draws, consumed in send order
-    di = 0
+    @staticmethod
+    def decide(states, obs: Observation) -> Decision:
+        decisions = [selmod.decide(state, obs) for state in states]
+        if decisions.count(decisions[0]) < len(decisions):
+            raise _Fork(decisions)
+        return decisions[0]
 
-    pkt_bytes, block_packets, recv_window = PKT_BYTES, BLOCK_PACKETS, RECV_WINDOW
-    rto_mult, cwnd_max = RTO_MULT, CWND_MAX
-    # An int tick is younger than MIN_RTO exactly when it is younger than
-    # ceil(MIN_RTO), so every RTO test below compares ints.
-    min_rto = math.ceil(MIN_RTO)
-    credit_max = 4.0 * pkt_bytes
-    next_seq = 0
-    delivered_upto = 0   # every seq below it has been released in order
-    recv_buffer: set[int] = set()
-    n_transit = 0
-    block_first_send: dict[int, int] = {}
 
-    decisions: list[Decision] = []
-    window_t: list[float] = []
-    ag_series: list[float] = []
-    ad_samples: list[tuple[float, float]] = []
-    accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
-    released_win_bytes = 0
+class _Sim:
+    """The state of one simulated connection, which a group forks at a decision."""
 
-    send_order = wifi_first
+    __slots__ = (
+        # Fixed at the start: a fork shares them.
+        "scenario", "seed", "n_ticks", "decision_ticks", "size",
+        "rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte",
+        # Changed by the loop: a fork copies them.
+        "paths", "tick", "next_decision", "window_end", "rto_wake", "dlv_wheel", "ack_wheel",
+        "rng", "draws", "di", "next_seq", "delivered_upto", "recv_buffer", "n_transit",
+        "block_first_send", "released_win_bytes",
+        "decisions", "window_t", "ag_series", "ad_samples", "accumulation")
 
-    def observation(tick: int) -> Observation:
-        feats = (
-            rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
-            wifi.srtt, lte.srtt,
-            max(1.0, wifi.cwnd), max(1.0, lte.cwnd),
-            wifi.plr_est, lte.plr_est,
-            wifi.pdr_est, lte.pdr_est,
-        )
-        return Observation(tick * MS, feats, wifi.cwnd - len(wifi.in_flight),
-                           lte.cwnd - len(lte.in_flight))
+    def __init__(self, scenario: Scenario, params: SimParams):
+        p = params
+        if p.duration != scenario.duration:
+            raise SimError(f"params.duration {p.duration} s differs from the scenario's "
+                           f"duration {scenario.duration} s")
+        self.decision_ticks = _whole(p.decision_interval, MS)
+        if not self.decision_ticks:
+            raise SimError(f"decision_interval must be a positive whole number of {MS} s "
+                           f"ticks; got {p.decision_interval}")
+        n_windows = _whole(scenario.duration, METRICS_WINDOW)
+        if not n_windows:
+            raise SimError(f"scenario duration {scenario.duration} s is not a positive whole "
+                           f"number of {METRICS_WINDOW} s metrics windows")
+        self.scenario = scenario.name
+        self.seed = p.seed
 
-    # Running counters instead of a modulo per tick: the wheel slot, and the
-    # ticks of the next decision and of the metrics-window end.
-    slot = -1
-    next_decision = 0
-    window_end = window_ticks - 1
-    # No packet can time out before this tick (see the module docstring).
-    rto_wake = min_rto
+        window_ticks = round(METRICS_WINDOW / MS)
+        self.n_ticks = n_ticks = n_windows * window_ticks
+        mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
+                                  ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
+        # A comprehension, so no channel series outlives its path's tables.
+        self.paths = [_Path(name, pid, *channel_map_arrays(mac[rssi], mac[sinr], name), n_ticks)
+                      for pid, name, rssi, sinr in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
+                                                    (1, LTE, "rssi_lte", "sinr_lte"))]
+        wifi, lte = self.paths
+        # The MAC features of each decision as plain floats.  Each numpy series is
+        # dropped as its table is made, so no more than one extra series is alive.
+        self.rssi_wifi, self.rssi_lte, self.sinr_wifi, self.sinr_lte = (
+            _doubles(mac.pop(key)) for key in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte"))
 
-    for tick in range(n_ticks):
-        slot += 1
-        if slot == size:
-            slot = 0
+        # Timing wheel (Varghese & Lauck, SOSP 1987): one bucket per tick of
+        # delay, so a ring one longer than the largest delay never wraps onto a
+        # pending bucket.  Every delivery of a tick runs before any ack, and a
+        # bucket sorted by (seq, path) replays the order a (tick, kind, seq, path)
+        # heap would pop.  A delivery and an ack are both the int seq*2 + path id.
+        self.size = size = max(max(wifi.full), max(lte.full)) + 1
+        self.dlv_wheel = [[] for _ in range(size)]
+        self.ack_wheel = [[] for _ in range(size)]
 
-        # --- arrivals, then acks ---
-        due = dlv_wheel[slot]
-        if due:
-            if len(due) > 1:
-                due.sort()
-            for key in due:
-                seq = key >> 1
-                if seq > delivered_upto:
-                    if seq in recv_buffer:
-                        continue   # a copy of a buffered seq
-                    recv_buffer.add(seq)
-                elif seq < delivered_upto:
-                    continue       # a copy of a released seq
-                n_transit -= 1
-                paths[key & 1].dlv_bytes_win += pkt_bytes
-                if seq == delivered_upto:
-                    # Release it, then each buffered seq that follows in order.
-                    while True:
-                        delivered_upto += 1
-                        released_win_bytes += pkt_bytes
-                        if delivered_upto % block_packets == 0:
-                            block = delivered_upto // block_packets - 1
-                            start = block_first_send.pop(block, None)
-                            if start is not None:
-                                ad_samples.append((tick * MS, float(tick - start)))
-                        if delivered_upto not in recv_buffer:
-                            break
-                        recv_buffer.remove(delivered_upto)
-            due.clear()
-        due = ack_wheel[slot]
-        if due:
-            if len(due) > 1:
-                due.sort()
-            for key in due:
-                path = paths[key & 1]
-                sent_at = path.in_flight.pop(key >> 1, None)
-                if sent_at is not None:
-                    if path.cwnd < path.ssthresh:
-                        cwnd = path.cwnd + 1.0
-                    else:
-                        cwnd = path.cwnd + 1.0 / path.cwnd
-                    path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
-                    path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
-            due.clear()
+        self.rng = seeded_stream(p.seed, 0x10c5)
+        self.draws = self.rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, in send order
+        self.di = 0
 
-        # --- RTO: stranded packets reinject on the other path ---
-        if tick >= rto_wake:
-            rto_wake = tick + min_rto   # an empty path sends its next packet now at the earliest
-            for path, other in (wifi_first, lte_first):
-                in_flight = path.in_flight
-                if not in_flight:
-                    continue
-                # in_flight is in send order and rto >= min_rto, so once its
-                # oldest entry is younger than min_rto nothing can time out.
-                oldest = next(iter(in_flight.values()))
-                if tick - oldest >= min_rto:
-                    rto = max(MIN_RTO, rto_mult * path.srtt)
-                    expired = []
-                    for seq, send_tick in in_flight.items():
-                        if tick - send_tick < rto:
-                            break
-                        expired.append(seq)
-                    if expired:
-                        for seq in expired:
-                            del in_flight[seq]
-                        other.reinject.extend(expired)
-                        lost = len(expired)
-                        n_transit -= lost
-                        path.lost_win += lost
-                        path.ssthresh = max(2.0, path.cwnd / 2.0)
-                        path.cwnd = max(1.0, path.cwnd / 2.0)
+        self.tick = 0
+        self.next_decision = 0
+        self.window_end = window_ticks - 1
+        # No packet can time out before this tick (see the module docstring).
+        self.rto_wake = math.ceil(MIN_RTO)
+        self.next_seq = 0
+        self.delivered_upto = 0   # every seq below it has been released in order
+        self.recv_buffer: set[int] = set()
+        self.n_transit = 0
+        self.block_first_send: dict[int, int] = {}
+        self.released_win_bytes = 0
+
+        self.decisions: list[Decision] = []
+        self.window_t: list[float] = []
+        self.ag_series: list[float] = []
+        self.ad_samples: list[tuple[float, float]] = []
+        self.accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
+
+    def fork(self) -> _Sim:
+        twin = copy.copy(self)
+        twin.paths = [path.fork() for path in self.paths]
+        twin.dlv_wheel = [bucket.copy() for bucket in self.dlv_wheel]
+        twin.ack_wheel = [bucket.copy() for bucket in self.ack_wheel]
+        twin.rng = copy.deepcopy(self.rng)   # draws is never changed in place, so it is shared
+        twin.recv_buffer = self.recv_buffer.copy()
+        twin.block_first_send = self.block_first_send.copy()
+        twin.decisions = self.decisions.copy()
+        twin.window_t = self.window_t.copy()
+        twin.ag_series = self.ag_series.copy()
+        twin.ad_samples = self.ad_samples.copy()
+        twin.accumulation = {name: series.copy() for name, series in self.accumulation.items()}
+        return twin
+
+    def advance(self, chooser, state) -> list[Decision] | None:
+        """Run to the end, or stop at a decision on which the group disagrees.
+
+        Each decision is `chooser.decide(state, obs)`: the `selector` module
+        and one state, or `_Group` and a list of states.  On a disagreement
+        the run stands after that tick's decision, before its send step, and
+        each state's Decision is returned; otherwise None.
+        """
+        wifi, lte = paths = self.paths
+        wifi_first, lte_first = (wifi, lte), (lte, wifi)
+        rssi_wifi, rssi_lte = self.rssi_wifi, self.rssi_lte
+        sinr_wifi, sinr_lte = self.sinr_wifi, self.sinr_lte
+        n_ticks, decision_ticks, size = self.n_ticks, self.decision_ticks, self.size
+        dlv_wheel, ack_wheel = self.dlv_wheel, self.ack_wheel
+        rng, draws, di = self.rng, self.draws, self.di
+        draw_chunk = _DRAW_CHUNK
+
+        pkt_bytes, block_packets, recv_window = PKT_BYTES, BLOCK_PACKETS, RECV_WINDOW
+        rto_mult, cwnd_max = RTO_MULT, CWND_MAX
+        # An int tick is younger than MIN_RTO exactly when it is younger than
+        # ceil(MIN_RTO), so every RTO test below compares ints.
+        min_rto = math.ceil(MIN_RTO)
+        credit_max = 4.0 * pkt_bytes
+        next_seq, delivered_upto, n_transit = self.next_seq, self.delivered_upto, self.n_transit
+        recv_buffer, block_first_send = self.recv_buffer, self.block_first_send
+
+        decisions, window_t, ag_series = self.decisions, self.window_t, self.ag_series
+        ad_samples, accumulation = self.ad_samples, self.accumulation
+        released_win_bytes = self.released_win_bytes
+        window_ticks = round(METRICS_WINDOW / MS)
+
+        # The priority path is the last decision's; tick 0 decides before it sends.
+        send_order = wifi_first if not decisions or decisions[-1].priority == WF else lte_first
+
+        def observation(tick: int) -> Observation:
+            feats = (
+                rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
+                wifi.srtt, lte.srtt,
+                max(1.0, wifi.cwnd), max(1.0, lte.cwnd),
+                wifi.plr_est, lte.plr_est,
+                wifi.pdr_est, lte.pdr_est,
+            )
+            return Observation(tick * MS, feats, wifi.cwnd - len(wifi.in_flight),
+                               lte.cwnd - len(lte.in_flight))
+
+        # Running counters instead of a modulo per tick: the wheel slot (the
+        # loop steps it to the first tick's), and the ticks of the next
+        # decision and of the metrics-window end.
+        slot = (self.tick - 1) % size
+        next_decision, window_end, rto_wake = self.next_decision, self.window_end, self.rto_wake
+        split = None
+
+        try:
+            for tick in range(self.tick, n_ticks):
+                slot += 1
+                if slot == size:
+                    slot = 0
+
+                # --- arrivals, then acks ---
+                due = dlv_wheel[slot]
+                if due:
+                    if len(due) > 1:
+                        due.sort()
+                    for key in due:
+                        seq = key >> 1
+                        if seq > delivered_upto:
+                            if seq in recv_buffer:
+                                continue   # a copy of a buffered seq
+                            recv_buffer.add(seq)
+                        elif seq < delivered_upto:
+                            continue       # a copy of a released seq
+                        n_transit -= 1
+                        paths[key & 1].dlv_bytes_win += pkt_bytes
+                        if seq == delivered_upto:
+                            # Release it, then each buffered seq that follows in order.
+                            while True:
+                                delivered_upto += 1
+                                released_win_bytes += pkt_bytes
+                                if delivered_upto % block_packets == 0:
+                                    block = delivered_upto // block_packets - 1
+                                    start = block_first_send.pop(block, None)
+                                    if start is not None:
+                                        ad_samples.append((tick * MS, float(tick - start)))
+                                if delivered_upto not in recv_buffer:
+                                    break
+                                recv_buffer.remove(delivered_upto)
+                    due.clear()
+                due = ack_wheel[slot]
+                if due:
+                    if len(due) > 1:
+                        due.sort()
+                    for key in due:
+                        path = paths[key & 1]
+                        sent_at = path.in_flight.pop(key >> 1, None)
+                        if sent_at is not None:
+                            if path.cwnd < path.ssthresh:
+                                cwnd = path.cwnd + 1.0
+                            else:
+                                cwnd = path.cwnd + 1.0 / path.cwnd
+                            path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
+                            path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
+                    due.clear()
+
+                # --- RTO: stranded packets reinject on the other path ---
+                if tick >= rto_wake:
+                    # An empty path sends its next packet now at the earliest.
+                    rto_wake = tick + min_rto
+                    for path, other in (wifi_first, lte_first):
+                        in_flight = path.in_flight
                         if not in_flight:
                             continue
+                        # in_flight is in send order and rto >= min_rto, so once its
+                        # oldest entry is younger than min_rto nothing can time out.
                         oldest = next(iter(in_flight.values()))
-                if oldest + min_rto < rto_wake:
-                    rto_wake = oldest + min_rto
+                        if tick - oldest >= min_rto:
+                            rto = max(MIN_RTO, rto_mult * path.srtt)
+                            expired = []
+                            for seq, send_tick in in_flight.items():
+                                if tick - send_tick < rto:
+                                    break
+                                expired.append(seq)
+                            if expired:
+                                for seq in expired:
+                                    del in_flight[seq]
+                                other.reinject.extend(expired)
+                                lost = len(expired)
+                                n_transit -= lost
+                                path.lost_win += lost
+                                path.ssthresh = max(2.0, path.cwnd / 2.0)
+                                path.cwnd = max(1.0, path.cwnd / 2.0)
+                                if not in_flight:
+                                    continue
+                                oldest = next(iter(in_flight.values()))
+                        if oldest + min_rto < rto_wake:
+                            rto_wake = oldest + min_rto
 
-        # --- path selection ---
-        if tick == next_decision:
-            next_decision += decision_ticks
-            d = selmod.decide(state, observation(tick))
-            decisions.append(d)
-            send_order = wifi_first if d.priority == WF else lte_first
+                # --- path selection ---
+                if tick == next_decision:
+                    next_decision += decision_ticks
+                    d = chooser.decide(state, observation(tick))
+                    decisions.append(d)
+                    send_order = wifi_first if d.priority == WF else lte_first
 
-        # --- send: priority path first, spill to the other ---
-        first = send_order[0]
-        for path in send_order:
-            credit = path.credit + path.credit_tick[tick]
-            if credit_max < credit:
-                credit = credit_max
-            in_flight = path.in_flight
-            cwnd = path.cwnd
-            if credit < pkt_bytes or len(in_flight) >= cwnd:
-                path.credit = credit
-                continue
-            # New data spills to the secondary path only when the priority
-            # path is saturated (cwnd-full) or effectively dead; credit
-            # pacing alone must not divert the in-order stream.  Reinjections
-            # are always admitted.
-            allow_new = (path is first
-                         or len(first.in_flight) >= first.cwnd
-                         or first.dead[tick])
-            reinject = path.reinject
-            if not reinject and not (allow_new and next_seq - delivered_upto < recv_window):
-                path.credit = credit   # nothing to reinject and no new data it may send
-                continue
-            loss = path.loss[tick]
-            pid = path.pid
-            dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
-            ack_due = ack_wheel[(tick + path.full[tick]) % size]
-            sent = 0
-            while credit >= pkt_bytes and len(in_flight) < cwnd:
-                if reinject:
-                    seq = reinject.popleft()
-                elif allow_new and next_seq - delivered_upto < recv_window:
-                    seq = next_seq
-                    next_seq += 1
-                    if seq % block_packets == 0:
-                        block_first_send[seq // block_packets] = tick
-                else:
-                    break
-                credit -= pkt_bytes
-                in_flight[seq] = tick
-                sent += 1
-                if di == draw_chunk:
-                    draws = rng.random(draw_chunk).tolist()
-                    di = 0
-                di += 1
-                if draws[di - 1] >= loss:
-                    key = seq * 2 + pid
-                    dlv_due.append(key)
-                    ack_due.append(key)
-                # lost packets generate no events; the RTO scan recovers them
-            path.credit = credit
-            path.sent_win += sent
-            n_transit += sent
+                # --- send: priority path first, spill to the other ---
+                first = send_order[0]
+                for path in send_order:
+                    credit = path.credit + path.credit_tick[tick]
+                    if credit_max < credit:
+                        credit = credit_max
+                    in_flight = path.in_flight
+                    cwnd = path.cwnd
+                    if credit < pkt_bytes or len(in_flight) >= cwnd:
+                        path.credit = credit
+                        continue
+                    # New data spills to the secondary path only when the priority
+                    # path is saturated (cwnd-full) or effectively dead; credit
+                    # pacing alone must not divert the in-order stream.  Reinjections
+                    # are always admitted.
+                    allow_new = (path is first
+                                 or len(first.in_flight) >= first.cwnd
+                                 or first.dead[tick])
+                    reinject = path.reinject
+                    if not reinject and not (allow_new
+                                             and next_seq - delivered_upto < recv_window):
+                        path.credit = credit   # nothing to reinject and no new data it may send
+                        continue
+                    loss = path.loss[tick]
+                    pid = path.pid
+                    dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
+                    ack_due = ack_wheel[(tick + path.full[tick]) % size]
+                    sent = 0
+                    while credit >= pkt_bytes and len(in_flight) < cwnd:
+                        if reinject:
+                            seq = reinject.popleft()
+                        elif allow_new and next_seq - delivered_upto < recv_window:
+                            seq = next_seq
+                            next_seq += 1
+                            if seq % block_packets == 0:
+                                block_first_send[seq // block_packets] = tick
+                        else:
+                            break
+                        credit -= pkt_bytes
+                        in_flight[seq] = tick
+                        sent += 1
+                        if di == draw_chunk:
+                            draws = rng.random(draw_chunk).tolist()
+                            di = 0
+                        di += 1
+                        if draws[di - 1] >= loss:
+                            key = seq * 2 + pid
+                            dlv_due.append(key)
+                            ack_due.append(key)
+                        # lost packets generate no events; the RTO scan recovers them
+                    path.credit = credit
+                    path.sent_win += sent
+                    n_transit += sent
 
-        # --- metrics window ---
-        if tick == window_end:
-            window_end += window_ticks
-            window_t.append((tick + 1 - window_ticks) * MS)
-            ag_series.append(released_win_bytes * 8.0 / (window_ticks * MS) / 1e6)
-            released_win_bytes = 0
-            for path in paths:
-                accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
-                # lost_win also counts RTOs of packets sent in earlier windows.
-                path.plr_est = min(1.0, path.lost_win / path.sent_win) if path.sent_win else 0.0
-                path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * MS) / 1e6
-                path.sent_win = path.lost_win = path.dlv_bytes_win = 0
+                # --- metrics window ---
+                if tick == window_end:
+                    window_end += window_ticks
+                    window_t.append((tick + 1 - window_ticks) * MS)
+                    ag_series.append(released_win_bytes * 8.0 / (window_ticks * MS) / 1e6)
+                    released_win_bytes = 0
+                    for path in paths:
+                        accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
+                        # lost_win also counts RTOs of packets sent in earlier windows.
+                        path.plr_est = (min(1.0, path.lost_win / path.sent_win)
+                                        if path.sent_win else 0.0)
+                        path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * MS) / 1e6
+                        path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 
-        # --- conservation: every distinct packet is in exactly one place ---
-        pending = len(wifi.reinject) + len(lte.reinject)
-        if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
-            raise SimError(
-                f"conservation violated at tick {tick}: transit={n_transit} "
-                f"buffered={len(recv_buffer)} released={delivered_upto} "
-                f"pending={pending} sent={next_seq}")
+                # --- conservation: every distinct packet is in exactly one place ---
+                pending = len(wifi.reinject) + len(lte.reinject)
+                if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
+                    raise SimError(
+                        f"conservation violated at tick {tick}: transit={n_transit} "
+                        f"buffered={len(recv_buffer)} released={delivered_upto} "
+                        f"pending={pending} sent={next_seq}")
+        except _Fork as fork:
+            split = fork.args[0]
+        self.tick = tick
+        self.next_decision, self.window_end, self.rto_wake = next_decision, window_end, rto_wake
+        self.draws, self.di = draws, di
+        self.next_seq, self.delivered_upto, self.n_transit = next_seq, delivered_upto, n_transit
+        self.released_win_bytes = released_win_bytes
+        return split
 
-    total_goodput = delivered_upto * PKT_BYTES * 8.0 / (n_ticks * MS) / 1e6
-    return MetricsReport(
-        policy=state.policy, scenario=scenario.name, seed=p.seed,
-        window_t=window_t, ag_series=ag_series, ad_samples=ad_samples,
-        accumulation=accumulation, decisions=decisions, total_goodput=total_goodput)
+    def report(self, policy: str) -> MetricsReport:
+        total_goodput = self.delivered_upto * PKT_BYTES * 8.0 / (self.n_ticks * MS) / 1e6
+        return MetricsReport(
+            policy=policy, scenario=self.scenario, seed=self.seed,
+            window_t=self.window_t, ag_series=self.ag_series, ad_samples=self.ad_samples,
+            accumulation=self.accumulation, decisions=self.decisions,
+            total_goodput=total_goodput)
+
+
+def _finish(sim: _Sim, members: list[tuple[int, SelectorState]],
+            reports: list[MetricsReport]) -> None:
+    """Run `sim` to its end for `members`, the (index, state) pairs that have
+    decided alike so far, forking it where they disagree.  Each state's report
+    goes to `reports[index]`."""
+    if len(members) == 1:
+        split = sim.advance(selmod, members[0][1])
+    else:
+        split = sim.advance(_Group, [state for _, state in members])
+    if split is None:
+        # States that never disagreed share one run; a fork gives each its own lists.
+        for n, (index, state) in enumerate(members):
+            reports[index] = (sim.fork() if n else sim).report(state.policy)
+        return
+    branches: dict[Decision, list[tuple[int, SelectorState]]] = {}
+    for member, d in zip(members, split):
+        branches.setdefault(d, []).append(member)
+    *_, last = branches
+    for d, sub in branches.items():
+        branch = sim if d is last else sim.fork()   # the last branch goes on in `sim`
+        branch.decisions.append(d)
+        _finish(branch, sub, reports)
+
+
+def run_group(scenario: Scenario, states: Sequence[SelectorState],
+              params: SimParams) -> list[MetricsReport]:
+    """Simulate one connection per selector state, as one run until they disagree.
+
+    Returns one report per state, in order, each equal to what `run` gives
+    for that state alone.
+    """
+    if not states:
+        return []
+    reports: list[MetricsReport] = [None] * len(states)
+    _finish(_Sim(scenario, params), list(enumerate(states)), reports)
+    return reports
+
+
+def run(scenario: Scenario, state: SelectorState, params: SimParams) -> MetricsReport:
+    """Simulate one connection over the scenario under the given selector."""
+    return run_group(scenario, [state], params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +622,11 @@ def run_suite(suite: Sequence[Scenario], policies: Sequence[str], seed: int,
     for index, scenario in enumerate(suite):
         for rep in range(seeds):
             case_seed = seed + 100 * index + rep
-            for policy in policies:
-                report = run_case(scenario, policy, case_seed, model)
+            states = [SelectorState(policy=policy, offline_model=model) for policy in policies]
+            for report in run_group(scenario, states,
+                                    SimParams(duration=scenario.duration, seed=case_seed)):
                 ad_p50 = report.percentile("ad", 50) if report.ad_samples else math.nan
-                rows.append(SuiteRow(policy, f"{scenario.name}-{index}", case_seed,
+                rows.append(SuiteRow(report.policy, f"{scenario.name}-{index}", case_seed,
                                      report.total_goodput, ad_p50, tuple(report.ag_series)))
     return rows
 

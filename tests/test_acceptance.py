@@ -201,8 +201,10 @@ def switch_time(decisions):
 def walkaway_comparison(seed, model):
     """Policy -> (switch time, WiFi in-flight p90 over the windows past the loss cliff)."""
     scenario = scenarios.walkaway(seed)
-    reports = {policy: netsim.run_case(scenario, policy, seed, model)
-               for policy in (selector.MINRTT, selector.SMARTPS)}
+    policies = (selector.MINRTT, selector.SMARTPS)
+    reports = dict(zip(policies, netsim.run_group(
+        scenario, [selector.SelectorState(policy=p, offline_model=model) for p in policies],
+        netsim.SimParams(duration=scenario.duration, seed=seed))))
     # windows where the noise-free WiFi RSSI trajectory is below the cliff
     rssi = scenario.attribute_series("rssi_wifi", np.asarray(reports["MINRTT"].window_t))
     degraded = rssi < traceio.DEFAULT_CHANNELS[traceio.WIFI].rssi_cliff

@@ -13,7 +13,7 @@ from smartps import netsim, scenarios, traceio
 from smartps.dataset import FEATURE_NAMES
 from smartps.netsim import (
     MetricsReport, SimError,
-    SimParams, SuiteRow, run, run_case,
+    SimParams, SuiteRow, run, run_case, run_group,
     suite_csv_bundle,
 )
 from smartps.selector import Decision, FALLBACK, MODEL, SelectorState
@@ -349,6 +349,75 @@ def test_long_run_pinned(suite_scenarios, index, policy):
     rep = run_case(suite_scenarios[index], policy, 1 + 100 * index,
                    scenarios.pretrained_model())
     assert bundle_digest(rep) == LONG_RUN_DIGESTS[index, policy]
+
+
+# ---------------------------------------------------------------------------
+# Groups: policies that agree run as one simulation until they disagree
+# ---------------------------------------------------------------------------
+
+def states(*policies):
+    return [SelectorState(policy=p, offline_model=scenarios.pretrained_model()) for p in policies]
+
+
+@pytest.mark.parametrize("index", sorted({index for index, _ in LONG_RUN_DIGESTS}))
+def test_group_matches_long_run_pins(suite_scenarios, index):
+    # The group forks after RTOs on 0, 5 and 12; on 18 SMARTPS and MINRTT never part.
+    policies = ("SMARTPS", "MINRTT", "RR")
+    reports = run_group(suite_scenarios[index], states(*policies),
+                        SimParams(duration=30.0, seed=1 + 100 * index))
+    assert [bundle_digest(rep) for rep in reports] == [
+        LONG_RUN_DIGESTS[index, policy] for policy in policies]
+    assert (reports[0].decisions == reports[1].decisions) == (index == 18)
+
+
+@pytest.mark.parametrize("kind,policies", [
+    ("walkaway", (WF, LF)),                  # they part at the first decision, tick 0
+    ("stable", ("MINRTT", WF)),              # they never part
+    ("walkaway", ("MINRTT", "MINRTT")),      # the same policy twice
+    ("walkaway", ("RR", "RR", WF, "MINRTT")),  # each RR state keeps its own cursor
+])
+def test_group_equals_solo_runs(monkeypatch, kind, policies):
+    scn = getattr(scenarios, kind)(seed=5, duration=5.0)
+    params = SimParams(duration=5.0, seed=7)
+    solo = [(run(scn, state, params), state) for state in states(*policies)]
+    built = []
+    series = netsim.scenario_mac_series
+    monkeypatch.setattr(netsim, "scenario_mac_series",
+                        lambda *args: built.append(args) or series(*args))
+    group = states(*policies)
+    reports = run_group(scn, group, params)
+    assert len(built) == 1   # one set of per-tick tables for the whole group
+    assert reports == [rep for rep, _ in solo]
+    assert [s.rr_cursor for s in group] == [s.rr_cursor for _, s in solo]
+    lists = [id(x) for rep in reports
+             for x in (rep.window_t, rep.ag_series, rep.ad_samples, rep.decisions,
+                       *rep.accumulation.values())]
+    assert len(set(lists)) == len(lists)   # each report owns its lists
+
+
+def test_group_asks_each_state_as_its_solo_run(monkeypatch, suite_scenarios):
+    policies = ("SMARTPS", "MINRTT", "RR")
+    scn, params = suite_scenarios[0], SimParams(duration=30.0, seed=1)
+    calls = []
+    decide = netsim.selmod.decide
+
+    def spy(state, obs):
+        calls.append((state, obs))
+        return decide(state, obs)
+
+    monkeypatch.setattr(netsim.selmod, "decide", spy)
+    solo = states(*policies)
+    for state in solo:
+        run(scn, state, params)
+    solo_calls = [[obs for s, obs in calls if s is state] for state in solo]
+    calls.clear()
+    group = states(*policies)
+    run_group(scn, group, params)
+    assert [[obs for s, obs in calls if s is state] for state in group] == solo_calls
+
+
+def test_empty_group_simulates_nothing():
+    assert run_group(scenarios.stable(seed=0, duration=1.0), [], SimParams(duration=1.0)) == []
 
 
 # ---------------------------------------------------------------------------
