@@ -67,6 +67,8 @@ def _metrics_line(m: treelearn.EvalMetrics) -> str:
 
 def cmd_analyze(args) -> tuple[str, ...]:
     samples = _read_input(args.input, traceio.parse_trace)
+    if not samples:   # correlation_table refuses it too, but cannot name the file
+        raise ValueError(f"{args.input}: no samples below the header")
     rows = featstats.correlation_table(samples, grouped_by_prio=args.grouped,
                                        min_count=args.min_count)
     return (featstats.correlation_table_csv(rows),)

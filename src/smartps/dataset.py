@@ -143,6 +143,8 @@ def records_from_csv(text: str) -> list[LabeledRecord]:
     header = lines[0][1].split(",")
     if header != FEATURE_NAMES + ["label"]:
         raise ValueError(f"unexpected dataset header {header}")
+    if len(lines) == 1:
+        raise ValueError("no records below the header")
     records, malformed = [], None
     for lineno, line in lines[1:]:
         try:

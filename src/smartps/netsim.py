@@ -41,9 +41,11 @@ min over paths of (oldest send tick + MIN_RTO), with the current tick
 standing in for an empty path's oldest, bounds every expiry from below;
 a scan can come early and find nothing, but never late.  A path that can
 send nothing (no reinjections, and new data barred or window-limited)
-skips the rest of its send body.  A one-state run asks its selector
-straight from the loop, so it pays nothing per tick or per decision for
-forking; the loop keeps its state in locals and stores it only on exit.
+skips the rest of its send body.  Every decision, alone or in a group, is
+asked in one place, `_Sim.advance`: the first state always, the others only
+when there are others, so a one-state run pays one test of an empty list per
+decision for forking.  The loop keeps its state in locals and stores it only
+on exit.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .traceio import (
 PKT_BYTES = 1500
 MS = 0.001
 METRICS_WINDOW = 0.1   # seconds per AG and accumulation sample
+WINDOW_TICKS = round(METRICS_WINDOW / MS)
 # Receive/reassembly window in packets.  Kept near a single path's
 # bandwidth-delay product so the priority decision allocates a scarce
 # resource; packets stranded on a broken path hold window slots until
@@ -96,12 +99,16 @@ class MetricsReport:
     policy: str
     scenario: str
     seed: int
-    window_t: list[float]
     ag_series: list[float]                    # Mbps per window
     ad_samples: list[tuple[float, float]]     # (t, ms) per completed block
     accumulation: dict[str, list[float]]      # path -> in-flight bytes per window
     decisions: list[Decision]
     total_goodput: float                      # Mbps over the whole run
+
+    @property
+    def window_t(self) -> list[float]:
+        """The start time of each metrics window, in seconds."""
+        return [k * WINDOW_TICKS * MS for k in range(len(self.ag_series))]
 
     def percentile(self, metric: str, p: float) -> float:
         """Nearest-rank percentile of a series: ag or ad."""
@@ -202,25 +209,11 @@ def _whole(length: float, unit: float) -> int:
     The relative slack of 1e-9 absorbs float division: 0.7 / 0.001 is
     699.999..., yet 0.7 s is 700 ticks.
     """
-    if not math.isfinite(length):
+    q = length / unit
+    if not math.isfinite(q):
         return 0
-    n = round(length / unit)
-    return n if n >= 1 and abs(length / unit - n) <= 1e-9 * n else 0
-
-
-class _Fork(Exception):
-    """A group's states decided differently; args[0] is each state's Decision."""
-
-
-class _Group:
-    """Stands in for the `selector` module while several states run as one."""
-
-    @staticmethod
-    def decide(states, obs: Observation) -> Decision:
-        decisions = [selmod.decide(state, obs) for state in states]
-        if decisions.count(decisions[0]) < len(decisions):
-            raise _Fork(decisions)
-        return decisions[0]
+    n = round(q)
+    return n if n >= 1 and abs(q - n) <= 1e-9 * n else 0
 
 
 class _Sim:
@@ -234,7 +227,7 @@ class _Sim:
         "paths", "tick", "next_decision", "window_end", "rto_wake", "dlv_wheel", "ack_wheel",
         "rng", "draws", "di", "next_seq", "delivered_upto", "recv_buffer", "n_transit",
         "block_first_send", "released_win_bytes",
-        "decisions", "window_t", "ag_series", "ad_samples", "accumulation")
+        "decisions", "ag_series", "ad_samples", "accumulation")
 
     def __init__(self, scenario: Scenario, params: SimParams):
         p = params
@@ -252,8 +245,7 @@ class _Sim:
         self.scenario = scenario.name
         self.seed = p.seed
 
-        window_ticks = round(METRICS_WINDOW / MS)
-        self.n_ticks = n_ticks = n_windows * window_ticks
+        self.n_ticks = n_ticks = n_windows * WINDOW_TICKS
         mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
                                   ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
         # A comprehension, so no channel series outlives its path's tables.
@@ -281,7 +273,7 @@ class _Sim:
 
         self.tick = 0
         self.next_decision = 0
-        self.window_end = window_ticks - 1
+        self.window_end = WINDOW_TICKS - 1
         # No packet can time out before this tick (see the module docstring).
         self.rto_wake = math.ceil(MIN_RTO)
         self.next_seq = 0
@@ -292,7 +284,6 @@ class _Sim:
         self.released_win_bytes = 0
 
         self.decisions: list[Decision] = []
-        self.window_t: list[float] = []
         self.ag_series: list[float] = []
         self.ad_samples: list[tuple[float, float]] = []
         self.accumulation: dict[str, list[float]] = {WIFI: [], LTE: []}
@@ -306,20 +297,21 @@ class _Sim:
         twin.recv_buffer = self.recv_buffer.copy()
         twin.block_first_send = self.block_first_send.copy()
         twin.decisions = self.decisions.copy()
-        twin.window_t = self.window_t.copy()
         twin.ag_series = self.ag_series.copy()
         twin.ad_samples = self.ad_samples.copy()
         twin.accumulation = {name: series.copy() for name, series in self.accumulation.items()}
         return twin
 
-    def advance(self, chooser, state) -> list[Decision] | None:
-        """Run to the end, or stop at a decision on which the group disagrees.
+    def advance(self, states: list[SelectorState]) -> list[Decision] | None:
+        """Run to the end, or stop at the first decision on which `states` differ.
 
-        Each decision is `chooser.decide(state, obs)`: the `selector` module
-        and one state, or `_Group` and a list of states.  On a disagreement
-        the run stands after that tick's decision, before its send step, and
-        each state's Decision is returned; otherwise None.
+        Each decision asks `selector.decide` of the first state, and of the
+        others with the same observation only when there are others.  On a
+        disagreement the run stands after that tick's decision, before its
+        send step, and each state's Decision is returned; otherwise None.
         """
+        decide = selmod.decide   # once per call, so a wrapped decide sees every call
+        state, *others = states
         wifi, lte = paths = self.paths
         wifi_first, lte_first = (wifi, lte), (lte, wifi)
         rssi_wifi, rssi_lte = self.rssi_wifi, self.rssi_lte
@@ -338,10 +330,9 @@ class _Sim:
         next_seq, delivered_upto, n_transit = self.next_seq, self.delivered_upto, self.n_transit
         recv_buffer, block_first_send = self.recv_buffer, self.block_first_send
 
-        decisions, window_t, ag_series = self.decisions, self.window_t, self.ag_series
+        decisions, ag_series = self.decisions, self.ag_series
         ad_samples, accumulation = self.ad_samples, self.accumulation
         released_win_bytes = self.released_win_bytes
-        window_ticks = round(METRICS_WINDOW / MS)
 
         # The priority path is the last decision's; tick 0 decides before it sends.
         send_order = wifi_first if not decisions or decisions[-1].priority == WF else lte_first
@@ -364,174 +355,176 @@ class _Sim:
         next_decision, window_end, rto_wake = self.next_decision, self.window_end, self.rto_wake
         split = None
 
-        try:
-            for tick in range(self.tick, n_ticks):
-                slot += 1
-                if slot == size:
-                    slot = 0
+        for tick in range(self.tick, n_ticks):
+            slot += 1
+            if slot == size:
+                slot = 0
 
-                # --- arrivals, then acks ---
-                due = dlv_wheel[slot]
-                if due:
-                    if len(due) > 1:
-                        due.sort()
-                    for key in due:
-                        seq = key >> 1
-                        if seq > delivered_upto:
-                            if seq in recv_buffer:
-                                continue   # a copy of a buffered seq
-                            recv_buffer.add(seq)
-                        elif seq < delivered_upto:
-                            continue       # a copy of a released seq
-                        n_transit -= 1
-                        paths[key & 1].dlv_bytes_win += pkt_bytes
-                        if seq == delivered_upto:
-                            # Release it, then each buffered seq that follows in order.
-                            while True:
-                                delivered_upto += 1
-                                released_win_bytes += pkt_bytes
-                                if delivered_upto % block_packets == 0:
-                                    block = delivered_upto // block_packets - 1
-                                    start = block_first_send.pop(block, None)
-                                    if start is not None:
-                                        ad_samples.append((tick * MS, float(tick - start)))
-                                if delivered_upto not in recv_buffer:
-                                    break
-                                recv_buffer.remove(delivered_upto)
-                    due.clear()
-                due = ack_wheel[slot]
-                if due:
-                    if len(due) > 1:
-                        due.sort()
-                    for key in due:
-                        path = paths[key & 1]
-                        sent_at = path.in_flight.pop(key >> 1, None)
-                        if sent_at is not None:
-                            if path.cwnd < path.ssthresh:
-                                cwnd = path.cwnd + 1.0
-                            else:
-                                cwnd = path.cwnd + 1.0 / path.cwnd
-                            path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
-                            path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
-                    due.clear()
-
-                # --- RTO: stranded packets reinject on the other path ---
-                if tick >= rto_wake:
-                    # An empty path sends its next packet now at the earliest.
-                    rto_wake = tick + min_rto
-                    for path, other in (wifi_first, lte_first):
-                        in_flight = path.in_flight
-                        if not in_flight:
-                            continue
-                        # in_flight is in send order and rto >= min_rto, so once its
-                        # oldest entry is younger than min_rto nothing can time out.
-                        oldest = next(iter(in_flight.values()))
-                        if tick - oldest >= min_rto:
-                            rto = max(MIN_RTO, rto_mult * path.srtt)
-                            expired = []
-                            for seq, send_tick in in_flight.items():
-                                if tick - send_tick < rto:
-                                    break
-                                expired.append(seq)
-                            if expired:
-                                for seq in expired:
-                                    del in_flight[seq]
-                                other.reinject.extend(expired)
-                                lost = len(expired)
-                                n_transit -= lost
-                                path.lost_win += lost
-                                path.ssthresh = max(2.0, path.cwnd / 2.0)
-                                path.cwnd = max(1.0, path.cwnd / 2.0)
-                                if not in_flight:
-                                    continue
-                                oldest = next(iter(in_flight.values()))
-                        if oldest + min_rto < rto_wake:
-                            rto_wake = oldest + min_rto
-
-                # --- path selection ---
-                if tick == next_decision:
-                    next_decision += decision_ticks
-                    d = chooser.decide(state, observation(tick))
-                    decisions.append(d)
-                    send_order = wifi_first if d.priority == WF else lte_first
-
-                # --- send: priority path first, spill to the other ---
-                first = send_order[0]
-                for path in send_order:
-                    credit = path.credit + path.credit_tick[tick]
-                    if credit_max < credit:
-                        credit = credit_max
-                    in_flight = path.in_flight
-                    cwnd = path.cwnd
-                    if credit < pkt_bytes or len(in_flight) >= cwnd:
-                        path.credit = credit
-                        continue
-                    # New data spills to the secondary path only when the priority
-                    # path is saturated (cwnd-full) or effectively dead; credit
-                    # pacing alone must not divert the in-order stream.  Reinjections
-                    # are always admitted.
-                    allow_new = (path is first
-                                 or len(first.in_flight) >= first.cwnd
-                                 or first.dead[tick])
-                    reinject = path.reinject
-                    if not reinject and not (allow_new
-                                             and next_seq - delivered_upto < recv_window):
-                        path.credit = credit   # nothing to reinject and no new data it may send
-                        continue
-                    loss = path.loss[tick]
-                    pid = path.pid
-                    dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
-                    ack_due = ack_wheel[(tick + path.full[tick]) % size]
-                    sent = 0
-                    while credit >= pkt_bytes and len(in_flight) < cwnd:
-                        if reinject:
-                            seq = reinject.popleft()
-                        elif allow_new and next_seq - delivered_upto < recv_window:
-                            seq = next_seq
-                            next_seq += 1
-                            if seq % block_packets == 0:
-                                block_first_send[seq // block_packets] = tick
+            # --- arrivals, then acks ---
+            due = dlv_wheel[slot]
+            if due:
+                if len(due) > 1:
+                    due.sort()
+                for key in due:
+                    seq = key >> 1
+                    if seq > delivered_upto:
+                        if seq in recv_buffer:
+                            continue   # a copy of a buffered seq
+                        recv_buffer.add(seq)
+                    elif seq < delivered_upto:
+                        continue       # a copy of a released seq
+                    n_transit -= 1
+                    paths[key & 1].dlv_bytes_win += pkt_bytes
+                    if seq == delivered_upto:
+                        # Release it, then each buffered seq that follows in order.
+                        while True:
+                            delivered_upto += 1
+                            released_win_bytes += pkt_bytes
+                            if delivered_upto % block_packets == 0:
+                                block = delivered_upto // block_packets - 1
+                                start = block_first_send.pop(block, None)
+                                if start is not None:
+                                    ad_samples.append((tick * MS, float(tick - start)))
+                            if delivered_upto not in recv_buffer:
+                                break
+                            recv_buffer.remove(delivered_upto)
+                due.clear()
+            due = ack_wheel[slot]
+            if due:
+                if len(due) > 1:
+                    due.sort()
+                for key in due:
+                    path = paths[key & 1]
+                    sent_at = path.in_flight.pop(key >> 1, None)
+                    if sent_at is not None:
+                        if path.cwnd < path.ssthresh:
+                            cwnd = path.cwnd + 1.0
                         else:
-                            break
-                        credit -= pkt_bytes
-                        in_flight[seq] = tick
-                        sent += 1
-                        if di == draw_chunk:
-                            draws = rng.random(draw_chunk).tolist()
-                            di = 0
-                        di += 1
-                        if draws[di - 1] >= loss:
-                            key = seq * 2 + pid
-                            dlv_due.append(key)
-                            ack_due.append(key)
-                        # lost packets generate no events; the RTO scan recovers them
+                            cwnd = path.cwnd + 1.0 / path.cwnd
+                        path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
+                        path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
+                due.clear()
+
+            # --- RTO: stranded packets reinject on the other path ---
+            if tick >= rto_wake:
+                # An empty path sends its next packet now at the earliest.
+                rto_wake = tick + min_rto
+                for path, other in (wifi_first, lte_first):
+                    in_flight = path.in_flight
+                    if not in_flight:
+                        continue
+                    # in_flight is in send order and rto >= min_rto, so once its
+                    # oldest entry is younger than min_rto nothing can time out.
+                    oldest = next(iter(in_flight.values()))
+                    if tick - oldest >= min_rto:
+                        rto = max(MIN_RTO, rto_mult * path.srtt)
+                        expired = []
+                        for seq, send_tick in in_flight.items():
+                            if tick - send_tick < rto:
+                                break
+                            expired.append(seq)
+                        if expired:
+                            for seq in expired:
+                                del in_flight[seq]
+                            other.reinject.extend(expired)
+                            lost = len(expired)
+                            n_transit -= lost
+                            path.lost_win += lost
+                            path.ssthresh = max(2.0, path.cwnd / 2.0)
+                            path.cwnd = max(1.0, path.cwnd / 2.0)
+                            if not in_flight:
+                                continue
+                            oldest = next(iter(in_flight.values()))
+                    if oldest + min_rto < rto_wake:
+                        rto_wake = oldest + min_rto
+
+            # --- path selection ---
+            if tick == next_decision:
+                next_decision += decision_ticks
+                obs = observation(tick)
+                d = decide(state, obs)
+                if others:
+                    rest = [decide(other, obs) for other in others]
+                    if rest.count(d) < len(rest):
+                        split = [d] + rest
+                        break
+                decisions.append(d)
+                send_order = wifi_first if d.priority == WF else lte_first
+
+            # --- send: priority path first, spill to the other ---
+            first = send_order[0]
+            for path in send_order:
+                credit = path.credit + path.credit_tick[tick]
+                if credit_max < credit:
+                    credit = credit_max
+                in_flight = path.in_flight
+                cwnd = path.cwnd
+                if credit < pkt_bytes or len(in_flight) >= cwnd:
                     path.credit = credit
-                    path.sent_win += sent
-                    n_transit += sent
+                    continue
+                # New data spills to the secondary path only when the priority
+                # path is saturated (cwnd-full) or effectively dead; credit
+                # pacing alone must not divert the in-order stream.  Reinjections
+                # are always admitted.
+                allow_new = (path is first
+                             or len(first.in_flight) >= first.cwnd
+                             or first.dead[tick])
+                reinject = path.reinject
+                if not reinject and not (allow_new
+                                         and next_seq - delivered_upto < recv_window):
+                    path.credit = credit   # nothing to reinject and no new data it may send
+                    continue
+                loss = path.loss[tick]
+                pid = path.pid
+                dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
+                ack_due = ack_wheel[(tick + path.full[tick]) % size]
+                sent = 0
+                while credit >= pkt_bytes and len(in_flight) < cwnd:
+                    if reinject:
+                        seq = reinject.popleft()
+                    elif allow_new and next_seq - delivered_upto < recv_window:
+                        seq = next_seq
+                        next_seq += 1
+                        if seq % block_packets == 0:
+                            block_first_send[seq // block_packets] = tick
+                    else:
+                        break
+                    credit -= pkt_bytes
+                    in_flight[seq] = tick
+                    sent += 1
+                    if di == draw_chunk:
+                        draws = rng.random(draw_chunk).tolist()
+                        di = 0
+                    di += 1
+                    if draws[di - 1] >= loss:
+                        key = seq * 2 + pid
+                        dlv_due.append(key)
+                        ack_due.append(key)
+                    # lost packets generate no events; the RTO scan recovers them
+                path.credit = credit
+                path.sent_win += sent
+                n_transit += sent
 
-                # --- metrics window ---
-                if tick == window_end:
-                    window_end += window_ticks
-                    window_t.append((tick + 1 - window_ticks) * MS)
-                    ag_series.append(released_win_bytes * 8.0 / (window_ticks * MS) / 1e6)
-                    released_win_bytes = 0
-                    for path in paths:
-                        accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
-                        # lost_win also counts RTOs of packets sent in earlier windows.
-                        path.plr_est = (min(1.0, path.lost_win / path.sent_win)
-                                        if path.sent_win else 0.0)
-                        path.pdr_est = path.dlv_bytes_win * 8.0 / (window_ticks * MS) / 1e6
-                        path.sent_win = path.lost_win = path.dlv_bytes_win = 0
+            # --- metrics window ---
+            if tick == window_end:
+                window_end += WINDOW_TICKS
+                ag_series.append(released_win_bytes * 8.0 / (WINDOW_TICKS * MS) / 1e6)
+                released_win_bytes = 0
+                for path in paths:
+                    accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
+                    # lost_win also counts RTOs of packets sent in earlier windows.
+                    path.plr_est = (min(1.0, path.lost_win / path.sent_win)
+                                    if path.sent_win else 0.0)
+                    path.pdr_est = path.dlv_bytes_win * 8.0 / (WINDOW_TICKS * MS) / 1e6
+                    path.sent_win = path.lost_win = path.dlv_bytes_win = 0
 
-                # --- conservation: every distinct packet is in exactly one place ---
-                pending = len(wifi.reinject) + len(lte.reinject)
-                if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
-                    raise SimError(
-                        f"conservation violated at tick {tick}: transit={n_transit} "
-                        f"buffered={len(recv_buffer)} released={delivered_upto} "
-                        f"pending={pending} sent={next_seq}")
-        except _Fork as fork:
-            split = fork.args[0]
+            # --- conservation: every distinct packet is in exactly one place ---
+            pending = len(wifi.reinject) + len(lte.reinject)
+            if n_transit + len(recv_buffer) + delivered_upto + pending != next_seq:
+                raise SimError(
+                    f"conservation violated at tick {tick}: transit={n_transit} "
+                    f"buffered={len(recv_buffer)} released={delivered_upto} "
+                    f"pending={pending} sent={next_seq}")
         self.tick = tick
         self.next_decision, self.window_end, self.rto_wake = next_decision, window_end, rto_wake
         self.draws, self.di = draws, di
@@ -543,7 +536,7 @@ class _Sim:
         total_goodput = self.delivered_upto * PKT_BYTES * 8.0 / (self.n_ticks * MS) / 1e6
         return MetricsReport(
             policy=policy, scenario=self.scenario, seed=self.seed,
-            window_t=self.window_t, ag_series=self.ag_series, ad_samples=self.ad_samples,
+            ag_series=self.ag_series, ad_samples=self.ad_samples,
             accumulation=self.accumulation, decisions=self.decisions,
             total_goodput=total_goodput)
 
@@ -553,10 +546,7 @@ def _finish(sim: _Sim, members: list[tuple[int, SelectorState]],
     """Run `sim` to its end for `members`, the (index, state) pairs that have
     decided alike so far, forking it where they disagree.  Each state's report
     goes to `reports[index]`."""
-    if len(members) == 1:
-        split = sim.advance(selmod, members[0][1])
-    else:
-        split = sim.advance(_Group, [state for _, state in members])
+    split = sim.advance([state for _, state in members])
     if split is None:
         # States that never disagreed share one run; a fork gives each its own lists.
         for n, (index, state) in enumerate(members):

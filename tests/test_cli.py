@@ -475,15 +475,24 @@ class TestRejectsImpossibleValues:
         assert capsys.readouterr().err.startswith("error: pair window")
         assert not out.exists()
 
-    def test_evaluate_on_header_only_dataset(self, tmp_path, capsys):
+    @pytest.mark.parametrize("verb", ["analyze", "train", "prune", "evaluate"])
+    def test_evaluate_on_header_only_dataset(self, tmp_path, capsys, verb):
+        # A trace or records file that holds only its header is refused, naming it.
         model = tmp_path / "model.txt"
         model.write_text("L WF 1 0\n")
         empty = tmp_path / "empty.csv"
-        empty.write_text(dataset.records_to_csv([]))
-        assert run_cli("evaluate", "--model", str(model), "--input", str(empty)) == 1
+        empty.write_text(traceio.write_trace([]) if verb == "analyze"
+                         else dataset.records_to_csv([]))
+        out = tmp_path / "out.txt"
+        argv = {"analyze": ("--input", empty, "--output", out),
+                "train": ("--input", empty, "--output", out),
+                "prune": ("--model", model, "--validation", empty, "--output", out),
+                "evaluate": ("--model", model, "--input", empty)}[verb]
+        assert run_cli(verb, *map(str, argv)) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "empty record list" in captured.err
+        assert captured.err.startswith(f"error: {empty}: ")
         assert "accuracy=" not in captured.out
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags,message", [
         (("--seeds", "0"), "got 0"), (("--seeds", "-2"), "got -2"),

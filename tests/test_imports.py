@@ -1,6 +1,7 @@
 """Import and I/O hygiene: no unused names, no import cycles, no public name only tests
 call, no file text read or written in the locale's encoding, no file written outside
-`cli._write_output`, and a package docstring that names every module."""
+`cli._write_output`, no decision asked outside `netsim._Sim.advance`, and a package
+docstring that names every module."""
 
 import ast
 import re
@@ -91,9 +92,9 @@ def writes_a_file(call: ast.Call) -> bool:
                 and not set(mode.value) & set("wax+"))
 
 
-def file_writes(source: str) -> list[tuple[str, int]]:
-    """(function, line) of each call that writes a file; the function is dotted through
-    its classes and enclosing functions, `<module>` at the top level."""
+def owners(source: str, match) -> list[tuple[str, int]]:
+    """(function, line) of each node that `match` accepts; the function is dotted
+    through its classes and enclosing functions, `<module>` at the top level."""
     found = []
 
     def visit(node: ast.AST, owner: str):
@@ -101,12 +102,17 @@ def file_writes(source: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}" if owner else child.name)
                 continue
-            if isinstance(child, ast.Call) and writes_a_file(child):
+            if match(child):
                 found.append((owner or "<module>", child.lineno))
             visit(child, owner)
 
     visit(ast.parse(source), "")
     return found
+
+
+def file_writes(source: str) -> list[tuple[str, int]]:
+    """(function, line) of each call that writes a file."""
+    return owners(source, lambda node: isinstance(node, ast.Call) and writes_a_file(node))
 
 
 def test_only_the_cli_writer_writes_files():
@@ -132,6 +138,31 @@ def test_file_write_checker():
               "open('x', 'w+b')\n")
     assert file_writes(source) == [("<module>", 2), ("f", 8), ("C.g.inner", 12),
                                    ("C.g", 13), ("<module>", 14)]
+
+
+def reads_decide(node: ast.AST) -> bool:
+    """A read of an attribute named `decide`, such as `selmod.decide`."""
+    return (isinstance(node, ast.Attribute) and node.attr == "decide"
+            and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_tick_loop_asks_for_a_decision():
+    readers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
+               for owner, _ in owners(path.read_text(), reads_decide)}
+    assert readers == {"netsim._Sim.advance"}
+
+
+def test_decide_reader_checker():
+    source = ("from smartps import selector\n"
+              "def f(chooser):\n"
+              "    return chooser.decide\n"
+              "class C:\n"
+              "    def decide(self, state):\n"
+              "        self.decide = None\n"
+              "        return decide(state)\n"
+              "selector.decide(1, 2)\n")
+    # A store and a bare name are not attribute reads, nor is a method's definition.
+    assert owners(source, reads_decide) == [("f", 3), ("<module>", 8)]
 
 
 def package_imports(source: str, package: str = "smartps") -> set[str]:
