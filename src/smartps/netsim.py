@@ -16,36 +16,37 @@ exactly as often, with the same observations, as when it runs alone.  `run`
 is a group of one, and `run_case` builds its state and params from a policy
 name and a seed.
 
-Packet deliveries and acks wait on a timing wheel with one bucket per tick,
-sized from the run's own largest round trip, and the channel state each tick
-reads and the MAC features each decision reads come from compact per-run
-tables (`array`/`bytes`, not lists or numpy scalars).  A delivery and an ack
-are both the int seq*2 + path id.  An ack's RTT sample is the path's base RTT
-at the send tick its in-flight entry holds.  That is the acked copy's own
-send: a base RTT is at most (1 + rtt_loss_factor) * rtt_floor, which is at most
-4 * srtt <= rto while rtt_loss_factor <= 3 (the DEFAULT_CHANNELS values are 1
-and 2), so a copy's ack lands no later than the tick its RTO could fire, and
-acks run first.  Past that bound a seq could time out, come back to the same
-path and take the later send's sample: the ambiguity Karn's rule resolves.
-A delivery of the next in-order seq is released at once; the reorder buffer
-holds only seqs above it.
+Each path's deliveries and acks wait, as plain seqs, on its own two timing
+wheels with one bucket per tick, sized from the run's own largest round trip; a
+per-tick slot table holds the bucket a send at that tick lands in.  These, the
+channel state each tick reads and the MAC features each decision reads are
+compact per-run tables (`array`/`bytes`, not lists or numpy scalars).  The
+order of a tick's deliveries changes only which copy of a seq counts when both
+arrive in that tick, and WiFi's bucket runs first, as a (seq, path) order
+would.  Acks change only their own path; each path's bucket runs in seq order.
+An ack's RTT sample is the path's base RTT at the send tick its in-flight entry
+holds.  That is the acked copy's own send: a base RTT is at most
+(1 + rtt_loss_factor) * rtt_floor, which is at most 4 * srtt <= rto while
+rtt_loss_factor <= 3 (the DEFAULT_CHANNELS values are 1 and 2), so a copy's ack
+lands no later than the tick its RTO could fire, and acks run first.  Past that
+bound a seq could time out, come back to the same path and take the later
+send's sample: the ambiguity Karn's rule resolves.  A delivery of the next
+in-order seq is released at once; the reorder buffer holds only seqs above it.
 
-A tick does work only where something can change, and so a branch can
-re-enter the tick it forked at and repeat nothing before the send step.
-That tick's wheel buckets were emptied as they ran, and its decision is past.
-The RTO scan sleeps until `rto_wake`, the earliest tick at which any packet
-can be MIN_RTO old, and a second scan in the same tick finds nothing new.  A
-path's oldest in-flight send tick never decreases: entries leave from
-anywhere, but a new one is stamped with the current tick.  So
-min over paths of (oldest send tick + MIN_RTO), with the current tick
-standing in for an empty path's oldest, bounds every expiry from below;
-a scan can come early and find nothing, but never late.  A path that can
-send nothing (no reinjections, and new data barred or window-limited)
-skips the rest of its send body.  Every decision, alone or in a group, is
-asked in one place, `_Sim.advance`: the first state always, the others only
-when there are others, so a one-state run pays one test of an empty list per
-decision for forking.  The loop keeps its state in locals and stores it only
-on exit.
+A tick does work only where something can change, and so a branch can re-enter
+the tick it forked at and repeat nothing before the send step.  That tick's
+wheel buckets were emptied as they ran, and its decision is past.  The RTO scan
+sleeps until `rto_wake`, the earliest tick at which any packet can be MIN_RTO
+old, and a second scan in the same tick finds nothing new.  A path's oldest
+in-flight send tick never decreases: entries leave from anywhere, but a new one
+is stamped with the current tick.  So min over paths of (oldest send tick +
+MIN_RTO), with the current tick standing in for an empty path's oldest, bounds
+every expiry from below; a scan can come early and find nothing, but never
+late.  A path that can send nothing (no reinjections, and new data barred or
+window-limited) skips the rest of its send body.  Every decision, alone or in a
+group, is asked in one place, `_Sim.advance`, which builds its Observation
+inline and asks the other states only when there are others.  The loop keeps
+its state in locals and stores it only on exit.
 """
 
 from __future__ import annotations
@@ -121,11 +122,12 @@ class MetricsReport:
         return featstats.percentile(series, p)
 
     def to_csv_bundle(self) -> dict[str, str]:
-        ag = ["t,ag_mbps"] + [f"{t:.3f},{v:.6f}" for t, v in zip(self.window_t, self.ag_series)]
+        window_t = self.window_t
+        ag = ["t,ag_mbps"] + [f"{t:.3f},{v:.6f}" for t, v in zip(window_t, self.ag_series)]
         ad = ["t,ad_ms"] + [f"{t:.3f},{v:.3f}" for t, v in self.ad_samples]
         acc = ["t,wifi_bytes,lte_bytes"] + [
             f"{t:.3f},{w:.0f},{l:.0f}"
-            for t, w, l in zip(self.window_t, self.accumulation[WIFI], self.accumulation[LTE])
+            for t, w, l in zip(window_t, self.accumulation[WIFI], self.accumulation[LTE])
         ]
         dec = ["t,priority,reason"] + [f"{d.t:.3f},{d.priority},{d.reason}"
                                        for d in self.decisions]
@@ -156,31 +158,30 @@ def _doubles(x: np.ndarray) -> array:
     return out
 
 
-def _delays(ms: np.ndarray, floor: int, n_ticks: int) -> array:
-    # int(round(ms)) per tick with round-half-even, as Python's round(); an
-    # event due at or after the last tick never fires, so clipping the delay
-    # to the run length bounds the timing wheel without changing any output.
-    ticks = np.minimum(np.maximum(floor, np.rint(ms)), n_ticks)
-    return array("i", ticks.astype(np.int32).tobytes())
+def _slots(ms: np.ndarray, floor: int, size: int) -> array:
+    # The wheel bucket of an event sent at each tick, (tick + delay) % size, where
+    # the delay is int(round(ms)) with round-half-even, as Python's round(), and
+    # at least `floor`.  size - 1 is the largest round trip cut to the run length,
+    # so a delay is cut only past the last tick, where an event never fires.
+    delay = np.minimum(np.maximum(floor, np.rint(ms)), size - 1)
+    return array("i", ((np.arange(len(ms)) + delay) % size).astype(np.int32).tobytes())
 
 
 class _Path:
-    __slots__ = ("name", "pid", "credit_tick", "dead", "loss", "rtt", "half", "full",
+    __slots__ = ("name", "credit_tick", "dead", "loss", "rtt", "dlv_slot", "ack_slot",
+                 "dlv_wheel", "ack_wheel",
                  "cwnd", "ssthresh", "srtt", "credit", "in_flight", "reinject",
                  "sent_win", "lost_win", "dlv_bytes_win", "plr_est", "pdr_est")
 
-    def __init__(self, name, pid, cap, rtt, loss, n_ticks):
+    def __init__(self, name, cap, rtt, loss):
         if not np.isfinite(rtt).all():
             raise SimError(f"{name} base RTT is not finite; check its ChannelParams")
         self.name = name
-        self.pid = pid          # low bit of a delivery event key
-        # Per-tick tables, compact (8 bytes per float, 4 per delay, 1 per flag).
+        # Per-tick tables, compact (8 bytes per float, 4 per slot, 1 per flag).
         self.credit_tick = _doubles(cap * 125.0)   # bytes of send credit per 1-ms tick
         self.dead = bytes((cap < 0.5).tolist())     # capacity too low to carry new data
         self.loss = _doubles(loss)
         self.rtt = _doubles(rtt)                    # base rtt, ms
-        self.half = _delays(rtt / 2.0, 1, n_ticks)  # one-way delay, ticks
-        self.full = _delays(rtt, 2, n_ticks)        # round trip, ticks
         self.cwnd = CWND_INIT
         self.ssthresh = float("inf")
         self.srtt = self.rtt[0]
@@ -200,6 +201,8 @@ class _Path:
         twin = copy.copy(self)   # shares the per-tick tables
         twin.in_flight = self.in_flight.copy()
         twin.reinject = self.reinject.copy()
+        twin.dlv_wheel = [bucket.copy() for bucket in self.dlv_wheel]
+        twin.ack_wheel = [bucket.copy() for bucket in self.ack_wheel]
         return twin
 
 
@@ -224,7 +227,7 @@ class _Sim:
         "scenario", "seed", "n_ticks", "decision_ticks", "size",
         "rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte",
         # Changed by the loop: a fork copies them.
-        "paths", "tick", "next_decision", "window_end", "rto_wake", "dlv_wheel", "ack_wheel",
+        "paths", "tick", "next_decision", "window_end", "rto_wake",
         "rng", "draws", "di", "next_seq", "delivered_upto", "recv_buffer", "n_transit",
         "block_first_send", "released_win_bytes",
         "decisions", "ag_series", "ad_samples", "accumulation")
@@ -249,23 +252,25 @@ class _Sim:
         mac = scenario_mac_series(scenario, np.arange(n_ticks) * MS,
                                   ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
         # A comprehension, so no channel series outlives its path's tables.
-        self.paths = [_Path(name, pid, *channel_map_arrays(mac[rssi], mac[sinr], name), n_ticks)
-                      for pid, name, rssi, sinr in ((0, WIFI, "rssi_wifi", "sinr_wifi"),
-                                                    (1, LTE, "rssi_lte", "sinr_lte"))]
-        wifi, lte = self.paths
+        self.paths = [_Path(name, *channel_map_arrays(mac[rssi], mac[sinr], name))
+                      for name, rssi, sinr in ((WIFI, "rssi_wifi", "sinr_wifi"),
+                                               (LTE, "rssi_lte", "sinr_lte"))]
         # The MAC features of each decision as plain floats.  Each numpy series is
         # dropped as its table is made, so no more than one extra series is alive.
         self.rssi_wifi, self.rssi_lte, self.sinr_wifi, self.sinr_lte = (
             _doubles(mac.pop(key)) for key in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte"))
 
-        # Timing wheel (Varghese & Lauck, SOSP 1987): one bucket per tick of
+        # Timing wheels (Varghese & Lauck, SOSP 1987): one bucket per tick of
         # delay, so a ring one longer than the largest delay never wraps onto a
-        # pending bucket.  Every delivery of a tick runs before any ack, and a
-        # bucket sorted by (seq, path) replays the order a (tick, kind, seq, path)
-        # heap would pop.  A delivery and an ack are both the int seq*2 + path id.
-        self.size = size = max(max(wifi.full), max(lte.full)) + 1
-        self.dlv_wheel = [[] for _ in range(size)]
-        self.ack_wheel = [[] for _ in range(size)]
+        # pending bucket.  A round trip is at least 2 ticks, and no delay need
+        # outlast the run.
+        longest = max(np.frombuffer(path.rtt).max() for path in self.paths)
+        self.size = size = min(max(2, int(np.rint(longest))), n_ticks) + 1
+        for path in self.paths:
+            rtt = np.frombuffer(path.rtt)   # deliveries wait a one-way delay, acks a round trip
+            path.dlv_slot, path.ack_slot = _slots(rtt / 2.0, 1, size), _slots(rtt, 2, size)
+            path.dlv_wheel = [[] for _ in range(size)]
+            path.ack_wheel = [[] for _ in range(size)]
 
         self.rng = seeded_stream(p.seed, 0x10c5)
         self.draws = self.rng.random(_DRAW_CHUNK).tolist()   # uniform loss draws, in send order
@@ -291,8 +296,6 @@ class _Sim:
     def fork(self) -> _Sim:
         twin = copy.copy(self)
         twin.paths = [path.fork() for path in self.paths]
-        twin.dlv_wheel = [bucket.copy() for bucket in self.dlv_wheel]
-        twin.ack_wheel = [bucket.copy() for bucket in self.ack_wheel]
         twin.rng = copy.deepcopy(self.rng)   # draws is never changed in place, so it is shared
         twin.recv_buffer = self.recv_buffer.copy()
         twin.block_first_send = self.block_first_send.copy()
@@ -311,13 +314,15 @@ class _Sim:
         send step, and each state's Decision is returned; otherwise None.
         """
         decide = selmod.decide   # once per call, so a wrapped decide sees every call
+        # Observation's generated __new__ is Python code; this is the C call it makes.
+        new = tuple.__new__
         state, *others = states
         wifi, lte = paths = self.paths
         wifi_first, lte_first = (wifi, lte), (lte, wifi)
+        wheels = tuple((path, path.dlv_wheel, path.ack_wheel) for path in paths)   # WiFi's first
         rssi_wifi, rssi_lte = self.rssi_wifi, self.rssi_lte
         sinr_wifi, sinr_lte = self.sinr_wifi, self.sinr_lte
         n_ticks, decision_ticks, size = self.n_ticks, self.decision_ticks, self.size
-        dlv_wheel, ack_wheel = self.dlv_wheel, self.ack_wheel
         rng, draws, di = self.rng, self.draws, self.di
         draw_chunk = _DRAW_CHUNK
 
@@ -337,17 +342,6 @@ class _Sim:
         # The priority path is the last decision's; tick 0 decides before it sends.
         send_order = wifi_first if not decisions or decisions[-1].priority == WF else lte_first
 
-        def observation(tick: int) -> Observation:
-            feats = (
-                rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
-                wifi.srtt, lte.srtt,
-                max(1.0, wifi.cwnd), max(1.0, lte.cwnd),
-                wifi.plr_est, lte.plr_est,
-                wifi.pdr_est, lte.pdr_est,
-            )
-            return Observation(tick * MS, feats, wifi.cwnd - len(wifi.in_flight),
-                               lte.cwnd - len(lte.in_flight))
-
         # Running counters instead of a modulo per tick: the wheel slot (the
         # loop steps it to the first tick's), and the ticks of the next
         # decision and of the metrics-window end.
@@ -360,50 +354,47 @@ class _Sim:
             if slot == size:
                 slot = 0
 
-            # --- arrivals, then acks ---
-            due = dlv_wheel[slot]
-            if due:
-                if len(due) > 1:
-                    due.sort()
-                for key in due:
-                    seq = key >> 1
-                    if seq > delivered_upto:
-                        if seq in recv_buffer:
-                            continue   # a copy of a buffered seq
-                        recv_buffer.add(seq)
-                    elif seq < delivered_upto:
-                        continue       # a copy of a released seq
-                    n_transit -= 1
-                    paths[key & 1].dlv_bytes_win += pkt_bytes
-                    if seq == delivered_upto:
-                        # Release it, then each buffered seq that follows in order.
-                        while True:
-                            delivered_upto += 1
-                            released_win_bytes += pkt_bytes
-                            if delivered_upto % block_packets == 0:
-                                block = delivered_upto // block_packets - 1
-                                start = block_first_send.pop(block, None)
-                                if start is not None:
-                                    ad_samples.append((tick * MS, float(tick - start)))
-                            if delivered_upto not in recv_buffer:
-                                break
-                            recv_buffer.remove(delivered_upto)
-                due.clear()
-            due = ack_wheel[slot]
-            if due:
-                if len(due) > 1:
-                    due.sort()
-                for key in due:
-                    path = paths[key & 1]
-                    sent_at = path.in_flight.pop(key >> 1, None)
-                    if sent_at is not None:
-                        if path.cwnd < path.ssthresh:
-                            cwnd = path.cwnd + 1.0
-                        else:
-                            cwnd = path.cwnd + 1.0 / path.cwnd
-                        path.cwnd = cwnd if cwnd < cwnd_max else cwnd_max
-                        path.srtt = 0.875 * path.srtt + 0.125 * path.rtt[sent_at]
-                due.clear()
+            # --- arrivals and acks, WiFi's first (see the module docstring) ---
+            for path, dlv_wheel, ack_wheel in wheels:
+                due = dlv_wheel[slot]
+                if due:
+                    for seq in due:
+                        if seq > delivered_upto:
+                            if seq in recv_buffer:
+                                continue   # a copy of a buffered seq
+                            recv_buffer.add(seq)
+                        elif seq < delivered_upto:
+                            continue       # a copy of a released seq
+                        n_transit -= 1
+                        path.dlv_bytes_win += pkt_bytes
+                        if seq == delivered_upto:
+                            # Release it, then each buffered seq that follows in order.
+                            while True:
+                                delivered_upto += 1
+                                released_win_bytes += pkt_bytes
+                                if delivered_upto % block_packets == 0:
+                                    block = delivered_upto // block_packets - 1
+                                    start = block_first_send.pop(block, None)
+                                    if start is not None:
+                                        ad_samples.append((tick * MS, float(tick - start)))
+                                if delivered_upto not in recv_buffer:
+                                    break
+                                recv_buffer.remove(delivered_upto)
+                    due.clear()
+                due = ack_wheel[slot]
+                if due:
+                    if len(due) > 1:
+                        due.sort()
+                    in_flight, rtt = path.in_flight, path.rtt
+                    cwnd, ssthresh, srtt = path.cwnd, path.ssthresh, path.srtt
+                    for seq in due:
+                        sent_at = in_flight.pop(seq, None)
+                        if sent_at is not None:
+                            cwnd += 1.0 if cwnd < ssthresh else 1.0 / cwnd
+                            cwnd = cwnd if cwnd < cwnd_max else cwnd_max
+                            srtt = 0.875 * srtt + 0.125 * rtt[sent_at]
+                    path.cwnd, path.srtt = cwnd, srtt
+                    due.clear()
 
             # --- RTO: stranded packets reinject on the other path ---
             if tick >= rto_wake:
@@ -441,7 +432,13 @@ class _Sim:
             # --- path selection ---
             if tick == next_decision:
                 next_decision += decision_ticks
-                obs = observation(tick)
+                wcwnd, lcwnd = wifi.cwnd, lte.cwnd
+                obs = new(Observation, (tick * MS, (
+                    rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
+                    wifi.srtt, lte.srtt,
+                    wcwnd if wcwnd > 1.0 else 1.0, lcwnd if lcwnd > 1.0 else 1.0,   # max(1, cwnd)
+                    wifi.plr_est, lte.plr_est, wifi.pdr_est, lte.pdr_est),
+                    wcwnd - len(wifi.in_flight), lcwnd - len(lte.in_flight)))
                 d = decide(state, obs)
                 if others:
                     rest = [decide(other, obs) for other in others]
@@ -475,9 +472,8 @@ class _Sim:
                     path.credit = credit   # nothing to reinject and no new data it may send
                     continue
                 loss = path.loss[tick]
-                pid = path.pid
-                dlv_due = dlv_wheel[(tick + path.half[tick]) % size]
-                ack_due = ack_wheel[(tick + path.full[tick]) % size]
+                dlv_due = path.dlv_wheel[path.dlv_slot[tick]]
+                ack_due = path.ack_wheel[path.ack_slot[tick]]
                 sent = 0
                 while credit >= pkt_bytes and len(in_flight) < cwnd:
                     if reinject:
@@ -497,9 +493,8 @@ class _Sim:
                         di = 0
                     di += 1
                     if draws[di - 1] >= loss:
-                        key = seq * 2 + pid
-                        dlv_due.append(key)
-                        ack_due.append(key)
+                        dlv_due.append(seq)
+                        ack_due.append(seq)
                     # lost packets generate no events; the RTO scan recovers them
                 path.credit = credit
                 path.sent_win += sent
@@ -571,8 +566,13 @@ def run_group(scenario: Scenario, states: Sequence[SelectorState],
     """
     if not states:
         return []
+    try:
+        sim = _Sim(scenario, params)
+    except MemoryError as exc:   # numpy refuses an impossible table at once
+        raise SimError(f"scenario duration {scenario.duration} s is too long to simulate: "
+                       f"{exc}") from None
     reports: list[MetricsReport] = [None] * len(states)
-    _finish(_Sim(scenario, params), list(enumerate(states)), reports)
+    _finish(sim, list(enumerate(states)), reports)
     return reports
 
 

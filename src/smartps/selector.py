@@ -5,8 +5,8 @@ prior-learned scheme, falling back to the other path when the chosen one has
 no cwnd space.  Nothing retrains the model while a connection runs.
 
 The simulator builds one `Observation` and keeps one `Decision` per decision,
-every tick at a 1-ms decision interval, so both are named tuples built
-positionally: immutable, compared by value, and cheap to build.
+every tick at a 1-ms decision interval, so both are named tuples, immutable
+and compared by value, built through `tuple.__new__` at C speed.
 `treelearn.predict` refuses a feature vector that is not 12 long.
 """
 
@@ -49,6 +49,9 @@ class Decision(NamedTuple):
 
 Model = Union[treelearn.TreeNode, treelearn.ForestModel]
 
+# What Decision's generated __new__ calls, without that Python-level frame.
+_new = tuple.__new__
+
 
 @dataclass
 class SelectorState:
@@ -83,8 +86,8 @@ def decide(state: SelectorState, obs: Observation) -> Decision:
     space, other_space = ((obs.space_wifi, obs.space_lte) if prio == WF
                           else (obs.space_lte, obs.space_wifi))
     if space <= 0 and other_space > 0:
-        return Decision(obs.t, LF if prio == WF else WF, FALLBACK)
-    return Decision(obs.t, prio, MODEL)
+        return _new(Decision, (obs.t, LF if prio == WF else WF, FALLBACK))
+    return _new(Decision, (obs.t, prio, MODEL))
 
 
 def maybe_refresh(state: SelectorState, now: float) -> bool:

@@ -297,6 +297,18 @@ class TestSimulate:
         assert f"error: {scenario_file}: line {lineno}: non-finite number" in err
         assert "Traceback" not in err
 
+    def test_duration_beyond_any_memory_is_an_error(self, tmp_path, scenario_file, capsys):
+        # 1e15 s is 1e18 ticks; numpy refuses the first per-tick table at once.
+        text = scenario_file.read_text()
+        assert "duration 3\n" in text
+        scenario_file.write_text(text.replace("duration 3\n", "duration 1e15\n"))
+        assert run_cli("simulate", "--scenario", str(scenario_file),
+                       "--selector", "minrtt", "--seed", "7",
+                       "--output", str(tmp_path / "sim")) == 1
+        err = capsys.readouterr().err
+        assert "error: scenario duration 1000000000000000.0 s is too long to simulate" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("selector", ["minrtt", "rr", "wf", "lf"])
     def test_model_without_smartps_is_an_error(self, tmp_path, scenario_file, monkeypatch,
                                                capsys, selector):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+from array import array
 from dataclasses import replace
 from unittest import mock
 
@@ -102,6 +103,13 @@ def test_channels_keep_the_pretrained_model_on_default_channels():
     assert sha256(serialize_model(scenarios.pretrained_model())) == PRETRAINED_FOREST_SHA256
 
 
+@pytest.fixture(scope="module")
+def forest25():
+    """The 25-tree forest of the 1-ms pins."""
+    return train_forest(scenarios.training_corpus(7), n_trees=25,
+                        params=TreeParams(max_depth=6, min_leaf=20), seed=7)
+
+
 def seen_observations(monkeypatch, scenario, policy, seed):
     """Every Observation that run_case hands selector.decide, in decision order."""
     seen = []
@@ -140,6 +148,26 @@ class TestRun:
         with pytest.raises(SimError, match=rf"duration {re.escape(str(duration))} s is not "
                                            r"a positive whole"):
             run_case(scenarios.stable(seed=0, duration=duration), WF, 0)
+
+    def test_duration_beyond_any_memory_rejected(self):
+        # 1e15 s is 1e18 ticks, whose first per-tick table numpy refuses at once.
+        with pytest.raises(SimError, match=r"duration 1000000000000000\.0 s is too long "
+                                           r"to simulate: Unable to allocate"):
+            run_case(scenarios.stable(seed=0, duration=1e15), WF, 0)
+
+    def test_per_tick_tables_are_compact(self):
+        # A list of floats costs 32 bytes per tick, an array of doubles 8.  The
+        # slot tables take the place of the delay tables they were made from.
+        sim = netsim._Sim(scenarios.walkaway(seed=5, duration=3.0), SimParams(duration=3.0))
+        tables = {(type(owner).__name__, name): type(getattr(owner, name))
+                  for owner in (sim, *sim.paths) for name in type(owner).__slots__
+                  if getattr(getattr(owner, name), "__len__", None)
+                  and len(getattr(owner, name)) == sim.n_ticks}
+        assert set(tables.values()) <= {array, bytes}, tables
+        assert sorted(tables) == sorted(
+            [("_Sim", name) for name in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte")]
+            + [("_Path", name) for name in ("credit_tick", "dead", "loss", "rtt",
+                                            "dlv_slot", "ack_slot")])
 
     def test_float_division_slack_accepted(self):
         # 0.7 / 0.001 is 699.999...; 0.7 s is still seven whole metrics windows.
@@ -205,7 +233,7 @@ class TestRun:
             run_case(scn, policy, 5)  # a violation raises
 
     def test_observations_follow_feature_names(self, monkeypatch):
-        # observation() builds its 12-tuple by hand; read every slot back by name.
+        # _Sim.advance builds each 12-tuple inline; read every slot back by name.
         scn = scenarios.walkaway(seed=5, duration=3.0)
         seen = seen_observations(monkeypatch, scn, "MINRTT", 7)
         mac = scenario_mac_series(scn, np.arange(3000) * netsim.MS,
@@ -271,12 +299,10 @@ class TestRun:
         assert bundle_digest(rep) == (
             "f8837ae2272bb25ef7e49d3bc4fbd30b1ff5dc4d9d87d36a85d0b20271405880")
 
-    def test_one_ms_forest_decisions_pinned(self):
+    def test_one_ms_forest_decisions_pinned(self, forest25):
         # 3,000 forest decisions (2,309 WF, 691 LF) pin scalar predict far more
         # tightly than the suite digests' 100-ms decisions of the 20-tree forest.
-        forest = train_forest(scenarios.training_corpus(7), n_trees=25,
-                              params=TreeParams(max_depth=6, min_leaf=20), seed=7)
-        state = SelectorState(policy="SMARTPS", offline_model=forest)
+        state = SelectorState(policy="SMARTPS", offline_model=forest25)
         rep = run(scenarios.walkaway(seed=5, duration=3.0), state,
                   SimParams(duration=3.0, seed=7, decision_interval=0.001))
         assert rep.total_goodput == pytest.approx(13.048, abs=1e-4)
@@ -352,6 +378,54 @@ def test_long_run_pinned(suite_scenarios, index, policy):
     rep = run_case(suite_scenarios[index], policy, 1 + 100 * index,
                    scenarios.pretrained_model())
     assert bundle_digest(rep) == LONG_RUN_DIGESTS[index, policy]
+
+
+# 15-s runs deciding every 1 ms, the length and cadence of the benchmark's
+# serve workload, on the same four suite scenarios with seed 1 + 100 * index.
+# Across the eight runs 14,747 of MINRTT's 60,000 decisions fall back, and 425 of
+# SMARTPS's.
+ONE_MS_SERVE_DIGESTS = {
+    (0, "SMARTPS"): "e8c7e37521dd032643b7c81293125805278b11a589d4fdc7a0560c1689926f3d",
+    (0, "MINRTT"): "28c3cd21d7e5589e680b439f9614a9a66b377de21877cd0941bd58b8e780e34f",
+    (5, "SMARTPS"): "a335f024a379ec5be1ad498a77d0d9e68acf2373e95f2712cefdadef0c916fa2",
+    (5, "MINRTT"): "d052f7807fcd5d67e32df4b40aad6c2b4ed62f4f40f8db33161fd81fdf2119a6",
+    (12, "SMARTPS"): "dfc0088839274049a7f3407e448ce67df2dd0787cdf48ea32a6c8626dab6a7e6",
+    (12, "MINRTT"): "31674bc69083e1ba5da6a9055698dbcff1d87cef10a375818508d7d0d10fb7b0",
+    (18, "SMARTPS"): "133b5e98744886f16b36fe39942712aaa06da6c67cb3a813016baca764be3128",
+    (18, "MINRTT"): "d86c494d4f501b4e16597177406236a7bf148feda63c7a311f54d09413ceb46c",
+}
+
+
+@pytest.mark.parametrize("index,policy", sorted(ONE_MS_SERVE_DIGESTS))
+def test_one_ms_serve_length_pinned(forest25, index, policy):
+    state = SelectorState(policy=policy, offline_model=forest25)
+    rep = run(scenarios.evaluation_suite(15.0)[index], state,
+              SimParams(duration=15.0, seed=1 + 100 * index, decision_interval=0.001))
+    assert bundle_digest(rep) == ONE_MS_SERVE_DIGESTS[index, policy]
+
+
+def test_copies_arriving_in_one_tick_pinned(monkeypatch):
+    # At 5 s WiFi drops to its loss cliff, and a 44-fold loss factor stretches
+    # its round trip to ~460 ms while srtt is ~20 ms.  Packets time out in
+    # flight and their LTE copies race them: both copies of seq 10,387 arrive
+    # at tick 5,227.  The WiFi copy is the one counted.  Only the next
+    # window's pdr features show which copy counted, so the observations are
+    # pinned as well as the bundle.
+    scn = Scenario(name="step", duration=15.0, seed=3, segments=(
+        Segment(0.0, {"rssi_wifi": constant(-40.0), "sinr_wifi": constant(25.0)}),
+        Segment(5.0, {"rssi_wifi": traceio.noisy(-75.0, 2.0), "sinr_wifi": constant(25.0)})))
+    seen = []
+    decide = netsim.selmod.decide
+    monkeypatch.setattr(netsim.selmod, "decide",
+                        lambda state, obs: seen.append(obs) or decide(state, obs))
+    with channels(WIFI=replace(DEFAULT_CHANNELS[WIFI], rtt_loss_factor=44.0)):
+        rep = run(scn, SelectorState(policy="MINRTT"),
+                  SimParams(duration=15.0, seed=7, decision_interval=0.001))
+    assert rep.total_goodput == pytest.approx(10.4264, abs=1e-4)
+    assert bundle_digest(rep) == (
+        "7bcd9903c40bf5d6abeba3871cbe1786cda3d0cc99ba566e6d0daacd008fb311")
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "4351a3c683c9341a94ec71f58db8047afc0e6a615f43fe3efcf90558e8217271")
 
 
 # ---------------------------------------------------------------------------
