@@ -83,6 +83,8 @@ def cmd_build_dataset(args) -> tuple[str, ...]:
 def cmd_train(args) -> tuple[str, ...]:
     if args.trees < 1:
         raise ValueError(f"--trees must be at least 1, got {args.trees}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     records = _read_input(args.input, dataset.records_from_csv)
     params = treelearn.TreeParams(max_depth=args.max_depth, min_leaf=args.min_leaf,
                                   min_igr=args.min_igr)

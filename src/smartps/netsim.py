@@ -32,6 +32,10 @@ lands no later than the tick its RTO could fire, and acks run first.  Past that
 bound a seq could time out, come back to the same path and take the later
 send's sample: the ambiguity Karn's rule resolves.  A delivery of the next
 in-order seq is released at once; the reorder buffer holds only seqs above it.
+The loop counts packets and ticks, and turns a count into bytes or seconds only
+where a metric is reported.  A window's AG is how far the release point moved in
+it, and a block's AD pops the block's first-send tick from a FIFO: blocks are
+first sent and released in order, so the head is always the completed block.
 
 A tick does work only where something can change, and so a branch can re-enter
 the tick it forked at and repeat nothing before the send step.  That tick's
@@ -68,14 +72,13 @@ from .traceio import (
 
 PKT_BYTES = 1500
 MS = 0.001
-METRICS_WINDOW = 0.1   # seconds per AG and accumulation sample
-WINDOW_TICKS = round(METRICS_WINDOW / MS)
+WINDOW_TICKS = 100     # ticks per AG and accumulation sample
 # Receive/reassembly window in packets.  Kept near a single path's
 # bandwidth-delay product so the priority decision allocates a scarce
 # resource; packets stranded on a broken path hold window slots until
 # their RTO, which is what makes a missed switch expensive.
 RECV_WINDOW = 48
-MIN_RTO = 200.0        # ms
+MIN_RTO = 200          # ms, which is ticks
 RTO_MULT = 4.0         # rto = max(MIN_RTO, RTO_MULT * srtt)
 CWND_INIT = 10.0       # packets
 CWND_MAX = 1000.0      # packets
@@ -171,7 +174,7 @@ class _Path:
     __slots__ = ("name", "credit_tick", "dead", "loss", "rtt", "dlv_slot", "ack_slot",
                  "dlv_wheel", "ack_wheel",
                  "cwnd", "ssthresh", "srtt", "credit", "in_flight", "reinject",
-                 "sent_win", "lost_win", "dlv_bytes_win", "plr_est", "pdr_est")
+                 "sent_win", "lost_win", "dlv_win", "plr_est", "pdr_est")
 
     def __init__(self, name, cap, rtt, loss):
         if not np.isfinite(rtt).all():
@@ -191,9 +194,9 @@ class _Path:
         # order is send order and the oldest packet comes first.
         self.in_flight: dict[int, int] = {}
         self.reinject: deque[int] = deque()   # seqs awaiting retransmission here
-        self.sent_win = 0
+        self.sent_win = 0   # packets this metrics window: sent, timed out, delivered
         self.lost_win = 0
-        self.dlv_bytes_win = 0
+        self.dlv_win = 0
         self.plr_est = 0.0
         self.pdr_est = 0.0
 
@@ -229,7 +232,7 @@ class _Sim:
         # Changed by the loop: a fork copies them.
         "paths", "tick", "next_decision", "window_end", "rto_wake",
         "rng", "draws", "di", "next_seq", "delivered_upto", "recv_buffer", "n_transit",
-        "block_first_send", "released_win_bytes",
+        "window_upto", "block_first_send",   # AG and AD sources: see the module docstring
         "decisions", "ag_series", "ad_samples", "accumulation")
 
     def __init__(self, scenario: Scenario, params: SimParams):
@@ -241,10 +244,10 @@ class _Sim:
         if not self.decision_ticks:
             raise SimError(f"decision_interval must be a positive whole number of {MS} s "
                            f"ticks; got {p.decision_interval}")
-        n_windows = _whole(scenario.duration, METRICS_WINDOW)
+        n_windows = _whole(scenario.duration, WINDOW_TICKS * MS)
         if not n_windows:
             raise SimError(f"scenario duration {scenario.duration} s is not a positive whole "
-                           f"number of {METRICS_WINDOW} s metrics windows")
+                           f"number of {WINDOW_TICKS * MS} s metrics windows")
         self.scenario = scenario.name
         self.seed = p.seed
 
@@ -280,13 +283,13 @@ class _Sim:
         self.next_decision = 0
         self.window_end = WINDOW_TICKS - 1
         # No packet can time out before this tick (see the module docstring).
-        self.rto_wake = math.ceil(MIN_RTO)
+        self.rto_wake = MIN_RTO
         self.next_seq = 0
         self.delivered_upto = 0   # every seq below it has been released in order
         self.recv_buffer: set[int] = set()
         self.n_transit = 0
-        self.block_first_send: dict[int, int] = {}
-        self.released_win_bytes = 0
+        self.window_upto = 0
+        self.block_first_send: deque[int] = deque()
 
         self.decisions: list[Decision] = []
         self.ag_series: list[float] = []
@@ -327,17 +330,14 @@ class _Sim:
         draw_chunk = _DRAW_CHUNK
 
         pkt_bytes, block_packets, recv_window = PKT_BYTES, BLOCK_PACKETS, RECV_WINDOW
-        rto_mult, cwnd_max = RTO_MULT, CWND_MAX
-        # An int tick is younger than MIN_RTO exactly when it is younger than
-        # ceil(MIN_RTO), so every RTO test below compares ints.
-        min_rto = math.ceil(MIN_RTO)
+        rto_mult, cwnd_max, min_rto = RTO_MULT, CWND_MAX, MIN_RTO
         credit_max = 4.0 * pkt_bytes
         next_seq, delivered_upto, n_transit = self.next_seq, self.delivered_upto, self.n_transit
         recv_buffer, block_first_send = self.recv_buffer, self.block_first_send
 
         decisions, ag_series = self.decisions, self.ag_series
         ad_samples, accumulation = self.ad_samples, self.accumulation
-        released_win_bytes = self.released_win_bytes
+        window_upto = self.window_upto
 
         # The priority path is the last decision's; tick 0 decides before it sends.
         send_order = wifi_first if not decisions or decisions[-1].priority == WF else lte_first
@@ -366,17 +366,14 @@ class _Sim:
                         elif seq < delivered_upto:
                             continue       # a copy of a released seq
                         n_transit -= 1
-                        path.dlv_bytes_win += pkt_bytes
+                        path.dlv_win += 1
                         if seq == delivered_upto:
                             # Release it, then each buffered seq that follows in order.
                             while True:
                                 delivered_upto += 1
-                                released_win_bytes += pkt_bytes
                                 if delivered_upto % block_packets == 0:
-                                    block = delivered_upto // block_packets - 1
-                                    start = block_first_send.pop(block, None)
-                                    if start is not None:
-                                        ad_samples.append((tick * MS, float(tick - start)))
+                                    start = block_first_send.popleft()
+                                    ad_samples.append((tick * MS, float(tick - start)))
                                 if delivered_upto not in recv_buffer:
                                     break
                                 recv_buffer.remove(delivered_upto)
@@ -432,11 +429,10 @@ class _Sim:
             # --- path selection ---
             if tick == next_decision:
                 next_decision += decision_ticks
-                wcwnd, lcwnd = wifi.cwnd, lte.cwnd
+                wcwnd, lcwnd = wifi.cwnd, lte.cwnd   # never below 1.0
                 obs = new(Observation, (tick * MS, (
                     rssi_wifi[tick], rssi_lte[tick], sinr_wifi[tick], sinr_lte[tick],
-                    wifi.srtt, lte.srtt,
-                    wcwnd if wcwnd > 1.0 else 1.0, lcwnd if lcwnd > 1.0 else 1.0,   # max(1, cwnd)
+                    wifi.srtt, lte.srtt, wcwnd, lcwnd,
                     wifi.plr_est, lte.plr_est, wifi.pdr_est, lte.pdr_est),
                     wcwnd - len(wifi.in_flight), lcwnd - len(lte.in_flight)))
                 d = decide(state, obs)
@@ -482,7 +478,7 @@ class _Sim:
                         seq = next_seq
                         next_seq += 1
                         if seq % block_packets == 0:
-                            block_first_send[seq // block_packets] = tick
+                            block_first_send.append(tick)
                     else:
                         break
                     credit -= pkt_bytes
@@ -503,15 +499,16 @@ class _Sim:
             # --- metrics window ---
             if tick == window_end:
                 window_end += WINDOW_TICKS
-                ag_series.append(released_win_bytes * 8.0 / (WINDOW_TICKS * MS) / 1e6)
-                released_win_bytes = 0
+                ag_series.append((delivered_upto - window_upto) * pkt_bytes * 8.0
+                                 / (WINDOW_TICKS * MS) / 1e6)
+                window_upto = delivered_upto
                 for path in paths:
                     accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
                     # lost_win also counts RTOs of packets sent in earlier windows.
                     path.plr_est = (min(1.0, path.lost_win / path.sent_win)
                                     if path.sent_win else 0.0)
-                    path.pdr_est = path.dlv_bytes_win * 8.0 / (WINDOW_TICKS * MS) / 1e6
-                    path.sent_win = path.lost_win = path.dlv_bytes_win = 0
+                    path.pdr_est = path.dlv_win * pkt_bytes * 8.0 / (WINDOW_TICKS * MS) / 1e6
+                    path.sent_win = path.lost_win = path.dlv_win = 0
 
             # --- conservation: every distinct packet is in exactly one place ---
             pending = len(wifi.reinject) + len(lte.reinject)
@@ -524,7 +521,7 @@ class _Sim:
         self.next_decision, self.window_end, self.rto_wake = next_decision, window_end, rto_wake
         self.draws, self.di = draws, di
         self.next_seq, self.delivered_upto, self.n_transit = next_seq, delivered_upto, n_transit
-        self.released_win_bytes = released_win_bytes
+        self.window_upto = window_upto
         return split
 
     def report(self, policy: str) -> MetricsReport:

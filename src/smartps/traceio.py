@@ -397,9 +397,9 @@ class Scenario:
 
 
 def seeded_stream(seed: int, stream: int) -> np.random.Generator:
-    """Stream `stream` of `seed`: Philox is counter-based, so each (seed, stream) pair
-    is an independent, order-insensitive stream and evaluation order changes nothing."""
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, stream]))
+    """Stream `stream` of `seed` mod 2**64: Philox is counter-based, so each (seed, stream)
+    pair is an independent, order-insensitive stream and evaluation order changes nothing."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, stream], np.uint64)))
 
 
 def scenario_mac_series(scenario: Scenario, times: np.ndarray,

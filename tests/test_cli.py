@@ -459,6 +459,15 @@ class TestRejectsImpossibleValues:
         assert err.startswith("error:") and f"got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trees", ["1", "5"])
+    def test_train_seed(self, tmp_path, dataset_file, capsys, trees):
+        # numpy's own refusal, "expected non-negative integer", named no flag.
+        out = tmp_path / "m.txt"
+        assert run_cli("train", "--input", str(dataset_file), "--output", str(out),
+                       "--trees", trees, "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,field,value", [
         ("--min-leaf", "min_leaf", "0"), ("--min-leaf", "min_leaf", "-5"),
         ("--max-depth", "max_depth", "-1"), ("--min-igr", "min_igr", "-0.1"),

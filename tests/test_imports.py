@@ -29,8 +29,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+                         + sorted(BENCHMARK.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 from array import array
+from collections import deque
 from dataclasses import replace
 from unittest import mock
 
@@ -428,6 +429,29 @@ def test_copies_arriving_in_one_tick_pinned(monkeypatch):
         "4351a3c683c9341a94ec71f58db8047afc0e6a615f43fe3efcf90558e8217271")
 
 
+def test_acks_out_of_seq_order_across_send_ticks_pinned(monkeypatch):
+    # Two 1-Mbps paths near their loss cliffs.  Packets time out on each path
+    # and are resent on the other, so at tick 4,785 LTE's ack bucket holds seq
+    # 176 (sent at tick 4,719) before seq 164 (sent at tick 4,738).  Their RTT
+    # samples differ, so the order the bucket runs in moves LTE's srtt; only
+    # the observations show it, so they are pinned as well as the bundle.
+    scn = Scenario(name="x", duration=10.0, seed=1, segments=(
+        Segment(0.0, {"rssi_wifi": traceio.noisy(-72.0, 3.0),
+                      "rssi_lte": traceio.noisy(-92.0, 3.0)}),))
+    seen = []
+    decide = netsim.selmod.decide
+    monkeypatch.setattr(netsim.selmod, "decide",
+                        lambda state, obs: seen.append(obs) or decide(state, obs))
+    with channels(WIFI=replace(DEFAULT_CHANNELS[WIFI], cap_max=1.0, rtt_loss_factor=3.0),
+                  LTE=replace(DEFAULT_CHANNELS[LTE], cap_max=1.0)):
+        rep = run(scn, SelectorState(policy=WF), SimParams(duration=10.0, seed=1))
+    assert rep.total_goodput == pytest.approx(0.4212, abs=1e-4)
+    assert bundle_digest(rep) == (
+        "d1ddafff926858dee151d9a5bd59cdef580179f7934058b87d621bcfd2535656")
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
+        "d8900e560a30c4d1394cfabb626724ce6076e5d613cc2279a8a5adfceaa86263")
+
+
 # ---------------------------------------------------------------------------
 # Groups: policies that agree run as one simulation until they disagree
 # ---------------------------------------------------------------------------
@@ -495,6 +519,80 @@ def test_group_asks_each_state_as_its_solo_run(monkeypatch, suite_scenarios):
 
 def test_empty_group_simulates_nothing():
     assert run_group(scenarios.stable(seed=0, duration=1.0), [], SimParams(duration=1.0)) == []
+
+
+# The per-tick tables, which every branch of a run reads and none writes.
+PER_TICK_TABLES = {"rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte",
+                   "credit_tick", "loss", "rtt", "dlv_slot", "ack_slot"}
+IMMUTABLE = (int, float, str, bytes, type(None))
+
+
+def mutable_parts(obj, where="sim"):
+    """{id: where} of each mutable object reachable from obj through slots and
+    containers, skipping the per-tick tables and the shared loss draws."""
+    found = {}
+    if isinstance(obj, IMMUTABLE):
+        return found
+    if not isinstance(obj, tuple):
+        found[id(obj)] = where
+    if hasattr(type(obj), "__slots__"):
+        for name in type(obj).__slots__:
+            if name not in PER_TICK_TABLES | {"draws"}:
+                found.update(mutable_parts(getattr(obj, name), f"{where}.{name}"))
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            found.update(mutable_parts(value, f"{where}[{key!r}]"))
+    elif isinstance(obj, (list, tuple, deque, set)):
+        for n, item in enumerate(obj):
+            found.update(mutable_parts(item, f"{where}[{n}]"))
+    return found
+
+
+def ad_count_holds(sim):
+    """One AD sample per released block, and one first-send tick per block
+    first sent but not yet released."""
+    released, first_sent = (sim.delivered_upto // netsim.BLOCK_PACKETS,
+                            -(-sim.next_seq // netsim.BLOCK_PACKETS))
+    return (len(sim.ad_samples) == released
+            and len(sim.block_first_send) == first_sent - released)
+
+
+def test_a_fork_shares_only_the_per_tick_tables():
+    # SMARTPS and MINRTT part at tick 2,600, with packets in flight and buffered.
+    scn, params = scenarios.walkaway(seed=5, duration=5.0), SimParams(duration=5.0, seed=7)
+    sim = netsim._Sim(scn, params)
+    group = states("SMARTPS", "MINRTT")
+    split = sim.advance(group)
+    assert sim.tick == 2600 and split[0] != split[1]
+    assert sim.recv_buffer and all(path.in_flight for path in sim.paths)
+    twin = sim.fork()
+    ours, theirs = mutable_parts(sim), mutable_parts(twin)
+    assert {"sim.paths[0].reinject", "sim.paths[1].ack_wheel[0]", "sim.rng",
+            "sim.block_first_send", "sim.accumulation['LTE']"} <= set(ours.values())
+    assert sorted(ours[i] for i in ours.keys() & theirs.keys()) == []
+    assert all(getattr(twin, name) is getattr(sim, name) for name in ("draws", "rssi_wifi"))
+    assert ad_count_holds(sim) and ad_count_holds(twin)
+    for branch, state, d in zip((sim, twin), group, split):
+        branch.decisions.append(d)
+        assert branch.advance([state]) is None and branch.tick == branch.n_ticks - 1
+        assert ad_count_holds(branch)
+
+
+@pytest.mark.parametrize("kind,policy", [("walkaway", "RR"), ("interference_burst", "MINRTT"),
+                                         ("oscillating", LF)])
+def test_every_released_block_has_one_ad_sample(kind, policy):
+    duration = 5.0
+    sim = netsim._Sim(getattr(scenarios, kind)(seed=3, duration=duration),
+                      SimParams(duration=duration, seed=3))
+    assert sim.advance(states(policy)) is None
+    assert sim.ad_samples and ad_count_holds(sim)
+
+
+def test_tick_and_packet_constants_are_ints():
+    # The tick loop's RTO and window tests compare ints, so a constant that a
+    # test monkeypatches, MIN_RTO among them, must stay a whole count.
+    for name in ("MIN_RTO", "WINDOW_TICKS", "BLOCK_PACKETS", "RECV_WINDOW"):
+        assert type(getattr(netsim, name)) is int, name
 
 
 # ---------------------------------------------------------------------------

@@ -608,6 +608,17 @@ class TestSynthesize:
         b = synthesize_trace(walkaway_scenario(seed=2), 0.1)
         assert a != b
 
+    @pytest.mark.parametrize("seed", [-1, -5, 0, 2**63, 2**63 + 1])
+    def test_seed_is_taken_mod_2_64(self, seed):
+        # Each seed keys its own stream; a negative seed once keyed seed 0's.
+        key = traceio.seeded_stream(seed, 1).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed % 2**64, 1]
+
+    def test_negative_seed_changes_trace(self):
+        a = synthesize_trace(walkaway_scenario(seed=-5), 0.1)
+        b = synthesize_trace(walkaway_scenario(seed=0), 0.1)
+        assert a != b
+
     def test_walkaway_rssi_non_increasing(self):
         samples = synthesize_trace(walkaway_scenario(), 0.1)
         rssi = [s.rssi_wifi for s in samples]
