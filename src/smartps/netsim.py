@@ -177,8 +177,6 @@ class _Path:
                  "sent_win", "lost_win", "dlv_win", "plr_est", "pdr_est")
 
     def __init__(self, name, cap, rtt, loss):
-        if not np.isfinite(rtt).all():
-            raise SimError(f"{name} base RTT is not finite; check its ChannelParams")
         self.name = name
         # Per-tick tables, compact (8 bytes per float, 4 per slot, 1 per flag).
         self.credit_tick = _doubles(cap * 125.0)   # bytes of send credit per 1-ms tick

@@ -271,13 +271,13 @@ DEFAULT_CHANNELS = {
 
 def channel_map_arrays(rssi: np.ndarray, sinr: np.ndarray, interface: str
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(capacity Mbps, base rtt ms, loss fraction) per interface state."""
+    """(capacity Mbps, base rtt ms, loss fraction) per interface state, from rssi
+    and sinr series already inside their _MAC_ATTRS ranges, as attribute_series gives."""
     p = DEFAULT_CHANNELS[interface]
-    rssi = np.clip(np.asarray(rssi, dtype=float), -120.0, 0.0)
+    rssi = np.asarray(rssi, dtype=float)
     sinr = np.asarray(sinr, dtype=float)
     ref = math.log2(1.0 + 10.0 ** (p.sinr_ref / 10.0))
     cap = p.cap_max * np.minimum(1.0, np.log2(1.0 + 10.0 ** (sinr / 10.0)) / ref)
-    cap = np.maximum(cap, 0.0)
     loss = 1.0 / (1.0 + np.exp((rssi - p.rssi_cliff) / p.loss_scale))
     rtt = p.rtt_floor * (1.0 + p.rtt_loss_factor * loss)
     return cap, rtt, loss
@@ -321,6 +321,9 @@ class Trajectory:
             raise TraceError(f"a {self.kind} trajectory takes one value, got v1={self.v1}")
         if self.kind == "noisy" and self.v1 < 0.0:
             raise TraceError(f"noisy sigma must be >= 0, got {self.v1}")
+        # An infinite change would evaluate to inf * 0 = NaN at the segment start.
+        if self.kind == "ramp" and not math.isfinite(self.v1 - self.v0):
+            raise TraceError(f"ramp change v1 - v0 must be finite, got {self.v0} to {self.v1}")
 
 
 def constant(v: float) -> Trajectory:
@@ -424,8 +427,6 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
     if sampling_interval <= 0:
         raise TraceError("sampling_interval must be > 0")
     n = int(math.floor(scenario.duration / sampling_interval + 1e-9))
-    if n <= 0:
-        return []
     times = np.arange(n) * sampling_interval
     mac = scenario_mac_series(scenario, times)
 

@@ -136,7 +136,7 @@ def _thresholds(ordered: np.ndarray, width: float) -> np.ndarray:
 
 def _h2(wf: int, lf: int) -> float:
     n = wf + lf
-    if n == 0 or wf == 0 or lf == 0:
+    if wf == 0 or lf == 0:
         return 0.0
     pw, pl = wf / n, lf / n
     return -pw * math.log2(pw) - pl * math.log2(pl)

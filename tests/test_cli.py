@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,18 @@ class TestSimulate:
         assert f"error: {scenario_file}: line {lineno}: non-finite number" in err
         assert "Traceback" not in err
 
+    def test_overflowing_ramp_is_an_error_naming_its_line(self, tmp_path, capsys):
+        # v1 - v0 overflows, so the ramp would read inf * 0 = NaN at t = 0.
+        poison = tmp_path / "poison.txt"
+        poison.write_text("name poison\nduration 2\nseed 1\nsegment 0\n"
+                          "  sinr_wifi ramp 1e308 -1e308\nsegment 0.001\n"
+                          "  sinr_wifi constant 25\n")
+        assert run_cli("simulate", "--scenario", str(poison), "--selector", "wf",
+                       "--seed", "1", "--output", str(tmp_path / "sim")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {poison}: line 5: ramp change v1 - v0 must be finite" in err
+        assert not (tmp_path / "sim").exists()
+
     def test_duration_beyond_any_memory_is_an_error(self, tmp_path, scenario_file, capsys):
         # 1e15 s is 1e18 ticks; numpy refuses the first per-tick table at once.
         text = scenario_file.read_text()
@@ -533,7 +547,19 @@ class TestRejectsImpossibleValues:
         assert not out.exists()
 
 
+# Each `smartps ...` line of README's CLI block, without the program name.
+README_CLI = [shlex.split(line)[1:] for line in
+              (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+              .split("## CLI", 1)[1].split("```", 2)[1].splitlines()
+              if line.startswith("smartps ")]
+
+
 class TestParser:
+    @pytest.mark.parametrize("argv", README_CLI, ids=lambda argv: argv[0])
+    def test_readme_cli_example_parses(self, argv):
+        # parse_args reads no file; it exits on a flag the parser no longer has.
+        assert cli.build_parser().parse_args(argv).verb == argv[0]
+
     def test_unknown_verb_exits_2(self, capsys):
         assert run_cli("frobnicate") == 2
         capsys.readouterr()

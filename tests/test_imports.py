@@ -1,7 +1,7 @@
 """Import and I/O hygiene: no unused names, no import cycles, no public name only tests
 call, no file text read or written in the locale's encoding, no file written outside
-`cli._write_output`, no decision asked outside `netsim._Sim.advance`, and a package
-docstring that names every module."""
+`cli._write_output`, no decision asked outside `netsim._Sim.advance`, no channel table
+read outside `traceio.channel_map_arrays`, and a package docstring that names every module."""
 
 import ast
 import re
@@ -164,6 +164,34 @@ def test_decide_reader_checker():
               "selector.decide(1, 2)\n")
     # A store and a bare name are not attribute reads, nor is a method's definition.
     assert owners(source, reads_decide) == [("f", 3), ("<module>", 8)]
+
+
+def loads_default_channels(node: ast.AST) -> bool:
+    """A read of a name or an attribute called `DEFAULT_CHANNELS`."""
+    return (isinstance(node, ast.Name) and node.id == "DEFAULT_CHANNELS"
+            or isinstance(node, ast.Attribute) and node.attr == "DEFAULT_CHANNELS"
+            ) and isinstance(node.ctx, ast.Load)
+
+
+def test_only_the_channel_map_reads_the_channels():
+    # The tests' channels() patch of DEFAULT_CHANNELS reaches a run only through it.
+    readers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
+               for owner, _ in owners(path.read_text(), loads_default_channels)}
+    assert readers == {"traceio.channel_map_arrays"}
+
+
+def test_channel_reader_checker():
+    source = ("from smartps import traceio\n"
+              "from smartps.traceio import DEFAULT_CHANNELS\n"
+              "DEFAULT_CHANNELS = {}\n"
+              "def f(interface):\n"
+              "    return DEFAULT_CHANNELS[interface]\n"
+              "class C:\n"
+              "    def g(self):\n"
+              "        self.DEFAULT_CHANNELS = traceio.DEFAULT_CHANNELS\n"
+              "print(DEFAULT_CHANNELS)\n")
+    # An import and a store are not reads.
+    assert owners(source, loads_default_channels) == [("f", 5), ("C.g", 8), ("<module>", 9)]
 
 
 def package_imports(source: str, package: str = "smartps") -> set[str]:

@@ -22,7 +22,7 @@ from smartps.netsim import (
 from smartps.selector import Decision, FALLBACK, MODEL, SelectorState
 from smartps.traceio import (
     DEFAULT_CHANNELS, LTE, WIFI, WF, LF, ChannelParams, Scenario, Segment, channel_map_arrays,
-    constant, scenario_mac_series,
+    TraceError, constant, linear_ramp, scenario_mac_series,
 )
 from smartps.treelearn import TreeParams, serialize_model, train_forest
 
@@ -181,11 +181,20 @@ class TestRun:
                   SimParams(duration=1.0, decision_interval=interval))
         assert len(rep.decisions) == n_decisions
 
-    @pytest.mark.parametrize("floor", [math.nan, math.inf])
-    def test_non_finite_rtt_rejected(self, floor):
-        with channels(LTE=replace(DEFAULT_CHANNELS[LTE], rtt_floor=floor)), \
-                pytest.raises(SimError, match="LTE base RTT"):
-            run_case(scenarios.stable(seed=0, duration=1.0), WF, 0)
+    @pytest.mark.parametrize("attr", ["rssi_lte", "sinr_wifi"])
+    def test_overflowing_ramp_refused_at_the_scenario_edge(self, attr):
+        # A ramp whose change v1 - v0 overflows would read inf * 0 = NaN at its
+        # segment start, so it is refused where it is built; a change of 1.7e308,
+        # just short of overflow, reaches the run's per-tick tables as finite values.
+        with pytest.raises(TraceError, match="ramp change v1 - v0 must be finite"):
+            linear_ramp(1e308, -1e308)
+        edge = Scenario("edge", 1.0, (Segment(0.0, {attr: linear_ramp(8e307, -9e307)}),))
+        sim = netsim._Sim(edge, SimParams(duration=1.0))
+        for table in [getattr(path, name) for path in sim.paths
+                      for name in ("credit_tick", "loss", "rtt")] + [sim.rssi_lte, sim.sinr_wifi]:
+            assert np.isfinite(np.frombuffer(table)).all()
+        assert math.isfinite(run(edge, SelectorState(policy=WF),
+                                 SimParams(duration=1.0)).total_goodput)
 
     @pytest.mark.parametrize("field,value", [
         ("tick", 0.01), ("tick", 0.0005),

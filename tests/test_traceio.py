@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smartps import scenarios, traceio
 from smartps.traceio import (
@@ -208,7 +208,9 @@ def traces(draw):
 
 
 TRAJECTORIES = st.one_of(st.builds(constant, numbers()),
-                         st.builds(linear_ramp, numbers(), numbers()),
+                         st.tuples(numbers(), numbers())
+                         .filter(lambda v: math.isfinite(v[1] - v[0]))
+                         .map(lambda v: linear_ramp(*v)),
                          st.builds(noisy, numbers(), numbers(0.0)))
 
 
@@ -592,6 +594,44 @@ class TestScenario:
     def test_duration_must_be_finite_and_non_negative(self, duration):
         with pytest.raises(TraceError, match=f"finite and >= 0, got {duration}"):
             Scenario(name="x", duration=duration, seed=0, segments=(Segment(0.0, {}),))
+
+
+HUGE = 1.7e308   # near the largest double, so a ramp's change can overflow
+
+
+@st.composite
+def mac_scenario_specs(draw):
+    """(ticks, segments) for a Scenario on the 1-ms grid: 1-4 segments, the first at
+    t = 0, each driving attributes with raw (kind, v0, v1) trajectories of any size."""
+    ticks = draw(st.integers(1, 200))
+    later = draw(st.sets(numbers(0.0, ticks * 0.001).filter(lambda t: t > 0.0), max_size=3))
+    trajectory = st.one_of(
+        st.tuples(st.just("constant"), numbers(-HUGE, HUGE), st.just(0.0)),
+        st.tuples(st.just("ramp"), numbers(-HUGE, HUGE), numbers(-HUGE, HUGE)),
+        st.tuples(st.just("noisy"), numbers(-HUGE, HUGE), numbers(0.0, HUGE)))
+    return ticks, [(start, draw(st.dictionaries(st.sampled_from(traceio.SCENARIO_ATTRS),
+                                                trajectory, max_size=4)))
+                   for start in sorted(later | {0.0})]
+
+
+class TestMacSeriesRange:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=mac_scenario_specs(), seed=st.integers())
+    # An overflowing ramp change read inf * 0 = NaN at its segment start.
+    @example(spec=(200, [(0.0, {"rssi_wifi": ("ramp", 1e308, -1e308)})]), seed=1)
+    def test_every_accepted_scenario_gives_finite_series_in_range(self, spec, seed):
+        ticks, segments = spec
+        try:
+            scn = Scenario(name="p", duration=ticks * 0.001, seed=seed, segments=tuple(
+                Segment(start, {attr: traceio.Trajectory(*raw) for attr, raw in drives.items()})
+                for start, drives in segments))
+        except TraceError:
+            return   # refused where it enters
+        with np.errstate(over="ignore"):   # a product may overflow to inf, which the clip bounds
+            series = traceio.scenario_mac_series(scn, np.arange(ticks) * 0.001)
+        for attr, values in series.items():
+            _, (lo, hi) = traceio._MAC_ATTRS[attr]
+            assert np.isfinite(values).all() and ((lo <= values) & (values <= hi)).all(), attr
 
 
 class TestSynthesize:
