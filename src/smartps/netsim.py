@@ -83,6 +83,7 @@ RTO_MULT = 4.0         # rto = max(MIN_RTO, RTO_MULT * srtt)
 CWND_INIT = 10.0       # packets
 CWND_MAX = 1000.0      # packets
 BLOCK_PACKETS = 16     # packets per application block (AD unit)
+CREDIT_PER_MBPS = 125.0   # bytes of send credit per 1-ms tick at 1 Mbps
 
 
 class SimError(ValueError):
@@ -170,17 +171,20 @@ def _slots(ms: np.ndarray, floor: int, size: int) -> array:
     return array("i", ((np.arange(len(ms)) + delay) % size).astype(np.int32).tobytes())
 
 
+def _mbps(packets: int, ticks: int) -> float:
+    return packets * PKT_BYTES * 8.0 / (ticks * MS) / 1e6
+
+
 class _Path:
-    __slots__ = ("name", "credit_tick", "dead", "loss", "rtt", "dlv_slot", "ack_slot",
+    __slots__ = ("name", "credit_tick", "loss", "rtt", "dlv_slot", "ack_slot",
                  "dlv_wheel", "ack_wheel",
                  "cwnd", "ssthresh", "srtt", "credit", "in_flight", "reinject",
                  "sent_win", "lost_win", "dlv_win", "plr_est", "pdr_est")
 
     def __init__(self, name, cap, rtt, loss):
         self.name = name
-        # Per-tick tables, compact (8 bytes per float, 4 per slot, 1 per flag).
-        self.credit_tick = _doubles(cap * 125.0)   # bytes of send credit per 1-ms tick
-        self.dead = bytes((cap < 0.5).tolist())     # capacity too low to carry new data
+        # Per-tick tables, compact (8 bytes per float, 4 per slot).
+        self.credit_tick = _doubles(cap * CREDIT_PER_MBPS)
         self.loss = _doubles(loss)
         self.rtt = _doubles(rtt)                    # base rtt, ms
         self.cwnd = CWND_INIT
@@ -329,7 +333,7 @@ class _Sim:
 
         pkt_bytes, block_packets, recv_window = PKT_BYTES, BLOCK_PACKETS, RECV_WINDOW
         rto_mult, cwnd_max, min_rto = RTO_MULT, CWND_MAX, MIN_RTO
-        credit_max = 4.0 * pkt_bytes
+        credit_max, dead_credit = 4.0 * pkt_bytes, 0.5 * CREDIT_PER_MBPS
         next_seq, delivered_upto, n_transit = self.next_seq, self.delivered_upto, self.n_transit
         recv_buffer, block_first_send = self.recv_buffer, self.block_first_send
 
@@ -454,12 +458,12 @@ class _Sim:
                     path.credit = credit
                     continue
                 # New data spills to the secondary path only when the priority
-                # path is saturated (cwnd-full) or effectively dead; credit
-                # pacing alone must not divert the in-order stream.  Reinjections
-                # are always admitted.
+                # path is cwnd-full or dead, under 0.5 Mbps of capacity (exact:
+                # both sides scale by CREDIT_PER_MBPS); credit pacing alone must
+                # not divert the in-order stream.  Reinjections are always admitted.
                 allow_new = (path is first
                              or len(first.in_flight) >= first.cwnd
-                             or first.dead[tick])
+                             or first.credit_tick[tick] < dead_credit)
                 reinject = path.reinject
                 if not reinject and not (allow_new
                                          and next_seq - delivered_upto < recv_window):
@@ -497,15 +501,14 @@ class _Sim:
             # --- metrics window ---
             if tick == window_end:
                 window_end += WINDOW_TICKS
-                ag_series.append((delivered_upto - window_upto) * pkt_bytes * 8.0
-                                 / (WINDOW_TICKS * MS) / 1e6)
+                ag_series.append(_mbps(delivered_upto - window_upto, WINDOW_TICKS))
                 window_upto = delivered_upto
                 for path in paths:
                     accumulation[path.name].append(len(path.in_flight) * pkt_bytes)
                     # lost_win also counts RTOs of packets sent in earlier windows.
                     path.plr_est = (min(1.0, path.lost_win / path.sent_win)
                                     if path.sent_win else 0.0)
-                    path.pdr_est = path.dlv_win * pkt_bytes * 8.0 / (WINDOW_TICKS * MS) / 1e6
+                    path.pdr_est = _mbps(path.dlv_win, WINDOW_TICKS)
                     path.sent_win = path.lost_win = path.dlv_win = 0
 
             # --- conservation: every distinct packet is in exactly one place ---
@@ -523,12 +526,11 @@ class _Sim:
         return split
 
     def report(self, policy: str) -> MetricsReport:
-        total_goodput = self.delivered_upto * PKT_BYTES * 8.0 / (self.n_ticks * MS) / 1e6
         return MetricsReport(
             policy=policy, scenario=self.scenario, seed=self.seed,
             ag_series=self.ag_series, ad_samples=self.ad_samples,
             accumulation=self.accumulation, decisions=self.decisions,
-            total_goodput=total_goodput)
+            total_goodput=_mbps(self.delivered_upto, self.n_ticks))
 
 
 def _finish(sim: _Sim, members: list[tuple[int, SelectorState]],

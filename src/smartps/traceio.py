@@ -373,25 +373,23 @@ class Scenario:
                 if attr not in SCENARIO_ATTRS:
                     raise TraceError(f"segment drives unknown attribute {attr!r}")
 
-    def segment_end(self, idx: int) -> float:
-        if idx + 1 < len(self.segments):
-            return self.segments[idx + 1].start
-        return self.duration
-
     def attribute_series(self, attr: str, times: np.ndarray, rng=None) -> np.ndarray:
         """Evaluate one MAC attribute at the given times (noise-free unless rng given)."""
         default, (lo, hi) = _MAC_ATTRS[attr]
         out = np.full(len(times), default)
-        for i, seg in enumerate(self.segments):
-            end = self.segment_end(i)
-            mask = (times >= seg.start) & (times < end) if end < self.duration \
-                else (times >= seg.start)
+        # A segment ends where the next starts, the last at the duration.
+        ends = [seg.start for seg in self.segments[1:]] + [self.duration]
+        for seg, end in zip(self.segments, ends):
             traj = seg.trajectories.get(attr)
             if traj is None:
                 continue
+            mask = (times >= seg.start) & ((times < end) | (end >= self.duration))
             if traj.kind == "ramp":
-                span = max(end - seg.start, 1e-9)
-                out[mask] = traj.v0 + (traj.v1 - traj.v0) * (times[mask] - seg.start) / span
+                span, dt = max(end - seg.start, 1e-9), times[mask] - seg.start
+                with np.errstate(over="ignore"):   # where the product overflows, divide first
+                    rise = (traj.v1 - traj.v0) * dt / span
+                    rise = np.where(np.isfinite(rise), rise, (traj.v1 - traj.v0) * (dt / span))
+                    out[mask] = traj.v0 + rise
             else:  # noisy, or constant: a noisy trajectory whose sigma v1 is 0
                 out[mask] = traj.v0
                 if rng is not None and traj.v1 > 0:

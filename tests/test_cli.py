@@ -311,6 +311,16 @@ class TestSimulate:
         assert f"error: {poison}: line 5: ramp change v1 - v0 must be finite" in err
         assert not (tmp_path / "sim").exists()
 
+    def test_ramp_whose_product_overflows_runs_without_a_warning(self, tmp_path, capsys):
+        # (v1 - v0) * (t - start) overflows near the segment end; the ramp is
+        # accepted, and it warns nothing.
+        scenario = tmp_path / "bigramp.txt"
+        scenario.write_text("name bigramp\nduration 2\nseed 1\nsegment 0\n"
+                            "  rssi_wifi ramp 1e308 0\n")
+        assert run_cli("simulate", "--scenario", str(scenario), "--selector", "wf",
+                       "--seed", "1", "--output", str(tmp_path / "sim")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_duration_beyond_any_memory_is_an_error(self, tmp_path, scenario_file, capsys):
         # 1e15 s is 1e18 ticks; numpy refuses the first per-tick table at once.
         text = scenario_file.read_text()

@@ -111,15 +111,9 @@ def owners(source: str, match) -> list[tuple[str, int]]:
     return found
 
 
-def file_writes(source: str) -> list[tuple[str, int]]:
-    """(function, line) of each call that writes a file."""
-    return owners(source, lambda node: isinstance(node, ast.Call) and writes_a_file(node))
-
-
-def test_only_the_cli_writer_writes_files():
-    writers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
-               for owner, _ in file_writes(path.read_text())}
-    assert writers == {"cli._write_output"}
+def calls_a_writer(node: ast.AST) -> bool:
+    """A call that writes a file."""
+    return isinstance(node, ast.Call) and writes_a_file(node)
 
 
 def test_file_write_checker():
@@ -137,20 +131,14 @@ def test_file_write_checker():
               "            p.write_text('', encoding='utf-8')\n"
               "        return open(p, mode=mode)\n"
               "open('x', 'w+b')\n")
-    assert file_writes(source) == [("<module>", 2), ("f", 8), ("C.g.inner", 12),
-                                   ("C.g", 13), ("<module>", 14)]
+    assert owners(source, calls_a_writer) == [("<module>", 2), ("f", 8), ("C.g.inner", 12),
+                                              ("C.g", 13), ("<module>", 14)]
 
 
 def reads_decide(node: ast.AST) -> bool:
     """A read of an attribute named `decide`, such as `selmod.decide`."""
     return (isinstance(node, ast.Attribute) and node.attr == "decide"
             and isinstance(node.ctx, ast.Load))
-
-
-def test_only_the_tick_loop_asks_for_a_decision():
-    readers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
-               for owner, _ in owners(path.read_text(), reads_decide)}
-    assert readers == {"netsim._Sim.advance"}
 
 
 def test_decide_reader_checker():
@@ -173,11 +161,20 @@ def loads_default_channels(node: ast.AST) -> bool:
             ) and isinstance(node.ctx, ast.Load)
 
 
-def test_only_the_channel_map_reads_the_channels():
+# Each rule has one `src` function that may do it: (matcher, that function).
+OWNED = [
+    (calls_a_writer, "cli._write_output"),
+    (reads_decide, "netsim._Sim.advance"),
     # The tests' channels() patch of DEFAULT_CHANNELS reaches a run only through it.
-    readers = {f"{path.stem}.{owner}" for path in SRC.glob("*.py")
-               for owner, _ in owners(path.read_text(), loads_default_channels)}
-    assert readers == {"traceio.channel_map_arrays"}
+    (loads_default_channels, "traceio.channel_map_arrays"),
+]
+
+
+@pytest.mark.parametrize("match,owner", OWNED, ids=[owner for _, owner in OWNED])
+def test_one_owner(match, owner):
+    found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
+             for name, _ in owners(path.read_text(), match)}
+    assert found == {owner}
 
 
 def test_channel_reader_checker():

@@ -111,18 +111,18 @@ def forest25():
                         params=TreeParams(max_depth=6, min_leaf=20), seed=7)
 
 
-def seen_observations(monkeypatch, scenario, policy, seed):
-    """Every Observation that run_case hands selector.decide, in decision order."""
-    seen = []
+@pytest.fixture
+def decide_calls(monkeypatch):
+    """Every (state, Observation) that _Sim.advance hands selector.decide, in call order."""
+    calls = []
     decide = netsim.selmod.decide
 
     def spy(state, obs):
-        seen.append(obs)
+        calls.append((state, obs))
         return decide(state, obs)
 
     monkeypatch.setattr(netsim.selmod, "decide", spy)
-    run_case(scenario, policy, seed)
-    return seen
+    return calls
 
 
 def bundle_digest(report):
@@ -167,7 +167,7 @@ class TestRun:
         assert set(tables.values()) <= {array, bytes}, tables
         assert sorted(tables) == sorted(
             [("_Sim", name) for name in ("rssi_wifi", "rssi_lte", "sinr_wifi", "sinr_lte")]
-            + [("_Path", name) for name in ("credit_tick", "dead", "loss", "rtt",
+            + [("_Path", name) for name in ("credit_tick", "loss", "rtt",
                                             "dlv_slot", "ack_slot")])
 
     def test_float_division_slack_accepted(self):
@@ -233,6 +233,14 @@ class TestRun:
             rep = run_case(scn, WF, 1)
         assert 23.0 <= rep.total_goodput <= 25.0 * 1.05
 
+    def test_dead_priority_path_spills_new_data(self):
+        # At -20 dB SINR WiFi carries 0.043 Mbps, under the 0.5-Mbps dead line,
+        # so new data goes to LTE although WiFi is the priority path and never
+        # fills its window.  Without the rule the run gets 0.0408 Mbps.
+        scn = Scenario(name="deadwifi", duration=5.0, seed=3, segments=(
+            Segment(0.0, {"sinr_wifi": constant(-20.0)}),))
+        assert run_case(scn, WF, 3).total_goodput == pytest.approx(11.2272, abs=1e-4)
+
     def test_goodput_bounded_by_combined_capacity(self):
         rep = run_case(scenarios.stable(seed=2, duration=5.0), "RR", 2)
         assert rep.total_goodput <= 40.0
@@ -242,10 +250,11 @@ class TestRun:
         for policy in (WF, LF, "MINRTT", "RR"):
             run_case(scn, policy, 5)  # a violation raises
 
-    def test_observations_follow_feature_names(self, monkeypatch):
+    def test_observations_follow_feature_names(self, decide_calls):
         # _Sim.advance builds each 12-tuple inline; read every slot back by name.
         scn = scenarios.walkaway(seed=5, duration=3.0)
-        seen = seen_observations(monkeypatch, scn, "MINRTT", 7)
+        run_case(scn, "MINRTT", 7)
+        seen = [obs for _, obs in decide_calls]
         mac = scenario_mac_series(scn, np.arange(3000) * netsim.MS,
                                   ("rssi_wifi", "sinr_wifi", "rssi_lte", "sinr_lte"))
         assert [round(obs.t / netsim.MS) for obs in seen] == list(range(0, 3000, 100))
@@ -260,12 +269,11 @@ class TestRun:
             assert first[f"cwnd_{iface}"] == netsim.CWND_INIT
             assert first[f"plr_{iface}"] == first[f"pdr_{iface}"] == 0.0
 
-    def test_features_stay_inside_trace_row_bounds(self, monkeypatch):
+    def test_features_stay_inside_trace_row_bounds(self, decide_calls):
         # A decision sees only values a trace row may hold.  An RTO expires
         # packets sent in earlier windows too, which once put plr_wifi at 2.0.
-        seen = seen_observations(monkeypatch, scenarios.walkaway(seed=5, duration=30.0),
-                                 "MINRTT", 7)
-        columns = dict(zip(FEATURE_NAMES, np.array([obs.features for obs in seen]).T))
+        run_case(scenarios.walkaway(seed=5, duration=30.0), "MINRTT", 7)
+        columns = dict(zip(FEATURE_NAMES, np.array([obs.features for _, obs in decide_calls]).T))
         for names, holds, message in traceio._ROW_INVARIANTS:
             for name in columns.keys() & set(names):
                 bad = ~holds(columns[name])
@@ -414,7 +422,7 @@ def test_one_ms_serve_length_pinned(forest25, index, policy):
     assert bundle_digest(rep) == ONE_MS_SERVE_DIGESTS[index, policy]
 
 
-def test_copies_arriving_in_one_tick_pinned(monkeypatch):
+def test_copies_arriving_in_one_tick_pinned(decide_calls):
     # At 5 s WiFi drops to its loss cliff, and a 44-fold loss factor stretches
     # its round trip to ~460 ms while srtt is ~20 ms.  Packets time out in
     # flight and their LTE copies race them: both copies of seq 10,387 arrive
@@ -424,21 +432,18 @@ def test_copies_arriving_in_one_tick_pinned(monkeypatch):
     scn = Scenario(name="step", duration=15.0, seed=3, segments=(
         Segment(0.0, {"rssi_wifi": constant(-40.0), "sinr_wifi": constant(25.0)}),
         Segment(5.0, {"rssi_wifi": traceio.noisy(-75.0, 2.0), "sinr_wifi": constant(25.0)})))
-    seen = []
-    decide = netsim.selmod.decide
-    monkeypatch.setattr(netsim.selmod, "decide",
-                        lambda state, obs: seen.append(obs) or decide(state, obs))
     with channels(WIFI=replace(DEFAULT_CHANNELS[WIFI], rtt_loss_factor=44.0)):
         rep = run(scn, SelectorState(policy="MINRTT"),
                   SimParams(duration=15.0, seed=7, decision_interval=0.001))
     assert rep.total_goodput == pytest.approx(10.4264, abs=1e-4)
     assert bundle_digest(rep) == (
         "7bcd9903c40bf5d6abeba3871cbe1786cda3d0cc99ba566e6d0daacd008fb311")
+    seen = [obs for _, obs in decide_calls]
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
         "4351a3c683c9341a94ec71f58db8047afc0e6a615f43fe3efcf90558e8217271")
 
 
-def test_acks_out_of_seq_order_across_send_ticks_pinned(monkeypatch):
+def test_acks_out_of_seq_order_across_send_ticks_pinned(decide_calls):
     # Two 1-Mbps paths near their loss cliffs.  Packets time out on each path
     # and are resent on the other, so at tick 4,785 LTE's ack bucket holds seq
     # 176 (sent at tick 4,719) before seq 164 (sent at tick 4,738).  Their RTT
@@ -447,16 +452,13 @@ def test_acks_out_of_seq_order_across_send_ticks_pinned(monkeypatch):
     scn = Scenario(name="x", duration=10.0, seed=1, segments=(
         Segment(0.0, {"rssi_wifi": traceio.noisy(-72.0, 3.0),
                       "rssi_lte": traceio.noisy(-92.0, 3.0)}),))
-    seen = []
-    decide = netsim.selmod.decide
-    monkeypatch.setattr(netsim.selmod, "decide",
-                        lambda state, obs: seen.append(obs) or decide(state, obs))
     with channels(WIFI=replace(DEFAULT_CHANNELS[WIFI], cap_max=1.0, rtt_loss_factor=3.0),
                   LTE=replace(DEFAULT_CHANNELS[LTE], cap_max=1.0)):
         rep = run(scn, SelectorState(policy=WF), SimParams(duration=10.0, seed=1))
     assert rep.total_goodput == pytest.approx(0.4212, abs=1e-4)
     assert bundle_digest(rep) == (
         "d1ddafff926858dee151d9a5bd59cdef580179f7934058b87d621bcfd2535656")
+    seen = [obs for _, obs in decide_calls]
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == (
         "d8900e560a30c4d1394cfabb626724ce6076e5d613cc2279a8a5adfceaa86263")
 
@@ -505,25 +507,17 @@ def test_group_equals_solo_runs(monkeypatch, kind, policies):
     assert len(set(lists)) == len(lists)   # each report owns its lists
 
 
-def test_group_asks_each_state_as_its_solo_run(monkeypatch, suite_scenarios):
+def test_group_asks_each_state_as_its_solo_run(decide_calls, suite_scenarios):
     policies = ("SMARTPS", "MINRTT", "RR")
     scn, params = suite_scenarios[0], SimParams(duration=30.0, seed=1)
-    calls = []
-    decide = netsim.selmod.decide
-
-    def spy(state, obs):
-        calls.append((state, obs))
-        return decide(state, obs)
-
-    monkeypatch.setattr(netsim.selmod, "decide", spy)
     solo = states(*policies)
     for state in solo:
         run(scn, state, params)
-    solo_calls = [[obs for s, obs in calls if s is state] for state in solo]
-    calls.clear()
+    solo_calls = [[obs for s, obs in decide_calls if s is state] for state in solo]
+    decide_calls.clear()
     group = states(*policies)
     run_group(scn, group, params)
-    assert [[obs for s, obs in calls if s is state] for state in group] == solo_calls
+    assert [[obs for s, obs in decide_calls if s is state] for state in group] == solo_calls
 
 
 def test_empty_group_simulates_nothing():

@@ -627,11 +627,20 @@ class TestMacSeriesRange:
                 for start, drives in segments))
         except TraceError:
             return   # refused where it enters
-        with np.errstate(over="ignore"):   # a product may overflow to inf, which the clip bounds
+        with np.errstate(over="ignore"):   # a noise sum may overflow to inf, which the clip bounds
             series = traceio.scenario_mac_series(scn, np.arange(ticks) * 0.001)
         for attr, values in series.items():
             _, (lo, hi) = traceio._MAC_ATTRS[attr]
             assert np.isfinite(values).all() and ((lo <= values) & (values <= hi)).all(), attr
+
+    def test_ramp_whose_product_overflows_reads_its_true_side(self):
+        # (v1 - v0) * (t - start) overflows to inf from t = 1.798 s; with the
+        # division after it, the clip read -120 dBm there.  The true values are
+        # positive all along, so every tick clips to 0 dBm.
+        scn = Scenario(name="p", duration=2.0, seed=1, segments=(
+            Segment(0.0, {"rssi_wifi": linear_ramp(1e308, 0.0)}),))
+        series = traceio.scenario_mac_series(scn, np.arange(2000) * 0.001, ("rssi_wifi",))
+        assert series["rssi_wifi"].tolist() == [0.0] * 2000
 
 
 class TestSynthesize:
