@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .featstats import BIN_WIDTHS, binnable, family
-from .traceio import WF, LF, AttributeSample
+from .traceio import WF, LF, AttributeSample, numbered_lines
 
 # Fixed feature order of a LabeledRecord.  RSRP, RSRQ, TD and RD are excluded
 # (low conditional information gain).
@@ -137,7 +137,7 @@ def records_to_csv(records: Sequence[LabeledRecord]) -> str:
 
 def records_from_csv(text: str) -> list[LabeledRecord]:
     """Parse a records file; a fault names the file line of the first one in file order."""
-    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in numbered_lines(text)]
     if not lines:
         raise ValueError("empty dataset file")
     header = lines[0][1].split(",")

@@ -77,9 +77,10 @@ def percentile(values: Sequence[float], p: float) -> float:
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected Kendall correlation (tau-b) in [-1, 1].
 
-    (C - D) / sqrt((n0 - n1)(n0 - n2)) with n0 = n(n-1)/2 and n1, n2 the
-    within-tie pair counts of x and y.  Raises on degenerate input (fewer
-    than two points, mismatched lengths, or all ties on one side).
+    The sum over pairs i < j of sign(x_i - x_j) * sign(y_i - y_j), divided by
+    sqrt(nx * ny) with nx and ny the pairs untied in x and in y.  Raises on
+    degenerate input (fewer than two points, mismatched lengths, or all ties
+    on one side).
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -90,18 +91,12 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise StatsError("kendall_tau_b: need at least two points")
-    sx = np.sign(x[:, None] - x[None, :])
-    sy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = sx[iu] * sy[iu]
-    conc = int(np.count_nonzero(prod > 0))
-    disc = int(np.count_nonzero(prod < 0))
-    n0 = n * (n - 1) // 2
-    n1, n2 = (sum(t * (t - 1) // 2 for t in np.unique(a, return_counts=True)[1].tolist())
-              for a in (x, y))
-    if n0 == n1 or n0 == n2:
+    i, j = np.triu_indices(n, k=1)   # each pair once
+    dx, dy = np.sign(x[i] - x[j]), np.sign(y[i] - y[j])
+    nx, ny = np.count_nonzero(dx), np.count_nonzero(dy)
+    if not (nx and ny):
         raise StatsError("kendall_tau_b: all values tied on one side")
-    return (conc - disc) / math.sqrt((n0 - n1) * (n0 - n2))
+    return int((dx * dy).sum()) / math.sqrt(int(nx) * int(ny))
 
 
 def entropy(labels: Sequence) -> float:

@@ -52,17 +52,15 @@ def walkaway(seed: int, duration: float = 60.0,
         }),))
 
 
-def stable(seed: int, duration: float = 60.0) -> Scenario:
-    return Scenario(
-        name="stable", duration=duration, seed=seed,
-        segments=(Segment(0.0, {**_WIFI_GOOD, **_LTE_STEADY}),))
-
-
 def _flapping(name: str, seed: int, duration: float, starts: Sequence[float]) -> Scenario:
     """WiFi good from starts[0] = 0, then alternately bad and good from each later start."""
     return Scenario(name=name, duration=duration, seed=seed, segments=tuple(
         Segment(start, {**(_WIFI_BAD if i % 2 else _WIFI_GOOD), **_LTE_STEADY})
         for i, start in enumerate(starts)))
+
+
+def stable(seed: int, duration: float = 60.0) -> Scenario:
+    return _flapping("stable", seed, duration, [0.0])
 
 
 def interference_burst(seed: int, duration: float = 60.0,

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -164,6 +164,12 @@ _CODECS = {col: (f, _parse_tag, str) if f == "prio_tag" else
 _BLOCK_ROWS = 1024
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(file line number, line) for each non-blank line of an input file's text.  A line
+    ends at "\n" only, as a universal-newline read leaves it: a form feed stays inside."""
+    return ((n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip())
+
+
 def parse_trace(text: str) -> list[AttributeSample]:
     """Parse a trace CSV's text (header required) into a list of samples.
 
@@ -173,7 +179,7 @@ def parse_trace(text: str) -> list[AttributeSample]:
     on any malformed cell or invariant violation.  Blank lines are skipped but
     counted: row N is line N of the file.
     """
-    lines = [line for line in text.split("\n") if line.strip() != ""]
+    lines = [line for _, line in numbered_lines(text)]
     if not lines:
         raise TraceError("empty input: header row required")
     header = [h.strip() for h in lines[0].split(",")]
@@ -188,7 +194,7 @@ def parse_trace(text: str) -> list[AttributeSample]:
     for start in range(1, len(lines), _BLOCK_ROWS):
         columns, fault = _parse_block(lines[start:start + _BLOCK_ROWS], prev_t)
         if fault is not None:   # numbered only now, to keep a clean parse's peak low
-            linenos = [n for n, line in enumerate(text.split("\n"), 1) if line.strip() != ""]
+            linenos = [n for n, _ in numbered_lines(text)]
             raise TraceError("row %d%s" % (linenos[start + fault[0]], fault[1]))
         samples.extend(map(AttributeSample, *columns))
         prev_t = samples[-1].t
@@ -384,16 +390,16 @@ class Scenario:
             if traj is None:
                 continue
             mask = (times >= seg.start) & ((times < end) | (end >= self.duration))
-            if traj.kind == "ramp":
-                span, dt = max(end - seg.start, 1e-9), times[mask] - seg.start
-                with np.errstate(over="ignore"):   # where the product overflows, divide first
-                    rise = (traj.v1 - traj.v0) * dt / span
+            with np.errstate(over="ignore"):   # an overflow reads inf, which the clip bounds
+                if traj.kind == "ramp":
+                    span, dt = max(end - seg.start, 1e-9), times[mask] - seg.start
+                    rise = (traj.v1 - traj.v0) * dt / span   # where it overflows, divide first
                     rise = np.where(np.isfinite(rise), rise, (traj.v1 - traj.v0) * (dt / span))
                     out[mask] = traj.v0 + rise
-            else:  # noisy, or constant: a noisy trajectory whose sigma v1 is 0
-                out[mask] = traj.v0
-                if rng is not None and traj.v1 > 0:
-                    out[mask] += rng.normal(0.0, traj.v1, size=int(mask.sum()))
+                else:  # noisy, or constant: a noisy trajectory whose sigma v1 is 0
+                    out[mask] = traj.v0
+                    if rng is not None and traj.v1 > 0:
+                        out[mask] += rng.normal(0.0, traj.v1, size=int(mask.sum()))
         return np.clip(out, lo, hi)
 
 
@@ -479,9 +485,9 @@ def synthesize_trace(scenario: Scenario, sampling_interval: float = 0.1) -> list
 def parse_scenario(text: str) -> Scenario:
     header: dict = {}   # name, duration and seed, each set once
     segments: list[tuple[float, dict]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         parts = line.split()
         key = parts[0]

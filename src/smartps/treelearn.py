@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import FEATURE_BIN_WIDTHS, N_FEATURES, LabeledRecord, unbinnable_feature
 from .featstats import bin_index
-from .traceio import WF, LF
+from .traceio import WF, LF, numbered_lines
 
 LABELS = (WF, LF)
 _LABEL_INDEX = {WF: 0, LF: 1}
@@ -539,7 +539,7 @@ def serialize_model(model: Union[TreeNode, ForestModel]) -> str:
 
 
 def deserialize_model(text: str) -> Union[TreeNode, ForestModel]:
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines()) if ln.strip()]
+    lines = [(i, ln.strip()) for i, ln in numbered_lines(text)]
     if not lines:
         raise ModelFormatError("empty model file")
     pos = 0

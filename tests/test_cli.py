@@ -321,6 +321,16 @@ class TestSimulate:
                        "--seed", "1", "--output", str(tmp_path / "sim")) == 0
         assert capsys.readouterr().err == ""
 
+    def test_noise_sum_that_overflows_runs_without_a_warning(self, tmp_path, capsys):
+        # 1e308 + N(0, 1e308) overflows to inf on some ticks, which the clip bounds.
+        scenario = tmp_path / "bignoise.txt"
+        scenario.write_text("name bignoise\nduration 1\nseed 1\nsegment 0\n"
+                            "  rssi_wifi noisy 1e308 1e308\n")
+        assert run_cli("simulate", "--scenario", str(scenario), "--selector", "wf",
+                       "--seed", "1", "--output", str(tmp_path / "sim")) == 0
+        assert capsys.readouterr().err == ""
+        assert "total_goodput_mbps 4.500000\n" in (tmp_path / "sim" / "summary.txt").read_text()
+
     def test_duration_beyond_any_memory_is_an_error(self, tmp_path, scenario_file, capsys):
         # 1e15 s is 1e18 ticks; numpy refuses the first per-tick table at once.
         text = scenario_file.read_text()

@@ -242,6 +242,18 @@ class TestRecordCsv:
         records = build_dataset(reference_samples)
         assert records_from_csv(records_to_csv(records)) == records
 
+    def test_form_feed_in_a_cell_parses(self, reference_samples):
+        # A line ends at "\n" only, and float() reads a form feed as padding.
+        records = build_dataset(reference_samples)
+        header, *rows = records_to_csv(records).split("\n")
+        text = "\n".join([header] + [row.replace(",", "\x0c,", 1) for row in rows])
+        assert records and "\x0c" in text
+        assert records_from_csv(text) == records
+
+    def test_crlf_text_parses(self, reference_samples):
+        records = build_dataset(reference_samples)
+        assert records_from_csv(records_to_csv(records).replace("\n", "\r\n")) == records
+
     def test_empty_file_rejected(self):
         with pytest.raises(ValueError):
             records_from_csv("")

@@ -161,12 +161,34 @@ def loads_default_channels(node: ast.AST) -> bool:
             ) and isinstance(node.ctx, ast.Load)
 
 
+def splits_lines(node: ast.AST) -> bool:
+    """A call of `.splitlines()` or `.split("\\n")`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and (node.func.attr == "splitlines"
+                 or node.func.attr == "split" and len(node.args) == 1
+                 and isinstance(node.args[0], ast.Constant) and node.args[0].value == "\n"))
+
+
+def test_line_splitter_checker():
+    source = ("def f(text):\n"
+              "    return text.splitlines(keepends=True)\n"
+              "class C:\n"
+              "    def g(self, text):\n"
+              "        return text.split('\\n'), text.split(','), text.split()\n"
+              "splitlines = str.splitlines\n"
+              "'a\\nb'.split(\"\\n\")\n")
+    # A split at another separator and a bare reference are not line splits.
+    assert owners(source, splits_lines) == [("f", 2), ("C.g", 5), ("<module>", 7)]
+
+
 # Each rule has one `src` function that may do it: (matcher, that function).
 OWNED = [
     (calls_a_writer, "cli._write_output"),
     (reads_decide, "netsim._Sim.advance"),
     # The tests' channels() patch of DEFAULT_CHANNELS reaches a run only through it.
     (loads_default_channels, "traceio.channel_map_arrays"),
+    # Every input file's lines end where this says, and a fault names that line.
+    (splits_lines, "traceio.numbered_lines"),
 ]
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from smartps import scenarios, traceio
+from smartps import dataset, scenarios, traceio, treelearn
 from smartps.traceio import (
     WF, LF, AttributeSample, Scenario, Segment, TraceError,
     constant, linear_ramp, noisy,
@@ -133,6 +133,52 @@ class TestParseTrace:
                              for i, line in enumerate(reference_trace_text.splitlines()))
         with pytest.raises(TraceError, match="header: unexpected column order"):
             parse_trace(labeled + "\n")
+
+
+def spread(line: str) -> str:
+    """line with a form feed after its first separator and a U+2028 at its end:
+    whitespace to a reader that strips cells, and no line end."""
+    sep = "," if "," in line else " "
+    head, tail = line.split(sep, 1)
+    return f"{head}{sep}\x0c{tail}\u2028"
+
+
+def line_rule_case(reader):
+    """(parse, text, message of the fault on line 5) for one of the four readers.
+    Lines 1-2 are good, 3 is blank, 4 is good and spread, 5 holds the fault."""
+    if reader == "trace":
+        header, *rows = write_trace([make_sample(t=float(t)) for t in range(3)]).split("\n")
+        bad = rows[2].split(",")
+        bad[1] = "oops"
+        lines = [header, rows[0], "", spread(rows[1]), ",".join(bad)]
+        return (parse_trace, lines,
+                f"row 5, column {traceio.TRACE_COLUMNS[1]}: non-numeric cell 'oops'")
+    if reader == "records":
+        record = dataset.LabeledRecord(features=tuple(float(i) for i in range(12)), label=WF)
+        header, row = dataset.records_to_csv([record]).split("\n")[:2]
+        lines = [header, row, "", spread(row), row.replace("5.0", "oops")]
+        return dataset.records_from_csv, lines, "line 5: non-numeric feature cell"
+    if reader == "model":
+        lines = ["N 0 -60.0", "L WF 1 0", "", spread("N 1 -5.0"), "L WF one 0"]
+        return (treelearn.deserialize_model, lines,
+                "line 5: malformed leaf counts in 'L WF one 0'")
+    lines = ["name x", "duration 10", "", spread("seed 1"), "colour red"]
+    return parse_scenario, lines, "line 5: unknown key 'colour'"
+
+
+class TestLineRule:
+    @pytest.mark.parametrize("reader", ["trace", "records", "model", "scenario"])
+    def test_a_fault_names_its_file_line(self, reader):
+        # A line ends at "\n" only: blank line 3 counts, and spread line 4 is one line
+        # that parses, or the fault would not be named on line 5.
+        parse, lines, message = line_rule_case(reader)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse("\n".join(lines) + "\n")
+
+    def test_numbered_lines_skips_blank_lines_and_splits_at_newline_only(self):
+        text = "a\n\n \t\nb\x0cc\u2028d\r\n\x0c\ne"
+        assert list(traceio.numbered_lines(text)) == [(1, "a"), (4, "b\x0cc\u2028d\r"),
+                                                      (6, "e")]
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +673,7 @@ class TestMacSeriesRange:
                 for start, drives in segments))
         except TraceError:
             return   # refused where it enters
-        with np.errstate(over="ignore"):   # a noise sum may overflow to inf, which the clip bounds
-            series = traceio.scenario_mac_series(scn, np.arange(ticks) * 0.001)
+        series = traceio.scenario_mac_series(scn, np.arange(ticks) * 0.001)
         for attr, values in series.items():
             _, (lo, hi) = traceio._MAC_ATTRS[attr]
             assert np.isfinite(values).all() and ((lo <= values) & (values <= hi)).all(), attr
